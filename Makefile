@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 30s
 
-.PHONY: all ci vet build test race bench bench-smoke bench-engines bench-scaling bench-sessions bench-vmopt bench-transport profile engines chaos fuzz-smoke smoke-serve certify certify-smoke cover harness quick clean
+.PHONY: all ci vet build test race perfbench-test bench bench-smoke bench-engines bench-scaling bench-sessions bench-vmopt bench-transport profile engines chaos fuzz-smoke smoke-serve certify certify-smoke cover harness quick clean
 
 all: ci
 
@@ -12,8 +12,9 @@ all: ci
 # the chaos suite under randomized fault schedules, a short continuous
 # fuzz of each native fuzz target, a 1x-benchtime smoke run of
 # every benchmark so benchmark code cannot rot uncompiled or uncovered,
-# and an end-to-end drive of the HTTP service through the real binary.
-ci: vet build race engines chaos certify-smoke fuzz-smoke bench-smoke smoke-serve
+# the repository benchmark's own vet and self-tests, and an end-to-end
+# drive of the HTTP service through the real binary.
+ci: vet build race perfbench-test engines chaos certify-smoke fuzz-smoke bench-smoke smoke-serve
 
 # engines runs the tree/VM differential tests: identical traces,
 # clocks, mitigation records, and final memories across engines on the
@@ -58,6 +59,13 @@ test:
 
 race:
 	$(GO) test -race -shuffle=on ./...
+
+# perfbench-test vets and tests the repository benchmark (perfbench/),
+# which is its own Go module, so the root ./... never reaches it: its
+# self-tests check that the metric names match BENCHMARK.json and that
+# the response replay catches planted errors.
+perfbench-test:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 bench:
 	$(GO) test -bench . -benchtime 1x -benchmem -run ^$$ .

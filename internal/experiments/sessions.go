@@ -221,10 +221,13 @@ func sessionSecret(seed int64, greedy bool, i int) int64 {
 	return h
 }
 
-// sessionsRun drives both tenants' request sequences concurrently
-// against one fresh service and returns their traces. The two streams
-// interleave on the wire; each tenant's own sequence is serial, so its
-// trace is deterministic.
+// sessionsRun drives both tenants' request sequences against one fresh
+// service and returns their traces. A single goroutine alternates
+// between the tenants (greedy 0, modest 0, greedy 1, modest 1, …; the
+// longer sequence then finishes alone), so the order in which requests
+// reach the pool — and with it each request's round-robin shard, the
+// cache history it runs on, its simulated time and so its tenant's §7
+// bits — is a function of the config and seed.
 func sessionsRun(cfg SessionsConfig) ([]SessionTrace, obs.Export, error) {
 	base, met, stop, err := sessionsService(cfg)
 	if err != nil {
@@ -239,41 +242,36 @@ func sessionsRun(cfg SessionsConfig) ([]SessionTrace, obs.Export, error) {
 		count  int
 	}{{"greedy", true, cfg.GreedyRequests}, {"modest", false, cfg.ModestRequests}}
 	traces := make([]SessionTrace, len(tenants))
-	errc := make(chan error, len(tenants))
-	for ti := range tenants {
-		go func(ti int) {
-			tn := tenants[ti]
-			tr := SessionTrace{Tenant: tn.name}
-			c := client.New(base, client.Options{Tenant: tn.name})
-			for i := 0; i < tn.count; i++ {
-				resp, err := c.Run(ctx, wire.RunRequest{
-					Inputs:      map[string]int64{"h": sessionSecret(cfg.Seed, tn.greedy, i)},
-					Mitigations: true,
-				})
-				if err != nil {
-					var cerr *client.Error
-					if errors.Is(err, client.ErrLeakageBudget) && errors.As(err, &cerr) {
-						if tr.Denials == 0 {
-							tr.RetryAfter = cerr.RetryAfter
-						}
-						tr.Denials++
-						continue
-					}
-					errc <- fmt.Errorf("tenant %s request %d: %w", tn.name, i, err)
-					return
-				}
-				tr.Epochs = append(tr.Epochs, resp.Epoch)
-				tr.LeakageBits = append(tr.LeakageBits, resp.LeakageBits)
-				tr.CumTime += resp.Time
-				tr.CumMitigations += len(resp.Mitigations)
-			}
-			traces[ti] = tr
-			errc <- nil
-		}(ti)
+	clients := make([]*client.Client, len(tenants))
+	for ti, tn := range tenants {
+		traces[ti].Tenant = tn.name
+		clients[ti] = client.New(base, client.Options{Tenant: tn.name})
 	}
-	for range tenants {
-		if err := <-errc; err != nil {
-			return nil, obs.Export{}, err
+	for i := 0; i < max(cfg.GreedyRequests, cfg.ModestRequests); i++ {
+		for ti, tn := range tenants {
+			if i >= tn.count {
+				continue
+			}
+			tr := &traces[ti]
+			resp, err := clients[ti].Run(ctx, wire.RunRequest{
+				Inputs:      map[string]int64{"h": sessionSecret(cfg.Seed, tn.greedy, i)},
+				Mitigations: true,
+			})
+			if err != nil {
+				var cerr *client.Error
+				if errors.Is(err, client.ErrLeakageBudget) && errors.As(err, &cerr) {
+					if tr.Denials == 0 {
+						tr.RetryAfter = cerr.RetryAfter
+					}
+					tr.Denials++
+					continue
+				}
+				return nil, obs.Export{}, fmt.Errorf("tenant %s request %d: %w", tn.name, i, err)
+			}
+			tr.Epochs = append(tr.Epochs, resp.Epoch)
+			tr.LeakageBits = append(tr.LeakageBits, resp.LeakageBits)
+			tr.CumTime += resp.Time
+			tr.CumMitigations += len(resp.Mitigations)
 		}
 	}
 	return traces, met.Snapshot().Export(), nil

@@ -69,28 +69,29 @@ type Cache struct {
 	// clock is a monotonically increasing logical timestamp used to
 	// order LRU decisions deterministically.
 	clock uint64
-	// gen counts membership changes: it is bumped whenever the set of
-	// cached blocks (or lock bits) can change — Fill, FillLocked,
-	// Invalidate, Flush — and deliberately NOT on LRU touches, which
-	// reorder lines without changing which blocks hit. Memoized access
-	// paths (hw.Site) use it to detect that a previously observed
-	// hit/miss outcome is still valid.
-	gen uint64
+	// gens holds one membership generation per set. gens[s] is bumped
+	// whenever set s's blocks or lock bits change — an installing Fill,
+	// every FillLocked, a successful Invalidate, Flush — and
+	// deliberately NOT on LRU touches or a Fill of a resident block,
+	// which reorder lines without changing which blocks hit. Under the
+	// coarse abstraction a set's contents depend only on operations on
+	// that set, so an outcome observed from some sets (a memoized
+	// hw.Site access) stays valid while every one of their generations
+	// is unchanged.
+	gens []uint64
 
 	// Statistics (not part of the machine-environment state: they do
 	// not affect timing and are excluded from equivalence checks).
 	hits, misses uint64
 }
 
-// Gen returns the membership generation counter (see the gen field).
-func (c *Cache) Gen() uint64 { return c.gen }
-
 // TouchRef is a stable reference to one cache line, captured by LineRef
 // while the line holds a known block. Refresh replays exactly the state
 // change of a refreshing hit on that block — LRU timestamp bump plus the
 // hit counter — without re-scanning the set. A TouchRef is valid only
-// while the owning cache's Gen() is unchanged: any fill, invalidate, or
-// flush may repurpose the line.
+// while its set's generation (returned by the same LineRef) is
+// unchanged: an installing fill, invalidation or flush of that set may
+// repurpose the line.
 type TouchRef struct {
 	c  *Cache
 	ln *line
@@ -104,18 +105,20 @@ func (r TouchRef) Refresh() {
 	r.c.hits++
 }
 
-// LineRef returns a TouchRef for addr's line if the block is cached,
-// without modifying any state (a pure probe, like Contains). The
-// reference stays valid until the cache's Gen() changes.
-func (c *Cache) LineRef(addr uint64) (TouchRef, bool) {
+// LineRef probes addr's set without modifying any state (a pure probe,
+// like Contains). It returns a pointer to the set's generation, which
+// callers must only read: the probe's outcome holds while *gen is
+// unchanged. If the block is cached it also returns a TouchRef for its
+// line, valid for as long.
+func (c *Cache) LineRef(addr uint64) (gen *uint64, ref TouchRef, ok bool) {
 	set, tag := c.index(addr)
 	ws := c.sets[set]
 	for i := range ws {
 		if ws[i].valid && ws[i].tag == tag {
-			return TouchRef{c: c, ln: &ws[i]}, true
+			return &c.gens[set], TouchRef{c: c, ln: &ws[i]}, true
 		}
 	}
-	return TouchRef{}, false
+	return &c.gens[set], TouchRef{}, false
 }
 
 // New constructs an empty cache; it panics on invalid configuration
@@ -132,6 +135,7 @@ func New(cfg Config) *Cache {
 	return &Cache{
 		cfg:        cfg,
 		sets:       sets,
+		gens:       make([]uint64, cfg.Sets),
 		blockShift: log2(uint64(cfg.BlockSize)),
 		setShift:   log2(uint64(cfg.Sets)),
 		setMask:    uint64(cfg.Sets) - 1,
@@ -219,7 +223,6 @@ func (c *Cache) Probe(addr uint64, refresh bool) bool {
 func (c *Cache) Fill(addr uint64) (evicted uint64, didEvict bool) {
 	set, tag := c.index(addr)
 	c.clock++
-	c.gen++
 	// Already present: refresh (idempotent fill).
 	for i := range c.sets[set] {
 		ln := &c.sets[set][i]
@@ -245,6 +248,7 @@ func (c *Cache) Fill(addr uint64) (evicted uint64, didEvict bool) {
 	if victim < 0 {
 		return 0, false // all ways locked: bypass
 	}
+	c.gens[set]++
 	v := &c.sets[set][victim]
 	if v.valid {
 		evicted = c.blockBase(set, v.tag)
@@ -263,7 +267,7 @@ func (c *Cache) Fill(addr uint64) (evicted uint64, didEvict bool) {
 func (c *Cache) FillLocked(addr uint64) (evicted uint64, didEvict bool) {
 	set, tag := c.index(addr)
 	c.clock++
-	c.gen++
+	c.gens[set]++
 	for i := range c.sets[set] {
 		ln := &c.sets[set][i]
 		if ln.valid && ln.tag == tag {
@@ -323,7 +327,7 @@ func (c *Cache) Invalidate(addr uint64) bool {
 			// Only a successful invalidation changes membership; the
 			// common no-op case (partitioned fills invalidating absent
 			// blocks) must not churn memo generations.
-			c.gen++
+			c.gens[set]++
 			return true
 		}
 	}
@@ -332,8 +336,8 @@ func (c *Cache) Invalidate(addr uint64) bool {
 
 // Flush empties the cache; statistics are preserved.
 func (c *Cache) Flush() {
-	c.gen++
 	for s := range c.sets {
+		c.gens[s]++
 		for i := range c.sets[s] {
 			c.sets[s][i] = line{}
 		}

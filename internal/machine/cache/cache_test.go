@@ -170,6 +170,76 @@ func TestInvalidateAndFlush(t *testing.T) {
 	}
 }
 
+// TestSetGenerations pins which operations bump which set's membership
+// generation. Memoized accesses (hw.Site) replay while the sets they
+// consulted keep their generations, so a missing bump would replay a
+// stale outcome and a bump in an unrelated set would needlessly drop a
+// memo to the slow path.
+func TestSetGenerations(t *testing.T) {
+	const own = 1 // the set every operation below addresses
+	// addr returns the block of set own with the given tag (small() has
+	// 4 sets of 16-byte blocks).
+	addr := func(tag uint64) uint64 { return (tag*4 + own) * 16 }
+	const (
+		none = iota // no set's generation changes
+		ownSet
+		allSets
+	)
+	tests := []struct {
+		name  string
+		prep  func(c *Cache)
+		op    func(c *Cache)
+		bumps int
+	}{
+		{"installing Fill", nil, func(c *Cache) { c.Fill(addr(1)) }, ownSet},
+		{"evicting Fill",
+			func(c *Cache) { c.Fill(addr(1)); c.Fill(addr(2)) },
+			func(c *Cache) { c.Fill(addr(3)) }, ownSet},
+		{"Fill of a resident block",
+			func(c *Cache) { c.Fill(addr(1)) },
+			func(c *Cache) { c.Fill(addr(1)) }, none},
+		{"Fill bypassing a fully locked set",
+			func(c *Cache) { c.FillLocked(addr(1)); c.FillLocked(addr(2)) },
+			func(c *Cache) { c.Fill(addr(3)) }, none},
+		{"refreshing hit",
+			func(c *Cache) { c.Fill(addr(1)) },
+			func(c *Cache) { c.Access(addr(1)) }, none},
+		{"FillLocked", nil, func(c *Cache) { c.FillLocked(addr(1)) }, ownSet},
+		{"FillLocked of a resident block",
+			func(c *Cache) { c.Fill(addr(1)) },
+			func(c *Cache) { c.FillLocked(addr(1)) }, ownSet},
+		{"successful Invalidate",
+			func(c *Cache) { c.Fill(addr(1)) },
+			func(c *Cache) { c.Invalidate(addr(1)) }, ownSet},
+		{"Invalidate of an absent block",
+			func(c *Cache) { c.Fill(addr(1)) },
+			func(c *Cache) { c.Invalidate(addr(2)) }, none},
+		{"Flush", func(c *Cache) { c.Fill(addr(1)) }, (*Cache).Flush, allSets},
+	}
+	for _, tt := range tests {
+		t.Run(tt.name, func(t *testing.T) {
+			c := small()
+			if tt.prep != nil {
+				tt.prep(c)
+			}
+			before := append([]uint64(nil), c.gens...)
+			tt.op(c)
+			for s := range c.gens {
+				want := tt.bumps == allSets || (tt.bumps == ownSet && s == own)
+				if got := c.gens[s] != before[s]; got != want {
+					t.Errorf("set %d: generation changed = %v, want %v", s, got, want)
+				}
+			}
+			// LineRef hands out the set's own counter, hit or miss.
+			for _, a := range []uint64{addr(1), addr(7)} {
+				if gen, _, _ := c.LineRef(a); gen != &c.gens[own] {
+					t.Errorf("LineRef(%#x) generation is not set %d's", a, own)
+				}
+			}
+		})
+	}
+}
+
 func TestCloneIndependence(t *testing.T) {
 	c := small()
 	c.Fill(0x40)

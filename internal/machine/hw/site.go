@@ -13,13 +13,17 @@ import (
 // the same cost and causes the same state change. A Site caches the
 // complete observable effect of one static access site's last access —
 // cost, the LRU refreshes it performed, and the statistics counters it
-// bumped — guarded by the membership generations (cache.Cache.Gen) of
-// every structure the outcome depended on. While no guard structure's
-// membership changes, replaying the memo is bit-for-bit identical to
-// re-running the full simulation: identical cost, identical simulated
+// bumped — guarded by the membership generations of the cache sets the
+// access consulted: addr's TLB set and L1 set in every structure it
+// probed, plus the L2 set when a no-fill miss reached it. Under the
+// coarse cache abstraction (§4.1) a set's contents change only through
+// operations on that set, so a memo is valid while every set it
+// consulted is unchanged: replaying it is then bit-for-bit identical to
+// re-running the full simulation — identical cost, identical simulated
 // state (the same lines get the same LRU touches in the same order),
-// identical Stats. Any fill, invalidation, or flush bumps a generation
-// and sends the next access back to the slow path.
+// identical Stats. A fill, invalidation, or flush of a consulted set
+// bumps that set's generation and sends the next access back to the
+// slow path; traffic to other sets leaves the memo live.
 //
 // Only outcomes that mutate no membership are memoized (all-hit paths;
 // for NoFill's no-fill mode, any outcome — it never mutates anything),
@@ -28,9 +32,9 @@ import (
 
 // maxSiteRefs bounds the guard and touch lists a Site may hold. The
 // lists are inline arrays so re-memoizing a site allocates nothing.
-// Partitioned lookups probe one TLB and one L1 partition per level
-// ⊑ er, so 8 covers lattices of up to 4 levels (diamond); larger
-// lattices simply stay on the slow path for wide read labels.
+// Partitioned lookups probe one TLB set and one L1 set per level ⊑ er,
+// so 8 covers lattices of up to 4 levels (diamond); larger lattices
+// simply stay on the slow path for wide read labels.
 const maxSiteRefs = 8
 
 // Site is one static access site's memo. The zero value is an empty
@@ -45,12 +49,12 @@ type Site struct {
 	addr   uint64
 	er, ew lattice.Label
 	cost   uint64
-	// gsum is the sum of the guard caches' generations at memo time;
+	// gsum is the sum of the guarded sets' generations at memo time;
 	// replay is valid only while it is unchanged. Generations are
 	// monotone, so a sum collision would need one guard to decrease —
 	// impossible.
 	gsum  uint64
-	gens  [maxSiteRefs]*cache.Cache
+	gens  [maxSiteRefs]*uint64
 	touch [maxSiteRefs]cache.TouchRef
 	stats [maxSiteRefs]*uint64
 }
@@ -64,7 +68,7 @@ func (s *Site) tryFast(addr uint64, er, ew lattice.Label) (uint64, bool) {
 	}
 	var g uint64
 	for i := uint8(0); i < s.ngens; i++ {
-		g += s.gens[i].Gen()
+		g += *s.gens[i]
 	}
 	if g != s.gsum {
 		return 0, false
@@ -84,7 +88,8 @@ type memoBuilder struct {
 	ok bool // still within the inline capacity
 }
 
-func (m *memoBuilder) guard(c *cache.Cache) {
+// guard adds one consulted set's generation (from cache.LineRef).
+func (m *memoBuilder) guard(gen *uint64) {
 	if !m.ok {
 		return
 	}
@@ -92,7 +97,7 @@ func (m *memoBuilder) guard(c *cache.Cache) {
 		m.ok = false
 		return
 	}
-	m.s.gens[m.s.ngens] = c
+	m.s.gens[m.s.ngens] = gen
 	m.s.ngens++
 }
 
@@ -131,7 +136,7 @@ func (m *memoBuilder) seal(addr uint64, er, ew lattice.Label, cost uint64) {
 	}
 	var g uint64
 	for i := uint8(0); i < s.ngens; i++ {
-		g += s.gens[i].Gen()
+		g += *s.gens[i]
 	}
 	s.addr, s.er, s.ew, s.cost, s.gsum = addr, er, ew, cost, g
 	s.live = true
@@ -166,9 +171,7 @@ var (
 // ---------------------------------------------------------------------------
 // Unpartitioned
 
-// AccessSite implements SiteEnv. The memoized outcome is the steady
-// all-hit state (TLB hit + L1 hit): cost L1.HitLatency, two LRU
-// refreshes, tlb-hit + l1-hit counters.
+// AccessSite implements SiteEnv via normalAccessSite.
 func (u *Unpartitioned) AccessSite(s *Site, kind AccessKind, addr uint64, er, ew lattice.Label) uint64 {
 	if c, ok := s.tryFast(addr, er, ew); ok {
 		return c
@@ -177,26 +180,32 @@ func (u *Unpartitioned) AccessSite(s *Site, kind AccessKind, addr uint64, er, ew
 	if kind == Fetch {
 		h, hcfg = u.instr, u.cfg.Instr
 	}
-	st := u.statsFor(kind)
+	return normalAccessSite(s, h, hcfg, addr, er, ew, u.statsFor(kind))
+}
+
+// normalAccessSite is normalAccess plus a memo of its steady all-hit
+// outcome (TLB hit + L1 hit): cost L1.HitLatency, two LRU refreshes,
+// tlb-hit + l1-hit counters, guarded by addr's TLB and L1 sets.
+func normalAccessSite(s *Site, h *hier, hcfg HierarchyConfig, addr uint64, er, ew lattice.Label, st *hierStats) uint64 {
 	// Capture line refs before the access (pure probes); then run the
 	// unchanged generic path so the slow path's semantics are literally
 	// normalAccess. An all-hit access performs no fills, so the refs
 	// and generations stay valid across it.
-	tref, tlbHit := h.tlb.LineRef(addr)
-	lref, l1Hit := h.l1.LineRef(addr)
+	tgen, tref, tlbHit := h.tlb.LineRef(addr)
+	lgen, lref, l1Hit := h.l1.LineRef(addr)
 	cost := normalAccess(h, hcfg, addr, st)
-	if tlbHit && l1Hit {
-		m := s.reset()
-		m.guard(h.tlb)
-		m.guard(h.l1)
-		m.touchRef(tref)
-		m.touchRef(lref)
-		m.stat(st.tlbh)
-		m.stat(st.l1h)
-		m.seal(addr, er, ew, cost)
-	} else {
+	if !tlbHit || !l1Hit {
 		s.live = false
+		return cost
 	}
+	m := s.reset()
+	m.guard(tgen)
+	m.guard(lgen)
+	m.touchRef(tref)
+	m.touchRef(lref)
+	m.stat(st.tlbh)
+	m.stat(st.l1h)
+	m.seal(addr, er, ew, cost)
 	return cost
 }
 
@@ -206,8 +215,8 @@ func (u *Unpartitioned) AccessSite(s *Site, kind AccessKind, addr uint64, er, ew
 // AccessSite implements SiteEnv. Public-write accesses (ew = ⊥) use the
 // normal hierarchy and memoize the all-hit outcome like Unpartitioned.
 // No-fill accesses mutate nothing at all, so ANY outcome — hit or miss
-// — is memoizable: cost plus the stats path it took, guarded by the
-// membership of every structure it consulted.
+// — is memoizable: cost plus the stats path it took, guarded by every
+// set it consulted.
 func (n *NoFill) AccessSite(s *Site, kind AccessKind, addr uint64, er, ew lattice.Label) uint64 {
 	if c, ok := s.tryFast(addr, er, ew); ok {
 		return c
@@ -218,40 +227,28 @@ func (n *NoFill) AccessSite(s *Site, kind AccessKind, addr uint64, er, ew lattic
 	}
 	st := n.statsFor(kind)
 	if ew == n.lat.Bot() {
-		tref, tlbHit := h.tlb.LineRef(addr)
-		lref, l1Hit := h.l1.LineRef(addr)
-		cost := normalAccess(h, hcfg, addr, st)
-		if tlbHit && l1Hit {
-			m := s.reset()
-			m.guard(h.tlb)
-			m.guard(h.l1)
-			m.touchRef(tref)
-			m.touchRef(lref)
-			m.stat(st.tlbh)
-			m.stat(st.l1h)
-			m.seal(addr, er, ew, cost)
-		} else {
-			s.live = false
-		}
-		return cost
+		return normalAccessSite(s, h, hcfg, addr, er, ew, st)
 	}
 	cost := noFillAccess(h, hcfg, addr, st)
-	m := s.reset()
-	m.guard(h.tlb)
-	m.guard(h.l1)
 	// Replay the exact stats path noFillAccess took (state untouched,
 	// so re-deriving it from membership is faithful).
-	if h.tlb.Contains(addr) {
+	m := s.reset()
+	tgen, _, tlbHit := h.tlb.LineRef(addr)
+	lgen, _, l1Hit := h.l1.LineRef(addr)
+	m.guard(tgen)
+	m.guard(lgen)
+	if tlbHit {
 		m.stat(st.tlbh)
 	} else {
 		m.stat(st.tlbm)
 	}
-	if h.l1.Contains(addr) {
+	if l1Hit {
 		m.stat(st.l1h)
 	} else {
 		m.stat(st.l1m)
-		m.guard(h.l2)
-		if h.l2.Contains(addr) {
+		l2gen, _, l2Hit := h.l2.LineRef(addr)
+		m.guard(l2gen)
+		if l2Hit {
 			m.stat(st.l2h)
 		} else {
 			m.stat(st.l2m)
@@ -286,18 +283,20 @@ func (p *Partitioned) AccessSite(s *Site, kind AccessKind, addr uint64, er, ew l
 	tlbHit, l1Hit := false, false
 	for _, step := range plan.probe {
 		h := parts[step.id]
-		m.guard(h.tlb)
-		m.guard(h.l1)
-		if r, ok := h.tlb.LineRef(addr); ok {
+		tgen, tref, tok := h.tlb.LineRef(addr)
+		lgen, lref, lok := h.l1.LineRef(addr)
+		m.guard(tgen)
+		m.guard(lgen)
+		if tok {
 			tlbHit = true
 			if step.refresh {
-				m.touchRef(r)
+				m.touchRef(tref)
 			}
 		}
-		if r, ok := h.l1.LineRef(addr); ok {
+		if lok {
 			l1Hit = true
 			if step.refresh {
-				m.touchRef(r)
+				m.touchRef(lref)
 			}
 		}
 	}
