@@ -1,11 +1,11 @@
 GO ?= go
 FUZZTIME ?= 30s
 
-.PHONY: all ci vet build test race perfbench-test bench bench-smoke bench-engines bench-scaling bench-sessions bench-vmopt bench-transport profile engines chaos fuzz-smoke smoke-serve certify certify-smoke cover harness quick clean
+.PHONY: all ci fmt vet build test race perfbench-test bench bench-smoke bench-engines bench-scaling bench-sessions bench-vmopt bench-transport profile engines chaos fuzz-smoke smoke-serve certify certify-smoke cover harness quick clean
 
 all: ci
 
-# ci is the gate every change must pass: vet, build, the race-enabled
+# ci is the gate every change must pass: gofmt, vet, build, the race-enabled
 # test suite (the pool's concurrency is exercised under -race), the
 # engine differential suite (named explicitly so an engine-equivalence
 # regression is called out even though the race run also covers it),
@@ -14,7 +14,7 @@ all: ci
 # every benchmark so benchmark code cannot rot uncompiled or uncovered,
 # the repository benchmark's own vet and self-tests, and an end-to-end
 # drive of the HTTP service through the real binary.
-ci: vet build race perfbench-test engines chaos certify-smoke fuzz-smoke bench-smoke smoke-serve
+ci: fmt vet build race perfbench-test engines chaos certify-smoke fuzz-smoke bench-smoke smoke-serve
 
 # engines runs the tree/VM differential tests: identical traces,
 # clocks, mitigation records, and final memories across engines on the
@@ -44,6 +44,14 @@ fuzz-smoke:
 # open stream gets a terminal shutting_down line before the exit.
 smoke-serve:
 	$(GO) run ./internal/tools/smokeserve
+
+# fmt fails when gofmt would rewrite any Go file of the root module or
+# of the perfbench/ module; the benchmark's build outputs under
+# .bench_build/ are skipped.
+fmt:
+	@files=$$(find . -name '*.go' -not -path './.git/*' -not -path './.bench_build/*'); \
+	  bad=$$(gofmt -l $$files); \
+	  if [ -n "$$bad" ]; then echo "gofmt -l lists:"; echo "$$bad"; exit 1; fi
 
 vet:
 	$(GO) vet ./...
@@ -123,14 +131,13 @@ bench-vmopt:
 	@rm -f bench_vmopt.txt
 	@echo wrote BENCH_vmopt.json
 
-# bench-transport records the wire fast-path matrix into
-# BENCH_transport.json: {std, fast} codec × {run, batch, stream}
-# submission modes over loopback HTTP, 3 runs each with -benchmem so
-# the fast path's allocation profile is on record. benchjson derives
-# the fast-vs-std speedup per mode and the headline
-# fastpath_stream_vs_std_run ratio (the ≥3× submit-path target).
-# (ci's bench-smoke executes the benchmark once per run, so it cannot
-# rot; this target is the measurement.)
+# bench-transport records the wire transport matrix into
+# BENCH_transport.json: the {run, batch, stream} submission modes over
+# loopback HTTP, 3 runs each with -benchmem so the allocation profile
+# is on record. benchjson derives the mean req/s per mode and the
+# stream_vs_run ratio (pipelining's gain over one round trip per
+# request). (ci's bench-smoke executes the benchmark once per run, so
+# it cannot rot; this target is the measurement.)
 bench-transport:
 	$(GO) test -run '^$$' -bench BenchmarkTransport -benchtime 2s -count 3 -benchmem ./internal/transport \
 	  | tee bench_transport.txt | $(GO) run ./internal/tools/benchjson -o BENCH_transport.json

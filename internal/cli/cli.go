@@ -45,8 +45,6 @@ import (
 	"repro/internal/server"
 	"repro/internal/session"
 	"repro/internal/transport"
-	"repro/internal/transport/wire"
-	"repro/internal/transport/wire/fastjson"
 	"repro/internal/types"
 )
 
@@ -114,9 +112,8 @@ commands:
   leak     measure leakage over secret ranges (Theorem 2 / §7 bound)
   serve    run a program as a sharded mitigation service over a request sequence
            (-listen ADDR serves the HTTP/JSON API instead, including NDJSON
-           pipelining on /v1/stream; -codec picks the wire codec, fast or std;
-           -pprof ADDR exposes net/http/pprof, sharing -listen's listener when
-           the addresses match)
+           pipelining on /v1/stream; -pprof ADDR exposes net/http/pprof,
+           sharing -listen's listener when the addresses match)
   verify   check a hardware model against the software-hardware contract
   certify  mount the black-box attack battery and check measured leakage
            against the reported §7 bound (no file: run the built-in sweep;
@@ -559,8 +556,6 @@ func runServe(args []string, stdout, stderr io.Writer) error {
 		"serve the HTTP/JSON API on this address (e.g. 127.0.0.1:8080) until interrupted, instead of driving -requests locally")
 	maxInflight := fs.Int("max-inflight", 0,
 		"with -listen, shed (503) beyond this many concurrent requests (0 = unbounded)")
-	codecName := fs.String("codec", "fast",
-		"with -listen, wire codec for the hot endpoints: fast (pooled zero-allocation encoder) or std (encoding/json)")
 	streamWindow := fs.Int("stream-window", 0,
 		"with -listen, max in-flight requests pipelined per /v1/stream connection (0 = default 256)")
 	sessionBudget := fs.Float64("session-budget", 0,
@@ -636,15 +631,6 @@ func runServe(args []string, stdout, stderr io.Writer) error {
 	if sessionsOn && *listen == "" {
 		return fmt.Errorf("serve: -session-budget/-session-ttl/-session-max require -listen")
 	}
-	var codec wire.Codec
-	switch *codecName {
-	case "fast":
-		codec = fastjson.Codec{}
-	case "std":
-		codec = wire.Std{}
-	default:
-		return fmt.Errorf("serve: -codec must be fast or std, got %q", *codecName)
-	}
 	// One metrics accumulator shared by the pool and the session
 	// manager, so /v1/metrics reports both.
 	met := obs.NewMetrics()
@@ -685,7 +671,7 @@ func runServe(args []string, stdout, stderr io.Writer) error {
 		return err
 	}
 	if *listen != "" {
-		return serveHTTP(pool, prog, sessions, *listen, *pprofAddr == *listen, *maxInflight, codec, *streamWindow, stdout, stderr)
+		return serveHTTP(pool, prog, sessions, *listen, *pprofAddr == *listen, *maxInflight, *streamWindow, stdout, stderr)
 	}
 	reqs := make([]server.Request, *requests)
 	for i := range reqs {
@@ -756,10 +742,10 @@ var serveListenHook func(addr string, stop func())
 // serveHTTP runs the pool behind the HTTP/JSON transport until
 // interrupted, then drains gracefully: stop admitting, finish in-flight
 // requests, close the pool, print the final snapshot.
-func serveHTTP(pool *server.Pool, prog *ast.Program, sessions *session.Manager, addr string, sharePprof bool, maxInflight int, codec wire.Codec, streamWindow int, stdout, stderr io.Writer) error {
+func serveHTTP(pool *server.Pool, prog *ast.Program, sessions *session.Manager, addr string, sharePprof bool, maxInflight, streamWindow int, stdout, stderr io.Writer) error {
 	h, err := transport.New(transport.Options{
 		Pool: pool, Prog: prog, MaxInFlight: maxInflight, Sessions: sessions,
-		Codec: codec, StreamWindow: streamWindow,
+		StreamWindow: streamWindow,
 	})
 	if err != nil {
 		pool.Close()

@@ -75,14 +75,12 @@ type NetworkData struct {
 	ReqPerSec float64
 	// P50/P99/Max are host-time request latencies over loopback.
 	P50, P99, Max time.Duration
-	// StdReqPerSec, FastReqPerSec, and StreamReqPerSec compare the same
-	// load through three transports, each against a fresh service:
-	// per-request /v1/run with the stdlib codec, per-request /v1/run
-	// with the pooled fastjson codec, and the pipelined /v1/stream
-	// endpoint (fast codec). StreamSpeedup is StreamReqPerSec over
-	// StdReqPerSec — the wire fast path's gain over the baseline.
-	StdReqPerSec    float64
-	FastReqPerSec   float64
+	// RunReqPerSec and StreamReqPerSec compare the same load through
+	// two transports, each against a fresh service: per-request
+	// /v1/run and the pipelined /v1/stream endpoint. StreamSpeedup is
+	// StreamReqPerSec over RunReqPerSec — pipelining's gain over one
+	// HTTP round trip per request.
+	RunReqPerSec    float64
 	StreamReqPerSec float64
 	StreamSpeedup   float64
 	// Export is the service's own metrics as scraped from /v1/metrics
@@ -249,21 +247,17 @@ func Network(cfg NetworkConfig) (*NetworkData, error) {
 	}
 	data.Export = *export
 
-	// Phase 4: transport comparison. The same load three ways, each
-	// against a fresh service so no mode inherits another's warm state:
-	// per-request with the stdlib codec (the baseline), per-request
-	// with the fast codec, and pipelined over one /v1/stream.
-	if data.StdReqPerSec, err = networkLoad(cfg, wire.Std{}, false, reqs); err != nil {
-		return nil, fmt.Errorf("std load: %w", err)
+	// Phase 4: transport comparison. The same load two ways, each
+	// against a fresh service so neither mode inherits the other's warm
+	// state: per-request /v1/run, and pipelined over one /v1/stream.
+	if data.RunReqPerSec, err = networkLoad(cfg, false, reqs); err != nil {
+		return nil, fmt.Errorf("run load: %w", err)
 	}
-	if data.FastReqPerSec, err = networkLoad(cfg, nil, false, reqs); err != nil {
-		return nil, fmt.Errorf("fast load: %w", err)
-	}
-	if data.StreamReqPerSec, err = networkLoad(cfg, nil, true, reqs); err != nil {
+	if data.StreamReqPerSec, err = networkLoad(cfg, true, reqs); err != nil {
 		return nil, fmt.Errorf("stream load: %w", err)
 	}
-	if data.StdReqPerSec > 0 {
-		data.StreamSpeedup = data.StreamReqPerSec / data.StdReqPerSec
+	if data.RunReqPerSec > 0 {
+		data.StreamSpeedup = data.StreamReqPerSec / data.RunReqPerSec
 	}
 	return data, nil
 }
@@ -271,14 +265,14 @@ func Network(cfg NetworkConfig) (*NetworkData, error) {
 // networkLoad measures one transport mode against a fresh service:
 // per-request /v1/run fanned across cfg.Concurrency goroutines, or —
 // with stream set — every request pipelined down one /v1/stream
-// connection. A nil codec means the client default (fastjson).
-func networkLoad(cfg NetworkConfig, codec wire.Codec, stream bool, reqs []wire.RunRequest) (float64, error) {
+// connection.
+func networkLoad(cfg NetworkConfig, stream bool, reqs []wire.RunRequest) (float64, error) {
 	base, stop, err := networkService(cfg)
 	if err != nil {
 		return 0, err
 	}
 	defer stop()
-	c := client.New(base, client.Options{Codec: codec, Concurrency: cfg.Concurrency})
+	c := client.New(base, client.Options{Concurrency: cfg.Concurrency})
 	ctx := context.Background()
 
 	start := time.Now()
@@ -394,8 +388,8 @@ func (d *NetworkData) Render() string {
 	fmt.Fprintf(&b, "wire identity:       %v (HTTP batch == in-process pool)\n", d.Identical)
 	fmt.Fprintf(&b, "load wall-clock:     %v (%.0f req/s over loopback)\n", d.Wall, d.ReqPerSec)
 	fmt.Fprintf(&b, "latency (host time): p50=%v p99=%v max=%v\n", d.P50, d.P99, d.Max)
-	fmt.Fprintf(&b, "transport compare:   std=%.0f req/s  fast=%.0f req/s  stream=%.0f req/s  (stream/std %.1fx)\n",
-		d.StdReqPerSec, d.FastReqPerSec, d.StreamReqPerSec, d.StreamSpeedup)
+	fmt.Fprintf(&b, "transport compare:   run=%.0f req/s  stream=%.0f req/s  (stream/run %.1fx)\n",
+		d.RunReqPerSec, d.StreamReqPerSec, d.StreamSpeedup)
 	fmt.Fprintf(&b, "service accounting:  %d requests, %d mitigations, %d padding cycles\n",
 		d.Export.Requests, d.Export.Mitigations, d.Export.PaddingCycles)
 	return b.String()
@@ -405,7 +399,7 @@ func (d *NetworkData) Render() string {
 func (d *NetworkData) CSVHeader() []string {
 	return []string{"requests", "workers", "concurrency", "engine", "identical",
 		"wall_ns", "req_per_sec", "p50_ns", "p99_ns", "max_ns",
-		"std_req_per_sec", "fast_req_per_sec", "stream_req_per_sec", "stream_speedup",
+		"run_req_per_sec", "stream_req_per_sec", "stream_speedup",
 		"served", "mitigations", "padding_cycles"}
 }
 
@@ -422,8 +416,7 @@ func (d *NetworkData) CSVRows() [][]string {
 		strconv.FormatInt(d.P50.Nanoseconds(), 10),
 		strconv.FormatInt(d.P99.Nanoseconds(), 10),
 		strconv.FormatInt(d.Max.Nanoseconds(), 10),
-		strconv.FormatFloat(d.StdReqPerSec, 'f', 1, 64),
-		strconv.FormatFloat(d.FastReqPerSec, 'f', 1, 64),
+		strconv.FormatFloat(d.RunReqPerSec, 'f', 1, 64),
 		strconv.FormatFloat(d.StreamReqPerSec, 'f', 1, 64),
 		strconv.FormatFloat(d.StreamSpeedup, 'f', 2, 64),
 		strconv.FormatUint(d.Export.Requests, 10),

@@ -247,21 +247,18 @@ func vmopt(benches []Benchmark, sum map[string]float64) {
 	}
 }
 
-// transportName parses "BenchmarkTransport/mode=M/codec=C".
-var transportName = regexp.MustCompile(`^BenchmarkTransport/mode=([a-z]+)/codec=([a-z]+)$`)
+// transportName parses "BenchmarkTransport/mode=M".
+var transportName = regexp.MustCompile(`^BenchmarkTransport/mode=([a-z]+)$`)
 
-// transport derives the wire fast-path record from BenchmarkTransport
-// runs: mean req/s per mode × codec, the fast-vs-std codec speedup per
-// submission mode, and the headline fastpath-vs-baseline ratio — the
-// pipelined stream with the fast codec over the per-request stdlib
-// baseline, which is the ISSUE's ≥3× submit-path acceptance line.
-// Multiple -count runs average.
+// transport derives the wire transport record from BenchmarkTransport
+// runs: mean req/s per submission mode, and the pipelined stream over
+// per-request /v1/run. Multiple -count runs average.
 func transport(benches []Benchmark, sum map[string]float64) {
 	type acc struct {
 		sum float64
 		n   int
 	}
-	// key: "mode=M/codec=C"
+	// key: "mode=M"
 	groups := map[string]*acc{}
 	for _, b := range benches {
 		m := transportName.FindStringSubmatch(b.Name)
@@ -272,7 +269,7 @@ func transport(benches []Benchmark, sum map[string]float64) {
 		if !ok {
 			continue
 		}
-		key := "mode=" + m[1] + "/codec=" + m[2]
+		key := "mode=" + m[1]
 		a := groups[key]
 		if a == nil {
 			a = &acc{}
@@ -285,21 +282,10 @@ func transport(benches []Benchmark, sum map[string]float64) {
 	for key, a := range groups {
 		sum["mean_req_per_s/"+key] = mean(a)
 	}
-	for key, std := range groups {
-		if !strings.HasSuffix(key, "/codec=std") {
-			continue
-		}
-		mode := strings.TrimSuffix(key, "/codec=std")
-		fast, ok := groups[mode+"/codec=fast"]
-		if !ok || std.sum == 0 {
-			continue
-		}
-		sum["fast_vs_std_req_per_s/"+mode] = mean(fast) / mean(std)
-	}
-	base, okBase := groups["mode=run/codec=std"]
-	stream, okStream := groups["mode=stream/codec=fast"]
-	if okBase && okStream && base.sum > 0 {
-		sum["fastpath_stream_vs_std_run_req_per_s"] = mean(stream) / mean(base)
+	run, okRun := groups["mode=run"]
+	stream, okStream := groups["mode=stream"]
+	if okRun && okStream && run.sum > 0 {
+		sum["stream_vs_run_req_per_s"] = mean(stream) / mean(run)
 	}
 }
 

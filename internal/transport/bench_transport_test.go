@@ -1,15 +1,12 @@
 package transport
 
-// BenchmarkTransport is the wire fast-path record: the mitigated
-// echo workload through the HTTP service over loopback, measured as
-// submit-path req/s for every combination of codec (stdlib
-// encoding/json vs the pooled fastjson codec) and submission mode
-// (per-request /v1/run, 64-item /v1/batch, pipelined /v1/stream).
-// `make bench-transport` captures it (with -benchmem, so the
-// zero-allocation property of the fast path is on record) into
-// BENCH_transport.json, where benchjson derives the fast-vs-std
-// speedup per mode and the headline fastpath-vs-baseline ratio
-// (stream/fast over run/std — the ≥3× acceptance line).
+// BenchmarkTransport is the wire transport record: the mitigated echo
+// workload through the HTTP service over loopback, measured as
+// submit-path req/s for each submission mode (per-request /v1/run,
+// 64-item /v1/batch, pipelined /v1/stream). `make bench-transport`
+// captures it (with -benchmem, so the allocation profile is on record)
+// into BENCH_transport.json, where benchjson derives the
+// stream-over-run ratio.
 //
 // The run mode fans requests across GOMAXPROCS client goroutines; the
 // stream mode pipelines everything down one connection, which is the
@@ -18,14 +15,12 @@ package transport
 
 import (
 	"context"
-	"fmt"
 	"io"
 	"testing"
 
 	"repro/internal/server"
 	"repro/internal/transport/client"
 	"repro/internal/transport/wire"
-	"repro/internal/transport/wire/fastjson"
 )
 
 func BenchmarkTransport(b *testing.B) {
@@ -36,83 +31,72 @@ func BenchmarkTransport(b *testing.B) {
 	}
 	ctx := context.Background()
 
-	codecs := []struct {
-		name  string
-		codec wire.Codec
-	}{
-		{"std", wire.Std{}},
-		{"fast", fastjson.Codec{}},
-	}
-	for _, cd := range codecs {
-		// One service per codec: the handler and the client speak the
-		// same codec on both sides of the wire.
-		_, ts := newService(b, server.PoolOptions{Workers: 4, QueueDepth: nreq}, Options{Codec: cd.codec})
-		c := client.New(ts.URL, client.Options{Codec: cd.codec, Concurrency: 16})
+	_, ts := newService(b, server.PoolOptions{Workers: 4, QueueDepth: nreq}, Options{})
+	c := client.New(ts.URL, client.Options{Concurrency: 16})
 
-		b.Run(fmt.Sprintf("mode=run/codec=%s", cd.name), func(b *testing.B) {
-			b.RunParallel(func(pb *testing.PB) {
-				i := 0
-				for pb.Next() {
-					if _, err := c.Run(ctx, reqs[i%nreq]); err != nil {
-						b.Error(err)
-						return
-					}
-					i++
+	b.Run("mode=run", func(b *testing.B) {
+		b.RunParallel(func(pb *testing.PB) {
+			i := 0
+			for pb.Next() {
+				if _, err := c.Run(ctx, reqs[i%nreq]); err != nil {
+					b.Error(err)
+					return
 				}
-			})
-			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "req/s")
-		})
-
-		b.Run(fmt.Sprintf("mode=batch/codec=%s", cd.name), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				resp, err := c.RunBatch(ctx, reqs)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if len(resp.Results) != nreq {
-					b.Fatalf("batch returned %d results, want %d", len(resp.Results), nreq)
-				}
+				i++
 			}
-			b.ReportMetric(float64(b.N)*nreq/b.Elapsed().Seconds(), "req/s")
 		})
+		b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "req/s")
+	})
 
-		b.Run(fmt.Sprintf("mode=stream/codec=%s", cd.name), func(b *testing.B) {
-			s, err := c.Stream(ctx)
+	b.Run("mode=batch", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			resp, err := c.RunBatch(ctx, reqs)
 			if err != nil {
 				b.Fatal(err)
 			}
-			errc := make(chan error, 1)
-			go func() {
-				for i := 0; i < b.N; i++ {
-					if err := s.Send(reqs[i%nreq]); err != nil {
-						errc <- err
-						return
-					}
-				}
-				errc <- s.CloseSend()
-			}()
-			got := 0
-			for {
-				res, err := s.Recv()
-				if err == io.EOF {
-					break
-				}
-				if err != nil {
-					b.Fatal(err)
-				}
-				if res.Error != nil {
-					b.Fatalf("stream item failed: %+v", res.Error)
-				}
-				got++
+			if len(resp.Results) != nreq {
+				b.Fatalf("batch returned %d results, want %d", len(resp.Results), nreq)
 			}
-			if err := <-errc; err != nil {
+		}
+		b.ReportMetric(float64(b.N)*nreq/b.Elapsed().Seconds(), "req/s")
+	})
+
+	b.Run("mode=stream", func(b *testing.B) {
+		s, err := c.Stream(ctx)
+		if err != nil {
+			b.Fatal(err)
+		}
+		errc := make(chan error, 1)
+		go func() {
+			for i := 0; i < b.N; i++ {
+				if err := s.Send(reqs[i%nreq]); err != nil {
+					errc <- err
+					return
+				}
+			}
+			errc <- s.CloseSend()
+		}()
+		got := 0
+		for {
+			res, err := s.Recv()
+			if err == io.EOF {
+				break
+			}
+			if err != nil {
 				b.Fatal(err)
 			}
-			if got != b.N {
-				b.Fatalf("received %d results for %d sends", got, b.N)
+			if res.Error != nil {
+				b.Fatalf("stream item failed: %+v", res.Error)
 			}
-			s.Close()
-			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "req/s")
-		})
-	}
+			got++
+		}
+		if err := <-errc; err != nil {
+			b.Fatal(err)
+		}
+		if got != b.N {
+			b.Fatalf("received %d results for %d sends", got, b.N)
+		}
+		s.Close()
+		b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "req/s")
+	})
 }

@@ -6,11 +6,12 @@
 // exponential-backoff-with-jitter scheme the pool itself uses, so a
 // retrying client is exactly as reproducible as a retrying pool.
 //
-// The hot paths (Run, RunBatch, Stream) encode and decode through a
-// pluggable wire.Codec — the zero-allocation fastjson codec by default,
-// encoding/json via wire.Std on request — and read every response body
-// to EOF into a pooled buffer before closing it, so connections always
-// return to the keep-alive pool.
+// Run sends one request, RunBatch one fixed burst, and Stream pipelines
+// any number of requests over one connection, which is the way to
+// batch requests that arrive over time. These hot paths encode and
+// decode with the zero-allocation fastjson codec and read every
+// response body to EOF into a pooled buffer before closing it, so
+// connections always return to the keep-alive pool.
 package client
 
 import (
@@ -106,10 +107,6 @@ type Options struct {
 	// sizes MaxIdleConnsPerHost on the default transport (ignored when
 	// HTTPClient is set). Default 16.
 	Concurrency int
-	// Codec encodes requests and decodes responses on the hot paths.
-	// Default is the zero-allocation fastjson codec; set wire.Std{} for
-	// the encoding/json fallback.
-	Codec wire.Codec
 	// MaxRetries, when positive, transparently re-issues a request
 	// rejected with ErrOverloaded up to this many extra attempts, with
 	// exponential backoff and deterministic jitter between attempts —
@@ -126,25 +123,13 @@ type Options struct {
 	// are a schema-v2 feature; leave empty for anonymous (v1-style)
 	// calls.
 	Tenant string
-	// CoalesceWindow, when positive, micro-batches Run calls: a Run
-	// opens (or joins) a linger window of this duration, and every Run
-	// that arrives before it closes ships as one /v1/batch POST. Callers
-	// still see per-call responses and errors. Trades up to one window
-	// of latency for an N-fold cut in HTTP round trips under concurrent
-	// load.
-	CoalesceWindow time.Duration
-	// CoalesceMax bounds a coalesced batch; a full window flushes
-	// immediately. Default 64.
-	CoalesceMax int
 }
 
 // Client talks to one mitigation service endpoint. Safe for concurrent
 // use.
 type Client struct {
-	base  string
-	opts  Options
-	codec wire.Codec
-	co    *coalescer
+	base string
+	opts Options
 	// retrySeq numbers backoff sleeps so jitter is a deterministic
 	// function of (RetrySeed, sequence number), as in the pool.
 	retrySeq atomic.Uint64
@@ -166,42 +151,24 @@ func New(baseURL string, opts Options) *Client {
 		}
 		opts.HTTPClient = &http.Client{Transport: tr}
 	}
-	if opts.Codec == nil {
-		opts.Codec = fastjson.Codec{}
-	}
 	if opts.RetryBase <= 0 {
 		opts.RetryBase = time.Millisecond
 	}
-	if opts.CoalesceMax <= 0 {
-		opts.CoalesceMax = 64
-	}
-	c := &Client{base: strings.TrimRight(baseURL, "/"), opts: opts, codec: opts.Codec}
+	c := &Client{base: strings.TrimRight(baseURL, "/"), opts: opts}
 	c.sleep = c.timerSleep
-	if opts.CoalesceWindow > 0 {
-		c.co = newCoalescer(c)
-	}
 	return c
 }
 
-// Run executes one request and returns its timing result. With
-// CoalesceWindow set, concurrent Runs are transparently merged into
-// batch calls.
+// Run executes one request via the run endpoint and returns its timing
+// result.
 func (c *Client) Run(ctx context.Context, req wire.RunRequest) (*wire.RunResponse, error) {
 	req = c.tenanted(req)
-	if c.co != nil {
-		return c.co.run(ctx, req)
-	}
-	return c.postRun(ctx, req)
-}
-
-// postRun issues a single /v1/run call, bypassing the coalescer.
-func (c *Client) postRun(ctx context.Context, req wire.RunRequest) (*wire.RunResponse, error) {
 	var out wire.RunResponse
 	err := c.postRetry(ctx, "/v1/run",
-		func(dst []byte) ([]byte, error) { return c.codec.AppendRunRequest(dst, &req) },
+		func(dst []byte) ([]byte, error) { return fastjson.AppendRunRequest(dst, &req) },
 		func(data []byte) error {
 			out = wire.RunResponse{}
-			return c.codec.DecodeRunResponse(data, &out, false)
+			return fastjson.DecodeRunResponse(data, &out, false)
 		})
 	if err != nil {
 		return nil, err
@@ -230,10 +197,10 @@ func (c *Client) RunBatch(ctx context.Context, reqs []wire.RunRequest) (*wire.Ba
 	breq := wire.BatchRequest{Requests: tenanted}
 	var out wire.BatchResponse
 	err := c.postRetry(ctx, "/v1/batch",
-		func(dst []byte) ([]byte, error) { return c.codec.AppendBatchRequest(dst, &breq) },
+		func(dst []byte) ([]byte, error) { return fastjson.AppendBatchRequest(dst, &breq) },
 		func(data []byte) error {
 			out = wire.BatchResponse{}
-			return c.codec.DecodeBatchResponse(data, &out, false)
+			return fastjson.DecodeBatchResponse(data, &out, false)
 		})
 	if err != nil {
 		return nil, err
@@ -399,7 +366,7 @@ func (c *Client) decodeError(status int, body []byte) error {
 		body = body[:maxErrorBody]
 	}
 	var werr wire.Error
-	if err := c.codec.DecodeErrorEnvelope(body, &werr, false); err == nil && werr.Code != "" {
+	if err := fastjson.DecodeErrorEnvelope(body, &werr, false); err == nil && werr.Code != "" {
 		cerr.Code = werr.Code
 		cerr.Message = werr.Message
 		cerr.RetryAfter = time.Duration(werr.RetryAfterMS) * time.Millisecond

@@ -9,6 +9,7 @@ import (
 	"sync"
 
 	"repro/internal/transport/wire"
+	"repro/internal/transport/wire/fastjson"
 )
 
 // Stream is a live /v1/stream connection: NDJSON requests pipelined to
@@ -75,7 +76,7 @@ func (s *Stream) Send(req wire.RunRequest) error {
 	defer s.sendMu.Unlock()
 	bp := getBuf()
 	defer putBuf(bp)
-	b, err := s.c.codec.AppendRunRequest((*bp)[:0], &req)
+	b, err := fastjson.AppendRunRequest((*bp)[:0], &req)
 	*bp = b[:0]
 	if err != nil {
 		return err
@@ -103,7 +104,7 @@ func (s *Stream) Recv() (*wire.BatchResult, error) {
 			continue
 		}
 		res := &wire.BatchResult{}
-		if err := s.c.codec.DecodeBatchResult(line, res, false); err != nil {
+		if err := fastjson.DecodeBatchResult(line, res, false); err != nil {
 			return nil, err
 		}
 		return res, nil

@@ -83,6 +83,14 @@ func TestErrorPaths(t *testing.T) {
 			wantCode:   wire.CodeInvalidRequest,
 		},
 		{
+			name:       "schema_version above current in batch item",
+			path:       "/v1/batch",
+			body:       mustJSON(t, wire.BatchRequest{Requests: []wire.RunRequest{{SchemaVersion: wire.SchemaVersion + 1, Inputs: map[string]int64{"h": 1}}}}),
+			wantStatus: http.StatusBadRequest,
+			wantCode:   wire.CodeInvalidRequest,
+			wantMsg:    "request 0",
+		},
+		{
 			name:       "unknown input name",
 			path:       "/v1/run",
 			body:       `{"inputs":{"no_such_var":1}}`,

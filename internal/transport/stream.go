@@ -8,19 +8,18 @@ import (
 
 	"repro/internal/server"
 	"repro/internal/transport/wire"
+	"repro/internal/transport/wire/fastjson"
 )
 
 // streamItem is one unit of work handed from the decode loop to the
-// write loop, in submission order. Exactly one of fut (a pending
-// anonymous submission) or res (an already-resolved result: a tenanted
-// run, a per-item error, or a terminal error line) is set.
+// write loop, in submission order. Either fut is a pending anonymous
+// submission (resolved against req), or res is an already-resolved
+// result: a tenanted run, a per-item error, or the stream's final
+// error line.
 type streamItem struct {
 	fut *server.Future
 	req wire.RunRequest
-	res *wire.BatchResult
-	// terminal marks the stream's final line (malformed input, drain):
-	// the decode loop stops after sending it.
-	terminal bool
+	res wire.BatchResult
 }
 
 // handleStream serves POST /v1/stream: NDJSON request/response
@@ -42,7 +41,7 @@ type streamItem struct {
 //     never deadlocks against server-side buffering.
 //
 // The channel between them bounds the in-flight window at
-// Options.StreamWindow. A line the codec rejects terminates the stream
+// Options.StreamWindow. A line the decoder rejects terminates the stream
 // after a final error line (NDJSON framing cannot be trusted past a
 // decode failure). Shutdown is two-phase: the stream holds one
 // admission slot for its whole life, and the decode loop checks
@@ -98,8 +97,9 @@ func (h *Handler) handleStream(w http.ResponseWriter, r *http.Request) {
 			return true
 		}
 	}
+	// fail sends the stream's final line; the caller then returns.
 	fail := func(werr *wire.Error) {
-		send(streamItem{res: &wire.BatchResult{Error: werr}, terminal: true})
+		send(streamItem{res: wire.BatchResult{Error: werr}})
 	}
 
 	for sc.Scan() {
@@ -122,20 +122,11 @@ func (h *Handler) handleStream(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		var req wire.RunRequest
-		if err := h.codec.DecodeRunRequest(line, &req, true); err != nil {
+		if err := fastjson.DecodeRunRequest(line, &req, true); err != nil {
 			fail(invalidRequest(err))
 			return
 		}
-		if werr := checkVersion(req.SchemaVersion); werr != nil {
-			fail(werr)
-			return
-		}
-		sreq, werr := h.toRequest(req)
-		if werr != nil {
-			fail(werr)
-			return
-		}
-		tenant, werr := h.tenantOf(req, r)
+		sreq, tenant, werr := h.admit(req, r)
 		if werr != nil {
 			fail(werr)
 			return
@@ -148,7 +139,7 @@ func (h *Handler) handleStream(w http.ResponseWriter, r *http.Request) {
 				// Admission failures are per-item outcomes; a closed
 				// pool additionally ends the stream.
 				closed := errors.Is(err, server.ErrPoolClosed)
-				if !send(streamItem{res: &wire.BatchResult{Error: h.toWireError(err)}, terminal: closed}) || closed {
+				if !send(streamItem{res: wire.BatchResult{Error: h.toWireError(err)}}) || closed {
 					return
 				}
 				continue
@@ -160,22 +151,10 @@ func (h *Handler) handleStream(w http.ResponseWriter, r *http.Request) {
 		}
 
 		// Tenanted: run inline so this tenant's admissions observe the
-		// leakage account in submission order.
-		resp, info, werr := h.runSession(r.Context(), tenant, sreq)
-		if werr != nil {
-			// Per-item denial (leakage budget, pool errors): the stream
-			// continues, mirroring a failed item inside a batch.
-			if !send(streamItem{res: &wire.BatchResult{Error: werr}}) {
-				return
-			}
-			continue
-		}
-		rr := toRunResponse(resp, req)
-		rr.Tenant = info.Tenant
-		rr.Epoch = info.Epoch
-		rr.LeakageBits = info.SpentBits
-		server.ReleaseResponse(resp)
-		if !send(streamItem{res: &wire.BatchResult{Response: &rr}}) {
+		// leakage account in submission order. A denial (leakage budget,
+		// pool errors) is a per-item error line and the stream
+		// continues, mirroring a failed item inside a batch.
+		if !send(streamItem{res: h.runItem(r.Context(), req, sreq, tenant)}) {
 			return
 		}
 	}
@@ -194,10 +173,10 @@ func (h *Handler) streamWriteLoop(w http.ResponseWriter, r *http.Request, rc *ht
 	writeResult := func(res *wire.BatchResult) {
 		bp := getBuf()
 		defer putBuf(bp)
-		b, err := h.codec.AppendBatchResult((*bp)[:0], res)
+		b, err := fastjson.AppendBatchResult((*bp)[:0], res)
 		*bp = b[:0]
 		if err != nil {
-			b, err = h.codec.AppendBatchResult(b[:0], &wire.BatchResult{
+			b, err = fastjson.AppendBatchResult(b[:0], &wire.BatchResult{
 				Error: &wire.Error{Code: wire.CodeInternal, Message: err.Error()},
 			})
 			if err != nil {
@@ -236,19 +215,12 @@ func (h *Handler) streamWriteLoop(w http.ResponseWriter, r *http.Request, rc *ht
 		if !ok {
 			break
 		}
-		res := it.res
 		if it.fut != nil {
 			resp, err := it.fut.Wait(r.Context())
-			if err != nil {
-				res = &wire.BatchResult{Error: h.toWireError(err)}
-			} else {
-				rr := toRunResponse(resp, it.req)
-				res = &wire.BatchResult{Response: &rr}
-				server.ReleaseResponse(resp)
-			}
+			it.res = h.result(resp, err, it.req)
 		}
 		if !failed {
-			writeResult(res)
+			writeResult(&it.res)
 		}
 	}
 	if !failed {

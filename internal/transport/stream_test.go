@@ -63,40 +63,102 @@ func postStream(t *testing.T, url string, reqs []wire.RunRequest) []wire.BatchRe
 }
 
 // TestStreamMatchesBatch is the protocol acceptance check: the same
-// request sequence through /v1/stream and /v1/batch must produce
-// identical responses in identical order. Two fresh pools with the
-// same config, because mitigation schedules adapt per shard — the
-// comparison needs identical starting state, not a shared warm pool.
+// item sequence through /v1/run (one sequential call per item),
+// /v1/batch and /v1/stream must produce the same per-item result in the
+// same order — equal time, mispredictions, tenant, epoch and leakage
+// account, or the same error code. Each endpoint gets a fresh service
+// with the same config, because mitigation schedules adapt per shard
+// and leakage accounts per tenant — the comparison needs identical
+// starting state, not a shared warm pool.
 func TestStreamMatchesBatch(t *testing.T) {
-	_, tsStream := newService(t, server.PoolOptions{Workers: 2}, Options{})
-	_, tsBatch := newService(t, server.PoolOptions{Workers: 2}, Options{})
-
-	var reqs []wire.RunRequest
-	for i := 0; i < 40; i++ {
-		reqs = append(reqs, wire.RunRequest{Inputs: map[string]int64{"h": int64(i % 16)}})
+	anonymous := make([]wire.RunRequest, 40)
+	for i := range anonymous {
+		anonymous[i] = wire.RunRequest{Inputs: map[string]int64{"h": int64(i % 16)}}
+	}
+	tenants := []string{"bob", "alice", ""}
+	mixed := make([]wire.RunRequest, 30)
+	for i := range mixed {
+		mixed[i] = wire.RunRequest{Tenant: tenants[i%len(tenants)], Inputs: map[string]int64{"h": int64(i * 13 % 64)}}
 	}
 
-	streamed := postStream(t, tsStream.URL, reqs)
-	if len(streamed) != len(reqs) {
-		t.Fatalf("stream returned %d results for %d requests", len(streamed), len(reqs))
+	cases := []struct {
+		name   string
+		reqs   []wire.RunRequest
+		budget float64 // per-tenant leakage budget in bits; 0 runs without sessions
+	}{
+		{"anonymous", anonymous, 0},
+		{"tenants over a 12-bit budget", mixed, 12},
 	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			fresh := func() string {
+				var opts Options
+				if tc.budget > 0 {
+					opts.Sessions = newSessions(t, session.Options{BudgetBits: tc.budget})
+				}
+				_, ts := newService(t, server.PoolOptions{Workers: 2}, opts)
+				return ts.URL
+			}
+			runURL := fresh()
+			runs := make([]itemOutcome, len(tc.reqs))
+			for i, req := range tc.reqs {
+				_, resp, werr := runTenant(t, runURL, req.Tenant, req.Inputs["h"])
+				runs[i] = outcomeOf(wire.BatchResult{Response: &resp, Error: werr})
+			}
 
-	resp, body := postJSON(t, tsBatch.URL+"/v1/batch", wire.BatchRequest{Requests: reqs})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("batch status %d: %s", resp.StatusCode, body)
+			resp, body := postJSON(t, fresh()+"/v1/batch", wire.BatchRequest{Requests: tc.reqs})
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("batch status %d: %s", resp.StatusCode, body)
+			}
+			var batch wire.BatchResponse
+			if err := json.Unmarshal(body, &batch); err != nil {
+				t.Fatal(err)
+			}
+			streamed := postStream(t, fresh(), tc.reqs)
+			if len(batch.Results) != len(tc.reqs) || len(streamed) != len(tc.reqs) {
+				t.Fatalf("%d requests: batch returned %d results, stream %d",
+					len(tc.reqs), len(batch.Results), len(streamed))
+			}
+
+			denied := 0
+			for i := range tc.reqs {
+				want := runs[i]
+				if got := outcomeOf(batch.Results[i]); got != want {
+					t.Errorf("item %d: batch %+v != run %+v", i, got, want)
+				}
+				if got := outcomeOf(streamed[i]); got != want {
+					t.Errorf("item %d: stream %+v != run %+v", i, got, want)
+				}
+				if want.code == wire.CodeLeakageBudget {
+					denied++
+				}
+			}
+			if tc.budget > 0 && denied == 0 {
+				t.Errorf("a %.0f-bit budget must deny some tenanted items", tc.budget)
+			}
+		})
 	}
-	var batch wire.BatchResponse
-	if err := json.Unmarshal(body, &batch); err != nil {
-		t.Fatal(err)
+}
+
+// itemOutcome is the part of one item's result that must not depend on
+// the endpoint that served it.
+type itemOutcome struct {
+	time           uint64
+	mispredictions int
+	tenant         string
+	epoch          int
+	leakageBits    float64
+	code           string
+}
+
+func outcomeOf(res wire.BatchResult) itemOutcome {
+	if res.Error != nil {
+		return itemOutcome{code: res.Error.Code}
 	}
-	for i := range reqs {
-		sr, br := streamed[i].Response, batch.Results[i].Response
-		if sr == nil || br == nil {
-			t.Fatalf("item %d: stream=%+v batch=%+v", i, streamed[i], batch.Results[i])
-		}
-		if sr.Time != br.Time {
-			t.Errorf("item %d: stream time %d != batch time %d", i, sr.Time, br.Time)
-		}
+	r := res.Response
+	return itemOutcome{
+		time: r.Time, mispredictions: r.Mispredictions,
+		tenant: r.Tenant, epoch: r.Epoch, leakageBits: r.LeakageBits,
 	}
 }
 
@@ -376,20 +438,6 @@ func get(t *testing.T, url string) (*http.Response, []byte) {
 		t.Fatal(err)
 	}
 	return resp, body
-}
-
-// TestStreamWithStdCodec: the whole stream protocol behind the stdlib
-// codec — the seam must not change observable behavior.
-func TestStreamWithStdCodec(t *testing.T) {
-	_, ts := newService(t, server0(), Options{Codec: wire.Std{}})
-
-	results := postStream(t, ts.URL, []wire.RunRequest{
-		{Inputs: map[string]int64{"h": 1}},
-		{Inputs: map[string]int64{"h": 2}},
-	})
-	if len(results) != 2 || results[0].Response == nil || results[1].Response == nil {
-		t.Fatalf("std-codec stream must serve both items: %+v", results)
-	}
 }
 
 // TestStreamRejectedAfterShutdown: a new stream against a draining

@@ -4,8 +4,14 @@
 //
 //	POST /v1/run      — one request: scalar inputs in, timing result out
 //	POST /v1/batch    — a burst, served via the pool's batched path
+//	POST /v1/stream   — NDJSON pipelining, one result line per request line
 //	GET  /v1/metrics  — obs.Export as Prometheus text (or JSON)
 //	GET  /v1/healthz  — liveness and drain state
+//
+// The three POST endpoints differ in framing and in how they submit to
+// the pool, not in how they treat an item: each item is admitted by
+// admit, an item run inline goes through runItem, and every pool
+// outcome becomes a wire result in result.
 //
 // The transport owns admission control (queue saturation and drain map
 // to 503 + Retry-After, reusing the pool's load-shedding sentinels) and
@@ -80,11 +86,6 @@ type Options struct {
 	// account reaches the manager's budget. Nil ignores tenant names —
 	// every request is anonymous, the schema-v1 behavior.
 	Sessions *session.Manager
-	// Codec encodes and decodes the wire messages. Nil takes the fast
-	// hand-rolled codec (fastjson); `timingc serve -codec std` installs
-	// wire.Std, the encoding/json fallback the fast path is proven
-	// byte-identical to.
-	Codec wire.Codec
 	// StreamWindow bounds how many anonymous /v1/stream items may be in
 	// flight in the pool per connection before the decode loop blocks on
 	// the oldest result. 0 takes DefaultStreamWindow.
@@ -104,10 +105,8 @@ type Handler struct {
 	// names is a template memory over the served program, used only for
 	// declaration lookups (never written).
 	names *mem.Memory
-	// codec is the resolved wire codec (Options.Codec or the fast
-	// default); metrics the pool's accumulator, for the transport-level
-	// byte and stream counters.
-	codec   wire.Codec
+	// metrics is the pool's accumulator, for the transport-level byte
+	// and stream counters.
 	metrics *obs.Metrics
 
 	mu       sync.Mutex
@@ -127,16 +126,12 @@ func New(opts Options) (*Handler, error) {
 	if opts.RetryAfter <= 0 {
 		opts.RetryAfter = time.Second
 	}
-	if opts.Codec == nil {
-		opts.Codec = fastjson.Codec{}
-	}
 	if opts.StreamWindow <= 0 {
 		opts.StreamWindow = DefaultStreamWindow
 	}
 	h := &Handler{
 		opts:    opts,
 		names:   mem.New(opts.Prog),
-		codec:   opts.Codec,
 		metrics: opts.Pool.Metrics(),
 	}
 	h.mux = http.NewServeMux()
@@ -241,55 +236,30 @@ func (h *Handler) handleRun(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req wire.RunRequest
-	err := h.codec.DecodeRunRequest(*body, &req, true)
+	err := fastjson.DecodeRunRequest(*body, &req, true)
 	putBuf(body)
 	if err != nil {
 		h.writeError(w, invalidRequest(err))
 		return
 	}
-	if werr := checkVersion(req.SchemaVersion); werr != nil {
-		h.writeError(w, werr)
-		return
-	}
-	sreq, werr := h.toRequest(req)
+	sreq, tenant, werr := h.admit(req, r)
 	if werr != nil {
 		h.writeError(w, werr)
 		return
 	}
-	tenant, werr := h.tenantOf(req, r)
-	if werr != nil {
-		h.writeError(w, werr)
+	res := h.runItem(r.Context(), req, sreq, tenant)
+	if res.Error != nil {
+		h.writeError(w, res.Error)
 		return
 	}
-	if tenant == "" {
-		resp, err := h.opts.Pool.Handle(r.Context(), sreq)
-		if err != nil {
-			h.writeError(w, h.toWireError(err))
-			return
-		}
-		out := toRunResponse(resp, req)
-		server.ReleaseResponse(resp)
-		h.writeRunResponse(w, &out)
-		return
-	}
-	resp, info, werr := h.runSession(r.Context(), tenant, sreq)
-	if werr != nil {
-		h.writeError(w, werr)
-		return
-	}
-	out := toRunResponse(resp, req)
-	out.Tenant = info.Tenant
-	out.Epoch = info.Epoch
-	out.LeakageBits = info.SpentBits
-	server.ReleaseResponse(resp)
-	h.writeRunResponse(w, &out)
+	h.writeRunResponse(w, res.Response)
 }
 
-// writeRunResponse encodes a run response through the codec into a
-// pooled buffer and writes it with an exact Content-Length.
+// writeRunResponse encodes a run response into a pooled buffer and
+// writes it with an exact Content-Length.
 func (h *Handler) writeRunResponse(w http.ResponseWriter, out *wire.RunResponse) {
 	bp := getBuf()
-	b, err := h.codec.AppendRunResponse((*bp)[:0], out)
+	b, err := fastjson.AppendRunResponse((*bp)[:0], out)
 	*bp = b[:0]
 	if err != nil {
 		putBuf(bp)
@@ -346,21 +316,61 @@ func (h *Handler) maxBatch() int {
 	}
 }
 
-// runSession serves one request inside a tenant's session: admission
-// against the leakage budget, the tenant's own mitigation state
-// spliced through the pool, and the account advanced on success only.
-func (h *Handler) runSession(ctx context.Context, tenant string, sreq server.Request) (*server.Response, session.Info, *wire.Error) {
+// admit validates one wire request for serving: its schema version,
+// its input names against the served program, and the tenant it runs
+// under. Every endpoint admits each item here, so a request is judged
+// the same whether it arrives alone, inside a batch, or on a stream.
+func (h *Handler) admit(req wire.RunRequest, r *http.Request) (server.Request, string, *wire.Error) {
+	if werr := checkVersion(req.SchemaVersion); werr != nil {
+		return nil, "", werr
+	}
+	sreq, werr := h.toRequest(req)
+	if werr != nil {
+		return nil, "", werr
+	}
+	tenant, werr := h.tenantOf(req, r)
+	if werr != nil {
+		return nil, "", werr
+	}
+	return sreq, tenant, nil
+}
+
+// runItem runs one admitted item and waits for its result. Anonymous
+// items go through Pool.Handle and its retries. A tenanted item runs
+// inside the tenant's session: admission against the leakage budget,
+// the tenant's own mitigation state spliced through the pool, and the
+// account advanced on success only.
+func (h *Handler) runItem(ctx context.Context, req wire.RunRequest, sreq server.Request, tenant string) wire.BatchResult {
+	if tenant == "" {
+		resp, err := h.opts.Pool.Handle(ctx, sreq)
+		return h.result(resp, err, req)
+	}
 	tk, err := h.opts.Sessions.Begin(tenant)
 	if err != nil {
-		return nil, session.Info{}, h.toWireError(err)
+		return wire.BatchResult{Error: h.toWireError(err)}
 	}
 	resp, err := h.opts.Pool.HandleWith(ctx, sreq, tk.Mit())
 	if err != nil {
 		tk.Abort()
-		return nil, session.Info{}, h.toWireError(err)
+		return wire.BatchResult{Error: h.toWireError(err)}
 	}
 	info := tk.Commit(resp.Time, len(resp.Mitigations))
-	return resp, info, nil
+	res := h.result(resp, nil, req)
+	res.Response.Tenant = info.Tenant
+	res.Response.Epoch = info.Epoch
+	res.Response.LeakageBits = info.SpentBits
+	return res
+}
+
+// result converts one pool outcome into its wire form and releases the
+// pooled response.
+func (h *Handler) result(resp *server.Response, err error, req wire.RunRequest) wire.BatchResult {
+	if err != nil {
+		return wire.BatchResult{Error: h.toWireError(err)}
+	}
+	rr := toRunResponse(resp, req)
+	server.ReleaseResponse(resp)
+	return wire.BatchResult{Response: &rr}
 }
 
 func (h *Handler) handleBatch(w http.ResponseWriter, r *http.Request) {
@@ -376,7 +386,7 @@ func (h *Handler) handleBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req wire.BatchRequest
-	err := h.codec.DecodeBatchRequest(*body, &req, true)
+	err := fastjson.DecodeBatchRequest(*body, &req, true)
 	putBuf(body)
 	if err != nil {
 		h.writeError(w, invalidRequest(err))
@@ -400,23 +410,14 @@ func (h *Handler) handleBatch(w http.ResponseWriter, r *http.Request) {
 	tenants := make([]string, len(req.Requests))
 	tenanted := false
 	for i, item := range req.Requests {
-		sreq, werr := h.toRequest(item)
+		sreq, tenant, werr := h.admit(item, r)
 		if werr != nil {
 			werr.Message = fmt.Sprintf("request %d: %s", i, werr.Message)
 			h.writeError(w, werr)
 			return
 		}
-		sreqs[i] = sreq
-		tenant, werr := h.tenantOf(item, r)
-		if werr != nil {
-			werr.Message = fmt.Sprintf("request %d: %s", i, werr.Message)
-			h.writeError(w, werr)
-			return
-		}
-		tenants[i] = tenant
-		if tenant != "" {
-			tenanted = true
-		}
+		sreqs[i], tenants[i] = sreq, tenant
+		tenanted = tenanted || tenant != ""
 	}
 	resultsBuf := getResults(len(sreqs))
 	defer putResults(resultsBuf)
@@ -431,53 +432,23 @@ func (h *Handler) handleBatch(w http.ResponseWriter, r *http.Request) {
 		// advance in order. This trades the pool's batched fast path for
 		// the session semantics; anonymous batches keep the fast path.
 		for i := range sreqs {
-			tenant := tenants[i]
-			if tenant == "" {
-				resp, err := h.opts.Pool.Handle(r.Context(), sreqs[i])
-				if err != nil {
-					out.Results[i].Error = h.toWireError(err)
-					continue
-				}
-				rr := toRunResponse(resp, req.Requests[i])
-				out.Results[i].Response = &rr
-				server.ReleaseResponse(resp)
-				continue
-			}
-			resp, info, werr := h.runSession(r.Context(), tenant, sreqs[i])
-			if werr != nil {
-				out.Results[i].Error = werr
-				continue
-			}
-			rr := toRunResponse(resp, req.Requests[i])
-			rr.Tenant = info.Tenant
-			rr.Epoch = info.Epoch
-			rr.LeakageBits = info.SpentBits
-			out.Results[i].Response = &rr
-			server.ReleaseResponse(resp)
+			out.Results[i] = h.runItem(r.Context(), req.Requests[i], sreqs[i], tenants[i])
 		}
-		h.writeBatchResponse(w, &out)
-		return
-	}
-	resps, errs := h.opts.Pool.HandleAllErrs(r.Context(), sreqs)
-	for i := range sreqs {
-		if errs[i] != nil {
-			out.Results[i].Error = h.toWireError(errs[i])
-			continue
+	} else {
+		resps, errs := h.opts.Pool.HandleAllErrs(r.Context(), sreqs)
+		for i := range sreqs {
+			out.Results[i] = h.result(resps[i], errs[i], req.Requests[i])
 		}
-		rr := toRunResponse(resps[i], req.Requests[i])
-		out.Results[i].Response = &rr
-		server.ReleaseResponse(resps[i])
 	}
 	h.writeBatchResponse(w, &out)
 }
 
-// writeBatchResponse encodes a batch response through the codec into a
-// pooled buffer. The Results slice itself is pooled by the caller; it
-// is released only after the encode has copied everything onto the
-// wire.
+// writeBatchResponse encodes a batch response into a pooled buffer.
+// The Results slice itself is pooled by the caller; it is released
+// only after the encode has copied everything onto the wire.
 func (h *Handler) writeBatchResponse(w http.ResponseWriter, out *wire.BatchResponse) {
 	bp := getBuf()
-	b, err := h.codec.AppendBatchResponse((*bp)[:0], out)
+	b, err := fastjson.AppendBatchResponse((*bp)[:0], out)
 	*bp = b[:0]
 	if err != nil {
 		putBuf(bp)
@@ -670,7 +641,7 @@ func (h *Handler) writeError(w http.ResponseWriter, werr *wire.Error) {
 		w.Header().Set("Retry-After", strconv.FormatInt(secs, 10))
 	}
 	bp := getBuf()
-	b, err := h.codec.AppendErrorEnvelope((*bp)[:0], werr)
+	b, err := fastjson.AppendErrorEnvelope((*bp)[:0], werr)
 	*bp = b[:0]
 	if err != nil {
 		putBuf(bp)

@@ -1,6 +1,8 @@
 // Package fastjson is the hand-rolled wire codec for the mitigation
 // service's hot message types: RunRequest, RunResponse, BatchRequest,
-// BatchResponse, BatchResult, and the error envelope.
+// BatchResponse, BatchResult, and the error envelope. It is the only
+// codec the transport handler and the client SDK run; encoding/json is
+// the reference its tests compare against.
 //
 // The encoders are append-style (they grow a caller-owned []byte, so a
 // pooled buffer makes the steady state allocation-free) and the
