@@ -16,11 +16,14 @@ all: ci
 # drive of the HTTP service through the real binary.
 ci: fmt vet build race perfbench-test engines chaos certify-smoke fuzz-smoke bench-smoke smoke-serve
 
-# engines runs the tree/VM differential tests: identical traces,
+# engines runs the tree/VM differential tests — identical traces,
 # clocks, mitigation records, and final memories across engines on the
-# testdata corpus and generated programs.
+# testdata corpus and generated programs — and the bytecode package's
+# fusion differential (fused vs unfused register form) and golden
+# tests, which hold the only checks of the VM's micro timing model.
 engines:
 	$(GO) test -run 'TestEngine|TestEngines' ./internal/exec ./internal/server
+	$(GO) test -run 'TestOptDifferential|TestVMGolden' ./internal/bytecode
 
 # chaos runs the fault-injection suite under the race detector: 100
 # randomized fault schedules plus the breaker, deadline, crosstalk, and
@@ -34,14 +37,15 @@ chaos:
 fuzz-smoke:
 	$(GO) test -fuzz FuzzParse -fuzztime $(FUZZTIME) ./internal/lang/parser
 	$(GO) test -fuzz FuzzDecode -fuzztime $(FUZZTIME) ./internal/bytecode
-	$(GO) test -fuzz FuzzOptTraceIdentity -fuzztime $(FUZZTIME) ./internal/bytecode/optimize
+	$(GO) test -fuzz FuzzOptTraceIdentity -fuzztime $(FUZZTIME) ./internal/bytecode
 	$(GO) test -fuzz FuzzWireCodecIdentity -fuzztime $(FUZZTIME) ./internal/transport/wire/fastjson
 
 # smoke-serve builds the real timingc binary, serves the HTTP/JSON API
 # on an ephemeral port, drives it through the client SDK (health, a
 # 100-request batch, metrics in both formats, a pipelined /v1/stream
 # exchange), and checks that SIGINT mid-stream drains cleanly: the
-# open stream gets a terminal shutting_down line before the exit.
+# open stream gets a terminal shutting_down line before the exit. It
+# runs the drive once per engine, tree then vm.
 smoke-serve:
 	$(GO) run ./internal/tools/smokeserve
 
@@ -117,14 +121,12 @@ bench-sessions:
 	@rm -f bench_sessions.txt
 	@echo wrote BENCH_sessions.json
 
-# bench-vmopt records the bytecode-pipeline speedup into
-# BENCH_vmopt.json: the vm engine at optimization level 0 (stack
-# interpreter) vs 2 (register lowering + superinstruction fusion) on a
-# compute-bound workload across 1/2/4 workers, 3 runs each with
-# -benchmem so the optimized loop's zero-allocation property is on
-# record. benchjson derives the opt2-vs-opt0 throughput ratio per
-# worker count. (ci's bench-smoke executes the benchmark once per run,
-# so it cannot rot; this target is the measurement.)
+# bench-vmopt records the VM's throughput into BENCH_vmopt.json: the vm
+# engine on a compute-bound workload across 1/2/4 workers, 3 runs each
+# with -benchmem so the VM loop's zero-allocation property is on
+# record. benchjson derives the mean req/s per worker count. (ci's
+# bench-smoke executes the benchmark once per run, so it cannot rot;
+# this target is the measurement.)
 bench-vmopt:
 	$(GO) test -run '^$$' -bench BenchmarkVMOpt -benchtime 2s -count 3 -benchmem . \
 	  | tee bench_vmopt.txt | $(GO) run ./internal/tools/benchjson -o BENCH_vmopt.json
@@ -145,9 +147,9 @@ bench-transport:
 	@echo wrote BENCH_transport.json
 
 # certify runs the FULL adversarial leakage-certification matrix —
-# {tree, vm-opt0, vm-opt2} × {partitioned, nopar} × {mitigated,
-# unmitigated} × {login, rsa, sleep, progen corpus} across the engine,
-# pool, and HTTP bindings — fails if any mitigated row's measured
+# {tree, vm} × {partitioned, nopar} × {mitigated, unmitigated} ×
+# {login, rsa, sleep, progen corpus} across the engine, pool, and HTTP
+# bindings, 46 rows — fails if any mitigated row's measured
 # leakage upper bound exceeds its reported §7 bound (or if no insecure
 # baseline measurably leaks), and records the matrix into
 # BENCH_certify.json. Same seed ⇒ byte-identical output.

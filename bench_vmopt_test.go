@@ -1,16 +1,14 @@
-// BenchmarkVMOpt is the bytecode-pipeline speedup record: the same
-// compute-bound workload through vm-engine pools at optimization level
-// 0 (stack interpreter) and 2 (register lowering + superinstruction
-// fusion), across worker counts. `make bench-vmopt` captures it (with
-// -benchmem, so the optimized loop's zero-allocation property is
-// visible) into BENCH_vmopt.json, where benchjson derives the
-// opt2-vs-opt0 throughput ratio per worker count.
+// BenchmarkVMOpt is the VM throughput record: a compute-bound workload
+// through vm-engine pools across worker counts. `make bench-vmopt`
+// captures it (with -benchmem, so the VM loop's zero-allocation
+// property is visible) into BENCH_vmopt.json, where benchjson derives
+// the mean req/s per worker count.
 //
 // The workload is deliberately compute-heavy — a tight loop of
 // fusable compare-and-branch, immediate arithmetic, and array traffic,
-// with only a token mitigation — because the pipeline optimizes
-// instruction dispatch: a mitigation-dominated program (like the
-// scaling benchmark's) measures the mitigator, not the VM.
+// with only a token mitigation — because it measures instruction
+// dispatch: a mitigation-dominated program (like the scaling
+// benchmark's) measures the mitigator, not the VM.
 package repro
 
 import (
@@ -73,36 +71,32 @@ func BenchmarkVMOpt(b *testing.B) {
 			m.Set("h", s*17%100)
 		}
 	}
-	for _, opt := range []int{0, 2} {
-		for _, workers := range []int{1, 2, 4} {
-			b.Run(fmt.Sprintf("opt=%d/workers=%d", opt, workers), func(b *testing.B) {
-				pool, err := server.NewPool(prog, res, server.PoolOptions{
-					Workers:    workers,
-					QueueDepth: nreq,
-					Options: server.Options{
-						Env:      hw.MustEnv("partitioned", lat, hw.Table1Config()),
-						Engine:   "vm",
-						OptLevel: opt,
-						OptSet:   true,
-					},
-				})
+	for _, workers := range []int{1, 2, 4} {
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			pool, err := server.NewPool(prog, res, server.PoolOptions{
+				Workers:    workers,
+				QueueDepth: nreq,
+				Options: server.Options{
+					Env:    hw.MustEnv("partitioned", lat, hw.Table1Config()),
+					Engine: "vm",
+				},
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer pool.Close()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				resps, err := pool.HandleAll(ctx, reqs)
 				if err != nil {
 					b.Fatal(err)
 				}
-				defer pool.Close()
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					resps, err := pool.HandleAll(ctx, reqs)
-					if err != nil {
-						b.Fatal(err)
-					}
-					for _, r := range resps {
-						server.ReleaseResponse(r)
-					}
+				for _, r := range resps {
+					server.ReleaseResponse(r)
 				}
-				b.ReportMetric(float64(nreq)*float64(b.N)/b.Elapsed().Seconds(), "req/s")
-			})
-		}
+			}
+			b.ReportMetric(float64(nreq)*float64(b.N)/b.Elapsed().Seconds(), "req/s")
+		})
 	}
 }

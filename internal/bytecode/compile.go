@@ -10,7 +10,9 @@ import (
 // Compile translates a type-checked program to bytecode. Every labeled
 // command is prefixed with a SETLBL carrying its resolved [er,ew], so
 // the VM's timing-label register always matches the command being
-// executed — the §8.2 compilation scheme.
+// executed — the §8.2 compilation scheme. The result is linked to its
+// register form (see link), which fails only for an expression nested
+// deeper than the VM's register file.
 func Compile(prog *ast.Program, res *types.Result) (*Program, error) {
 	c := &compiler{
 		out:     &Program{Lat: res.Lat, NumMitigates: prog.NumMitigates},
@@ -39,6 +41,9 @@ func Compile(prog *ast.Program, res *types.Result) (*Program, error) {
 		return nil, err
 	}
 	c.emit(Instr{Op: OpHalt})
+	if err := link(c.out); err != nil {
+		return nil, err
+	}
 	return c.out, nil
 }
 

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 
+	"repro/internal/lang/token"
 	"repro/internal/lattice"
 )
 
@@ -107,6 +108,9 @@ func (p *Program) arrayOffset(i int) uint64 {
 
 // Decode reads a program from r. The caller supplies the lattice the
 // program was compiled against; its name must match the recorded one.
+// The program is validated and linked to its register form, so an
+// image that decodes without error runs on the VM without further
+// checks.
 func Decode(r io.Reader, lat lattice.Lattice) (*Program, error) {
 	br := bufio.NewReader(r)
 	magic := make([]byte, len(encodeMagic))
@@ -232,6 +236,9 @@ func Decode(r io.Reader, lat lattice.Lattice) (*Program, error) {
 	if err := p.validate(); err != nil {
 		return nil, err
 	}
+	if err := link(p); err != nil {
+		return nil, err
+	}
 	return p, nil
 }
 
@@ -264,6 +271,10 @@ func (p *Program) validate() error {
 		case OpMitEnter:
 			if ins.B < 0 || ins.B >= levels {
 				return fmt.Errorf("bytecode: instr %d: mitigation level out of range", i)
+			}
+		case OpBinop:
+			if !token.Kind(ins.A).IsBinaryOp() {
+				return fmt.Errorf("bytecode: instr %d: %d is not a binary operator", i, ins.A)
 			}
 		}
 	}

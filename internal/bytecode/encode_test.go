@@ -87,6 +87,11 @@ func TestDecodeValidatesStructure(t *testing.T) {
 		{Lat: lat, Code: []Instr{{Op: OpSetLbl, A: 7, B: 0}}},   // bad label
 		{Lat: lat, Code: []Instr{{Op: OpMitEnter, A: 0, B: 9}}}, // bad level
 		{Lat: lat, Code: []Instr{{Op: OpStoreIdx, A: 2}}},       // no arrays
+		// Stack underflow: STORE with an empty evaluation stack.
+		{Lat: lat, ScalarNames: []string{"x"}, Code: []Instr{{Op: OpStore, A: 0}, {Op: OpHalt}}},
+		// BINOP whose operand is not a binary operator.
+		{Lat: lat, ScalarNames: []string{"x"}, Code: []Instr{
+			{Op: OpPush, A: 1}, {Op: OpPush, A: 2}, {Op: OpBinop, A: 999}, {Op: OpStore, A: 0}, {Op: OpHalt}}},
 	}
 	for i, p := range bad {
 		var buf bytes.Buffer

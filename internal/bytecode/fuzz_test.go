@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/lang/parser"
 	"repro/internal/lattice"
+	"repro/internal/machine/hw"
 	"repro/internal/types"
 )
 
@@ -14,8 +15,9 @@ import (
 // contract under attack: Decode must return a typed error for any
 // malformed image — never panic, never hang, never hand back a program
 // that fails validation — and any image it does accept must round-trip
-// (decode → encode → decode is a fixpoint), since accepted programs are
-// executed without further structural checks.
+// (decode → encode → decode is a fixpoint) and run on the VM without a
+// panic, since accepted programs are executed without further
+// structural checks.
 func FuzzDecode(f *testing.F) {
 	lat := lattice.TwoPoint()
 
@@ -80,6 +82,8 @@ a[0] := 1;
 		if !reflect.DeepEqual(p, p2) {
 			t.Fatalf("round-trip mismatch:\n first: %+v\nsecond: %+v", p, p2)
 		}
+		// ...and run: any outcome but a panic is fine.
+		NewVM(p, hw.NewFlat(lat, 1), VMOptions{}).Run(10_000)
 	})
 }
 

@@ -13,6 +13,11 @@
 // instruction-cache behaviour is finer-grained than the tree-walker's
 // one-fetch-per-command model — demonstrating that the contract admits
 // multiple language implementations with different timing, all secure.
+//
+// The stack ISA is the compiler's output and the serialization format.
+// Compile and Decode link every program to a register form (lower.go)
+// with the same timing, and the VM executes that form in one loop
+// (vm_opt.go).
 package bytecode
 
 import (
@@ -128,12 +133,9 @@ type Program struct {
 	Lat lattice.Lattice
 	// NumMitigates is one past the largest mitigate identifier.
 	NumMitigates int
-	// Opt, when non-nil, is the optimized form produced by
-	// internal/bytecode/optimize; a VM constructed over this program
-	// executes it with the register-lowered hot loop instead of the
-	// stack interpreter, with bit-identical observable behaviour. It is
-	// derived state: the wire encoding ignores it, and the exec-layer
-	// program cache attaches it per optimization level.
+	// Opt is the register form the VM executes, attached by Compile
+	// and Decode (see link). It is derived state: the wire encoding
+	// carries only Code, and Decode rebuilds Opt from it.
 	Opt *OptProgram
 }
 

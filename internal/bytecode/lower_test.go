@@ -1,35 +1,14 @@
-package optimize
+package bytecode
 
 import (
-	"errors"
 	"reflect"
+	"strings"
 	"testing"
 
-	"repro/internal/bytecode"
-	"repro/internal/lang/parser"
 	"repro/internal/lang/token"
 	"repro/internal/lattice"
 	"repro/internal/progen"
-	"repro/internal/types"
 )
-
-func compileSrc(t *testing.T, src string) *bytecode.Program {
-	t.Helper()
-	lat := lattice.TwoPoint()
-	prog, err := parser.Parse(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := types.Check(prog, lat)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bc, err := bytecode.Compile(prog, res)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return bc
-}
 
 const loopSrc = `
 var n : L;
@@ -45,18 +24,17 @@ while (i <= n) {
 if (f > 100) { n := 1; } else { n := 0; }
 `
 
+// TestCompileLevels checks the two passes in order: lowering alone is
+// a 1:1 translation with no fused opcodes, and the form Compile links
+// (lowering then fusion) fuses the loop's hot patterns with balanced
+// instruction accounting.
 func TestCompileLevels(t *testing.T) {
-	bc := compileSrc(t, loopSrc)
-	if op, err := Compile(bc, LevelOff); err != nil || op != nil {
-		t.Fatalf("level 0 = %v, %v; want nil, nil", op, err)
-	}
-	lowered, err := Compile(bc, LevelLower)
+	bc := compileSrc(t, loopSrc, lattice.TwoPoint())
+	lowered, err := lower(bc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if lowered.Level != LevelLower {
-		t.Errorf("Level = %d", lowered.Level)
-	}
+	finalizeStats(lowered)
 	// Lowering is 1:1: every original instruction appears once, in
 	// order, and no fused opcodes exist yet.
 	if len(lowered.Code) != len(bc.Code) || lowered.OrigLen != len(bc.Code) {
@@ -64,23 +42,17 @@ func TestCompileLevels(t *testing.T) {
 	}
 	for i, ins := range lowered.Code {
 		if ins.Op.Fused() {
-			t.Fatalf("fused opcode %v at level 1", ins.Op)
+			t.Fatalf("fused opcode %v after lowering", ins.Op)
 		}
 		if int(ins.OrigPC) != i || ins.Len != 1 {
 			t.Fatalf("instr %d: OrigPC %d Len %d", i, ins.OrigPC, ins.Len)
 		}
 	}
 	if lowered.Stats.FusedInstrs != 0 {
-		t.Errorf("level-1 fused count %d", lowered.Stats.FusedInstrs)
+		t.Errorf("lowered fused count %d", lowered.Stats.FusedInstrs)
 	}
 
-	fused, err := Compile(bc, LevelFuse)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fused.Level != LevelFuse {
-		t.Errorf("Level = %d", fused.Level)
-	}
+	fused := bc.Opt
 	if fused.Stats.FusedInstrs == 0 {
 		t.Fatalf("fusion found nothing in a loop program:\n%s", fused.Disassemble())
 	}
@@ -102,9 +74,8 @@ func TestCompileLevels(t *testing.T) {
 	}
 }
 
-// TestFuseIdempotent checks the pass-ordering contract: Fuse runs to a
-// fixpoint, so applying it again (or Compile at the same level twice)
-// changes nothing.
+// TestFuseIdempotent checks the pass-ordering contract: fuse runs to a
+// fixpoint, so applying it again to a linked program changes nothing.
 func TestFuseIdempotent(t *testing.T) {
 	srcs := []string{loopSrc}
 	for seed := int64(1); seed <= 20; seed++ {
@@ -117,15 +88,11 @@ func TestFuseIdempotent(t *testing.T) {
 		srcs = append(srcs, src)
 	}
 	for i, src := range srcs {
-		bc := compileSrc(t, src)
-		once, err := Compile(bc, LevelFuse)
-		if err != nil {
-			t.Fatal(err)
-		}
-		again := &bytecode.OptProgram{Code: append([]bytecode.OptInstr(nil), once.Code...)}
-		Fuse(again)
+		once := compileSrc(t, src, lattice.TwoPoint()).Opt
+		again := &OptProgram{Code: append([]OptInstr(nil), once.Code...)}
+		fuse(again)
 		if !reflect.DeepEqual(once.Code, again.Code) {
-			t.Fatalf("program %d: Fuse is not idempotent", i)
+			t.Fatalf("program %d: fuse is not idempotent", i)
 		}
 	}
 }
@@ -137,8 +104,8 @@ func TestLowerRegisterBudget(t *testing.T) {
 var a : L;
 var b : L;
 a := ((1 + 2) * (3 + 4)) + ((5 + 6) * (7 + b));
-`)
-	op, err := Lower(bc)
+`, lattice.TwoPoint())
+	op, err := lower(bc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,39 +119,39 @@ a := ((1 + 2) * (3 + 4)) + ((5 + 6) * (7 + b));
 // land mid-group, so the pair must stay unfused — and the jump target
 // must still be remapped correctly past earlier fusions.
 func TestFuseJumpTargetGuard(t *testing.T) {
-	p := &bytecode.Program{
-		Code: []bytecode.Instr{
-			{Op: bytecode.OpLoad, A: 0},  // 0: cond
-			{Op: bytecode.OpJz, A: 4},    // 1: else-arm
-			{Op: bytecode.OpPush, A: 7},  // 2
-			{Op: bytecode.OpJmp, A: 5},   // 3: join
-			{Op: bytecode.OpPush, A: 9},  // 4
-			{Op: bytecode.OpStore, A: 1}, // 5: join point, depth 1
-			{Op: bytecode.OpHalt},        // 6
+	p := &Program{
+		Code: []Instr{
+			{Op: OpLoad, A: 0},  // 0: cond
+			{Op: OpJz, A: 4},    // 1: else-arm
+			{Op: OpPush, A: 7},  // 2
+			{Op: OpJmp, A: 5},   // 3: join
+			{Op: OpPush, A: 9},  // 4
+			{Op: OpStore, A: 1}, // 5: join point, depth 1
+			{Op: OpHalt},        // 6
 		},
 		ScalarNames: []string{"c", "out"},
 		Lat:         lattice.TwoPoint(),
 	}
-	op, err := Compile(p, LevelFuse)
-	if err != nil {
+	if err := link(p); err != nil {
 		t.Fatal(err)
 	}
+	op := p.Opt
 	for _, ins := range op.Code {
-		if ins.Op == bytecode.OImmStore {
+		if ins.Op == OImmStore {
 			t.Fatalf("fused across a jump target:\n%s", op.Disassemble())
 		}
 	}
 	// LOAD;JZ at the top fuses, shifting every index down by one; the
 	// JMP and JZ targets must follow.
-	if op.Code[0].Op != bytecode.OLoadJz {
+	if op.Code[0].Op != OLoadJz {
 		t.Fatalf("expected LOAD.JZ head:\n%s", op.Disassemble())
 	}
 	if got := op.Code[0].A; got != 3 {
 		t.Errorf("JZ target remap: got %d want 3\n%s", got, op.Disassemble())
 	}
-	var jmp *bytecode.OptInstr
+	var jmp *OptInstr
 	for i := range op.Code {
-		if op.Code[i].Op == bytecode.OJmp {
+		if op.Code[i].Op == OJmp {
 			jmp = &op.Code[i]
 		}
 	}
@@ -194,40 +161,40 @@ func TestFuseJumpTargetGuard(t *testing.T) {
 }
 
 // TestLowerInconsistentDepth: a hand-built program whose join point is
-// reached at two different stack depths is rejected as unsupported.
+// reached at two different stack depths is rejected.
 func TestLowerInconsistentDepth(t *testing.T) {
-	p := &bytecode.Program{
-		Code: []bytecode.Instr{
-			{Op: bytecode.OpLoad, A: 0}, // 0
-			{Op: bytecode.OpJz, A: 3},   // 1: target depth 0...
-			{Op: bytecode.OpPush, A: 1}, // 2: ...fallthrough depth 1
-			{Op: bytecode.OpHalt},       // 3
+	p := &Program{
+		Code: []Instr{
+			{Op: OpLoad, A: 0}, // 0
+			{Op: OpJz, A: 3},   // 1: target depth 0...
+			{Op: OpPush, A: 1}, // 2: ...fallthrough depth 1
+			{Op: OpHalt},       // 3
 		},
 		ScalarNames: []string{"c"},
 		Lat:         lattice.TwoPoint(),
 	}
-	if _, err := Lower(p); !errors.Is(err, ErrUnsupported) {
-		t.Fatalf("err = %v, want ErrUnsupported", err)
+	if _, err := lower(p); err == nil || !strings.Contains(err.Error(), "reached at depths") {
+		t.Fatalf("err = %v, want a depth mismatch", err)
 	}
 }
 
 // TestLowerUnreachable: instructions no path reaches lower to NOP
 // placeholders, preserving the 1:1 index map.
 func TestLowerUnreachable(t *testing.T) {
-	p := &bytecode.Program{
-		Code: []bytecode.Instr{
-			{Op: bytecode.OpJmp, A: 2},   // 0
-			{Op: bytecode.OpStore, A: 0}, // 1: unreachable (would underflow)
-			{Op: bytecode.OpHalt},        // 2
+	p := &Program{
+		Code: []Instr{
+			{Op: OpJmp, A: 2},   // 0
+			{Op: OpStore, A: 0}, // 1: unreachable (would underflow)
+			{Op: OpHalt},        // 2
 		},
 		ScalarNames: []string{"x"},
 		Lat:         lattice.TwoPoint(),
 	}
-	op, err := Lower(p)
+	op, err := lower(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if op.Code[1].Op != bytecode.ONop {
+	if op.Code[1].Op != ONop {
 		t.Errorf("unreachable instr lowered to %v", op.Code[1].Op)
 	}
 }
@@ -241,8 +208,8 @@ array a[4] : L;
 var i : L;
 a[i] := i + 1;
 sleep(h) [H,H];
-`)
-	op, err := Lower(bc)
+`, lattice.TwoPoint())
+	op, err := lower(bc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,10 +218,10 @@ sleep(h) [H,H];
 	}
 	var sawBinop, sawHighLabel bool
 	for _, ins := range op.Code {
-		if ins.Op == bytecode.OBinop && ins.Kind == token.PLUS {
+		if ins.Op == OBinop && ins.Kind == token.PLUS {
 			sawBinop = true
 		}
-		if ins.Op == bytecode.OSetLbl && ins.ER.String() == "H" {
+		if ins.Op == OSetLbl && ins.ER.String() == "H" {
 			sawHighLabel = true
 		}
 	}

@@ -8,19 +8,18 @@ import (
 	"repro/internal/lattice"
 )
 
-// This file defines the optimized program representation executed by
-// the VM's register-lowered hot loop (vm_opt.go). The representation is
-// produced by the passes in internal/bytecode/optimize; it lives here
-// so the VM can execute it without an import cycle (optimize imports
-// bytecode, never the reverse).
+// This file defines the register form the VM executes (vm_opt.go),
+// produced from the stack ISA by the lowering and fusion passes
+// (lower.go).
 //
-// The contract of every optimized opcode is timing transparency: the
+// The contract of every register opcode is timing transparency: the
 // instruction commits exactly the clock costs, machine-environment
-// accesses, trace events, and mitigation transitions of the original
-// instruction sequence it replaces. Fused opcodes carry the pc and
-// length of their original expansion so the step counter, the
-// micro-timing model's per-instruction fetches, and the per-site
-// hardware memos all remain keyed to original instructions.
+// accesses, trace events, and mitigation transitions that the stack
+// ISA defines for the original instruction sequence it replaces.
+// Fused opcodes carry the pc and length of their original expansion so
+// the step counter, the micro-timing model's per-instruction fetches,
+// and the per-site hardware memos all remain keyed to original
+// instructions.
 
 // OptOp is an opcode of the optimized (register-file) ISA.
 type OptOp uint8
@@ -59,7 +58,7 @@ const (
 	// OMitExit closes mitigation region A.
 	OMitExit
 
-	// Fused superinstructions (produced at OptFuse). Each one's comment
+	// Fused superinstructions (produced by fusion). Each one's comment
 	// gives its original expansion; Len and OrigPC record it at runtime.
 
 	// OImmBinop = PUSH Val; BINOP — R[Dst] = R[S1] ⟨Kind⟩ Val.
@@ -132,7 +131,7 @@ type OptInstr struct {
 	// Kind2 is the second operator of OImmBinop2.
 	Kind2 token.Kind
 	// Dst, S1, S2 are register-file indices. Register i corresponds to
-	// evaluation-stack slot i in the original program (see optimize).
+	// evaluation-stack slot i in the original program (see lower).
 	Dst, S1, S2 uint8
 	// Len is the number of original instructions this one expands to
 	// (1 for unfused opcodes). The step counter advances by Len and the
@@ -217,10 +216,10 @@ func (i OptInstr) String() string {
 	return i.Op.String()
 }
 
-// OptStats reports what the pipeline did to a program.
+// OptStats reports what lowering and fusion did to a program.
 type OptStats struct {
-	// OrigInstrs and OptInstrs are the instruction counts before and
-	// after the pipeline.
+	// OrigInstrs and OptInstrs are the instruction counts of the stack
+	// ISA program and of its register form.
 	OrigInstrs int
 	OptInstrs  int
 	// FusedInstrs counts emitted superinstructions; FusedOrig counts
@@ -231,9 +230,10 @@ type OptStats struct {
 	Patterns map[string]int
 }
 
-// OptProgram is the optimized form of a Program, attached as
-// Program.Opt. It is immutable after construction, like the Program it
-// derives from, so one OptProgram can back any number of VMs.
+// OptProgram is the register form of a Program, attached as
+// Program.Opt by Compile and Decode. It is immutable after
+// construction, like the Program it derives from, so one OptProgram can
+// back any number of VMs.
 type OptProgram struct {
 	Code []OptInstr
 	// NumRegs is the register-file size: the original program's maximum
@@ -242,13 +242,10 @@ type OptProgram struct {
 	// OrigLen is len of the original Program.Code; the VM sizes its
 	// per-original-instruction site tables from it.
 	OrigLen int
-	// Level records the pipeline level that produced this program
-	// (1 = lowering + predecode, 2 = + fusion).
-	Level int
 	// IdxNames[a][i] is the precomputed event name "arr[i]" for array
 	// a's element i, so STOREIDX events allocate no format buffer.
 	IdxNames [][]string
-	// Stats describes the pipeline's work, for reporting.
+	// Stats describes the passes' work, for reporting.
 	Stats OptStats
 }
 

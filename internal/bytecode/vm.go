@@ -5,12 +5,10 @@ import (
 	"fmt"
 
 	"repro/internal/exec/budget"
-	"repro/internal/lang/token"
 	"repro/internal/lattice"
 	"repro/internal/machine/hw"
 	"repro/internal/mitigation"
 	"repro/internal/obs"
-	"repro/internal/sem/core"
 	"repro/internal/sem/events"
 	"repro/internal/sem/mem"
 )
@@ -133,8 +131,6 @@ type VM struct {
 	opts VMOptions
 	env  hw.Env
 
-	pc      int
-	stack   []int64
 	scalars []int64
 	arrays  [][]int64
 	// arrayBase[i] is the data address of array i's first element.
@@ -146,6 +142,8 @@ type VM struct {
 	// curNode is the AST node ID carried by the last SETLBL; TimingTree
 	// charges branch costs at its code address.
 	curNode int64
+	// pc is the program counter into prog.Opt.Code.
+	pc int
 
 	clock  uint64
 	steps  int
@@ -154,24 +152,25 @@ type VM struct {
 	mstate *mitigation.State
 	open   []mitFrame
 
-	// labels maps label ID -> Label for O(1) SETLBL/MITENTER decoding.
-	labels []lattice.Label
-
-	// Register-lowered execution state, populated when prog.Opt is set
-	// (see vm_opt.go). regs is the fixed register file (one slot per
-	// original evaluation-stack slot), optPC the program counter into
-	// prog.Opt.Code, and senv/fetchSites/dataSites the per-original-
-	// instruction hardware-access memos when the environment supports
-	// the memoized fast path.
+	// regs is the fixed register file (one slot per evaluation-stack
+	// slot of the stack ISA), and senv/fetchSites/dataSites the
+	// per-original-instruction hardware-access memos when the
+	// environment supports the memoized fast path (see vm_opt.go).
 	regs       []int64
-	optPC      int
 	senv       hw.SiteEnv
 	fetchSites []hw.Site
 	dataSites  []hw.Site
 }
 
-// NewVM creates a VM for a compiled program.
+// NewVM creates a VM for a program from Compile or Decode. It panics on
+// a program without its register form (Program.Opt): every Program from
+// outside the process arrives through Decode, which links it, so a
+// missing form is a programming error.
 func NewVM(prog *Program, env hw.Env, opts VMOptions) *VM {
+	opt := prog.Opt
+	if opt == nil {
+		panic("bytecode: NewVM on a program without its register form (use Compile or Decode)")
+	}
 	opts = opts.withDefaults()
 	vm := &VM{
 		prog:    prog,
@@ -182,10 +181,6 @@ func NewVM(prog *Program, env hw.Env, opts VMOptions) *VM {
 		er:      prog.Lat.Bot(),
 		ew:      prog.Lat.Bot(),
 		mstate:  mitigation.NewState(prog.Lat, opts.Scheme, opts.Policy),
-	}
-	vm.labels = make([]lattice.Label, prog.Lat.Size())
-	for _, l := range prog.Lat.Levels() {
-		vm.labels[l.ID()] = l
 	}
 	vm.wireMetrics()
 	// Use the compiler's declaration-order offsets when present (they
@@ -214,33 +209,27 @@ func NewVM(prog *Program, env hw.Env, opts VMOptions) *VM {
 			next += 8 * uint64(n)
 		}
 	}
-	if opt := prog.Opt; opt != nil {
-		nr := opt.NumRegs
-		if nr < 1 {
-			nr = 1
-		}
-		vm.regs = make([]int64, nr)
-		if senv, ok := env.(hw.SiteEnv); ok {
-			vm.senv = senv
-			// One memo per original instruction: dataSites for data
-			// accesses (and the tree model's per-command fetch, which
-			// SETLBL owns), fetchSites for the micro model's
-			// per-instruction fetches. Sites deliberately survive
-			// Reset: their validity is guarded by the environment's
-			// membership generations, and a service keeps the
-			// environment warm across requests.
-			vm.dataSites = make([]hw.Site, opt.OrigLen)
-			if opts.Timing == TimingMicro {
-				vm.fetchSites = make([]hw.Site, opt.OrigLen)
-			}
+	nr := opt.NumRegs
+	if nr < 1 {
+		nr = 1
+	}
+	vm.regs = make([]int64, nr)
+	if senv, ok := env.(hw.SiteEnv); ok {
+		vm.senv = senv
+		// One memo per original instruction: dataSites for data
+		// accesses (and the tree model's per-command fetch, which
+		// SETLBL owns), fetchSites for the micro model's
+		// per-instruction fetches. Sites deliberately survive Reset:
+		// their validity is guarded by the environment's membership
+		// generations, and a service keeps the environment warm across
+		// requests.
+		vm.dataSites = make([]hw.Site, opt.OrigLen)
+		if opts.Timing == TimingMicro {
+			vm.fetchSites = make([]hw.Site, opt.OrigLen)
 		}
 	}
 	return vm
 }
-
-// Optimized reports whether this VM executes the register-lowered
-// optimized program (prog.Opt) rather than the stack interpreter.
-func (vm *VM) Optimized() bool { return vm.prog.Opt != nil }
 
 func (vm *VM) wireMetrics() {
 	if vm.opts.Metrics != nil {
@@ -249,16 +238,15 @@ func (vm *VM) wireMetrics() {
 	}
 }
 
-// Reset rewinds the VM to its initial state — program counter, stack,
-// data, labels, clock, traces, and a fresh mitigation state — so a
-// service can reuse one VM (and its compiled program) across requests.
+// Reset rewinds the VM to its initial state — program counter,
+// registers, data, labels, clock, traces, and a fresh mitigation state
+// — so a service can reuse one VM (and its compiled program) across
+// requests.
 // The machine environment is NOT reset; the caller owns it (a service
 // deliberately keeps cache/predictor state warm across requests, and
 // resets it only between experiment arms).
 func (vm *VM) Reset() {
 	vm.pc = 0
-	vm.optPC = 0
-	vm.stack = vm.stack[:0]
 	for i := range vm.regs {
 		vm.regs[i] = 0
 	}
@@ -420,22 +408,6 @@ func wrap(i int64, n int) int64 {
 	return r
 }
 
-func (vm *VM) push(v int64) { vm.stack = append(vm.stack, v) }
-
-func (vm *VM) pop() int64 {
-	if len(vm.stack) == 0 {
-		panic("bytecode: stack underflow (miscompiled program)")
-	}
-	v := vm.stack[len(vm.stack)-1]
-	vm.stack = vm.stack[:len(vm.stack)-1]
-	return v
-}
-
-// cmdAddr is the command's code address under the tree-walker's layout.
-func (vm *VM) cmdAddr(node int64) uint64 {
-	return vm.opts.CodeBase + vm.opts.CodeStride*uint64(node)
-}
-
 // Run executes until HALT or the instruction budget is exhausted.
 //
 // Deprecated: use RunBudget, which adds context cancellation and cycle
@@ -462,181 +434,12 @@ func (vm *VM) RunBudget(ctx context.Context, b budget.Budget) error {
 	// closure: the capture would heap-allocate per call, which matters
 	// on the service hot path.
 	startSteps, startClock := vm.steps, vm.clock
-	var err error
-	if vm.prog.Opt != nil {
-		err = vm.runLoopOpt(ctx, b)
-	} else {
-		err = vm.runLoop(ctx, b)
-	}
+	err := vm.runLoopOpt(ctx, b)
 	if vm.opts.Metrics != nil {
 		vm.opts.Metrics.AddSteps(uint64(vm.steps - startSteps))
 		vm.opts.Metrics.AddCycles(vm.clock - startClock)
 	}
 	return err
-}
-
-func (vm *VM) runLoop(ctx context.Context, b budget.Budget) error {
-	nextPoll := vm.steps + ctxCheckInterval
-	for {
-		if b.MaxSteps > 0 && vm.steps >= b.MaxSteps {
-			return fmt.Errorf("%w (%d steps)", budget.ErrStepLimit, b.MaxSteps)
-		}
-		if b.MaxCycles > 0 && vm.clock > b.MaxCycles {
-			return fmt.Errorf("%w (%d cycles > %d)", budget.ErrCycleLimit, vm.clock, b.MaxCycles)
-		}
-		if ctx != nil && vm.steps >= nextPoll {
-			nextPoll = vm.steps + ctxCheckInterval
-			if cerr := ctx.Err(); cerr != nil {
-				return cerr
-			}
-		}
-		halted, err := vm.step()
-		if err != nil {
-			return err
-		}
-		if halted {
-			break
-		}
-	}
-	// HALT drains open mitigation regions; padding may push the clock
-	// past the cycle budget, and that still counts (matching full).
-	if b.MaxCycles > 0 && vm.clock > b.MaxCycles {
-		return fmt.Errorf("%w (%d cycles > %d)", budget.ErrCycleLimit, vm.clock, b.MaxCycles)
-	}
-	return nil
-}
-
-// step executes one instruction, reporting whether the program halted.
-func (vm *VM) step() (bool, error) {
-	if vm.pc < 0 || vm.pc >= len(vm.prog.Code) {
-		return false, fmt.Errorf("bytecode: pc %d out of range", vm.pc)
-	}
-	ins := vm.prog.Code[vm.pc]
-	vm.steps++
-	tree := vm.opts.Timing == TimingTree
-	var cost uint64
-	if !tree {
-		// Micro model: every instruction pays base + fetch, charged
-		// under the labels in force when the fetch happens (i.e. before
-		// SETLBL updates them).
-		cost = vm.opts.BaseCost +
-			vm.env.Access(hw.Fetch, vm.opts.CodeBase+uint64(vm.pc)*vm.opts.InstrSize, vm.er, vm.ew)
-	}
-	vm.pc++
-
-	switch ins.Op {
-	case OpNop:
-	case OpHalt:
-		vm.clock += cost
-		// Close any regions left open by a miscompiled program.
-		for len(vm.open) > 0 {
-			vm.exitMitigation()
-		}
-		return true, nil
-	case OpSetLbl:
-		vm.er = vm.label(ins.A)
-		vm.ew = vm.label(ins.B)
-		vm.curNode = ins.C
-		if tree {
-			// Tree model: the command's single fetch, at the AST
-			// node's code address, under the command's own labels —
-			// exactly full.Machine.Step's first access.
-			cost = vm.opts.BaseCost + vm.env.Access(hw.Fetch, vm.cmdAddr(ins.C), vm.er, vm.ew)
-		}
-	case OpPush:
-		vm.push(ins.A)
-	case OpLoad:
-		cost += vm.env.Access(hw.Read, vm.scalarAddr[ins.A], vm.er, vm.ew)
-		vm.push(vm.scalars[ins.A])
-	case OpLoadIdx:
-		idx := wrap(vm.pop(), len(vm.arrays[ins.A]))
-		cost += vm.env.Access(hw.Read, vm.arrayBase[ins.A]+8*uint64(idx), vm.er, vm.ew)
-		vm.push(vm.arrays[ins.A][idx])
-	case OpStore:
-		v := vm.pop()
-		cost += vm.env.Access(hw.Write, vm.scalarAddr[ins.A], vm.er, vm.ew)
-		vm.scalars[ins.A] = v
-		vm.clock += cost
-		vm.trace = append(vm.trace, events.Event{
-			Var: vm.prog.ScalarNames[ins.A], Value: v, Time: vm.clock})
-		return false, nil
-	case OpStoreIdx:
-		v := vm.pop()
-		idx := wrap(vm.pop(), len(vm.arrays[ins.A]))
-		cost += vm.env.Access(hw.Write, vm.arrayBase[ins.A]+8*uint64(idx), vm.er, vm.ew)
-		vm.arrays[ins.A][idx] = v
-		vm.clock += cost
-		vm.trace = append(vm.trace, events.Event{
-			Var: fmt.Sprintf("%s[%d]", vm.prog.ArrayNames[ins.A], idx), Value: v, Time: vm.clock})
-		return false, nil
-	case OpUnop:
-		v := vm.pop()
-		switch token.Kind(ins.A) {
-		case token.MINUS:
-			vm.push(-v)
-		case token.NOT:
-			if v == 0 {
-				vm.push(1)
-			} else {
-				vm.push(0)
-			}
-		default:
-			return false, fmt.Errorf("bytecode: bad unary operator %v", token.Kind(ins.A))
-		}
-		if tree {
-			cost += vm.opts.OpCost
-		}
-	case OpBinop:
-		y := vm.pop()
-		x := vm.pop()
-		vm.push(core.EvalBinop(token.Kind(ins.A), x, y))
-		if tree {
-			cost += vm.opts.OpCost
-		}
-	case OpJmp:
-		vm.pc = int(ins.A)
-	case OpJz:
-		taken := vm.pop() == 0
-		if tree {
-			// full charges the branch at the command's code address
-			// with taken = condition-true.
-			cost += vm.env.Branch(vm.cmdAddr(vm.curNode), !taken, vm.er, vm.ew)
-		} else {
-			cost += vm.env.Branch(vm.opts.CodeBase+uint64(vm.pc-1)*vm.opts.InstrSize,
-				taken, vm.er, vm.ew)
-		}
-		if taken {
-			vm.pc = int(ins.A)
-		}
-	case OpSleep:
-		if n := vm.pop(); n > 0 {
-			cost += uint64(n)
-		}
-	case OpMitEnter:
-		init := vm.pop()
-		vm.clock += cost
-		vm.open = append(vm.open, mitFrame{
-			id:    int(ins.A),
-			level: vm.label(ins.B),
-			init:  init,
-			start: vm.clock,
-		})
-		return false, nil
-	case OpMitExit:
-		vm.clock += cost
-		if len(vm.open) == 0 {
-			return false, fmt.Errorf("bytecode: MITEXIT with no open region")
-		}
-		if vm.open[len(vm.open)-1].id != int(ins.A) {
-			return false, fmt.Errorf("bytecode: mismatched MITEXIT %d", ins.A)
-		}
-		vm.exitMitigation()
-		return false, nil
-	default:
-		return false, fmt.Errorf("bytecode: unknown opcode %v", ins.Op)
-	}
-	vm.clock += cost
-	return false, nil
 }
 
 // exitMitigation closes the innermost region: penalize and pad exactly
@@ -667,11 +470,4 @@ func (vm *VM) exitMitigation() {
 			vm.opts.Metrics.AddPadding(pred - elapsed)
 		}
 	}
-}
-
-func (vm *VM) label(id int64) lattice.Label {
-	if id >= 0 && id < int64(len(vm.labels)) {
-		return vm.labels[id]
-	}
-	panic(fmt.Sprintf("bytecode: bad label id %d", id))
 }

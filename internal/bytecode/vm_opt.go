@@ -12,26 +12,26 @@ import (
 	"repro/internal/sem/events"
 )
 
-// runLoopOpt executes prog.Opt with the register-lowered hot loop. It
-// is observationally identical to runLoop over prog.Code: the same
-// machine-environment access sequence per hierarchy, the same clock
-// commits at every event point, the same trace and mitigation records,
-// and the same final memory. What changes is host cost only: operands
-// are predecoded (no map lookups, no label decoding), the evaluation
-// stack is a fixed register file (no append/pop slice traffic), fused
-// superinstructions cut dispatches, and steady-state hardware accesses
-// replay per-site memos (hw.Site) instead of re-walking the cache
-// hierarchy.
+// runLoopOpt is the VM's execution loop: it runs prog.Opt, the
+// register form of prog.Code. Each register instruction, fused or not,
+// has the timing of the stack-ISA instructions it replaces (OrigPC and
+// Len name them): one machine-environment access per load, store and
+// fetch, in stack-ISA order, and the costs the TimingModel charges for
+// each of those instructions. Under TimingTree those are sem/full's
+// costs for the same command, so a run matches the tree-walking
+// semantics event for event.
+// Operands are predecoded, the evaluation stack is a fixed register
+// file, fused superinstructions cut dispatches, and steady-state
+// hardware accesses replay per-site memos (hw.Site) instead of
+// re-walking the cache hierarchy; none of that is observable.
 //
-// Cost accounting matches the stack loop's: costs accumulate into a
-// local across each (possibly fused) group and commit at the group
-// boundary. The stack loop commits after every original instruction,
-// but intermediate commits are unobservable — no event, mitigation
-// frame, or halt can occur inside a fused group — so the sums agree at
-// every observable point. Budget and cancellation checks run per group
-// rather than per original instruction, which can move the exact
-// failure step of an over-budget run by at most one group; the error
-// class and every successful run are unchanged.
+// Costs accumulate into a local across each (possibly fused) group and
+// commit to the clock at the group boundary. Summing per group rather
+// than per original instruction is unobservable — no event, mitigation
+// frame, or halt can occur inside a fused group — so the clock agrees
+// at every observable point. Budget and cancellation checks run per
+// group, so an over-budget run may stop up to one group past its step
+// budget; the error class and every successful run are unchanged.
 func (vm *VM) runLoopOpt(ctx context.Context, b budget.Budget) error {
 	o := vm.prog.Opt
 	code := o.Code
@@ -49,7 +49,7 @@ func (vm *VM) runLoopOpt(ctx context.Context, b budget.Budget) error {
 	isize := vm.opts.InstrSize
 	stride := vm.opts.CodeStride
 
-	pc := vm.optPC
+	pc := vm.pc
 	er, ew := vm.er, vm.ew
 	curNode := vm.curNode
 	clock := vm.clock
@@ -102,8 +102,7 @@ loop:
 			// Micro model: every original instruction pays base + fetch
 			// at its own code address, under the labels in force before
 			// the group executes (fused groups never contain SETLBL, and
-			// SETLBL itself fetches before updating the register —
-			// matching the stack loop exactly).
+			// SETLBL itself fetches before updating the register).
 			org := uint64(ins.OrigPC)
 			if senv != nil {
 				for k := uint64(0); k < uint64(ins.Len); k++ {
@@ -450,7 +449,7 @@ loop:
 		clock += cost
 	}
 
-	vm.optPC = pc
+	vm.pc = pc
 	vm.er, vm.ew = er, ew
 	vm.curNode = curNode
 	vm.clock = clock
@@ -459,7 +458,7 @@ loop:
 		return err
 	}
 	// HALT drains open mitigation regions; padding may push the clock
-	// past the cycle budget, and that still counts (matching runLoop).
+	// past the cycle budget, and that still counts (matching sem/full).
 	if b.MaxCycles > 0 && vm.clock > b.MaxCycles {
 		return fmt.Errorf("%w (%d cycles > %d)", budget.ErrCycleLimit, vm.clock, b.MaxCycles)
 	}
@@ -481,12 +480,11 @@ func binop(k token.Kind, a, b int64) int64 {
 	return core.EvalBinop(k, a, b)
 }
 
-// optBranch charges the branch cost of a (possibly fused) JZ exactly as
-// the stack loop does: the tree model charges at the current command's
-// code address with full's taken polarity (condition true, i.e.
-// !taken); the micro model charges at the JZ's own original code
-// address with the jump polarity. Branch predictor state changes on
-// every call, so there is no memoized path.
+// optBranch charges the branch cost of a (possibly fused) JZ: the tree
+// model charges at the current command's code address with sem/full's
+// taken polarity (condition true, i.e. !taken); the micro model charges
+// at the JZ's own stack-ISA code address with the jump polarity. Branch
+// predictor state changes on every call, so there is no memoized path.
 func (vm *VM) optBranch(tree, taken bool, curNode int64, ins *OptInstr, codeBase, isize, stride uint64, er, ew lattice.Label) uint64 {
 	if tree {
 		return vm.env.Branch(codeBase+stride*uint64(curNode), !taken, er, ew)

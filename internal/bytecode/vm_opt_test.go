@@ -1,11 +1,12 @@
 package bytecode_test
 
-// Differential tests for the optimizing pipeline: the register-lowered
-// hot loop (at every optimization level) must be observationally
-// indistinguishable from the stack interpreter — same clock, same step
-// count, same event trace, same mitigation records, same final memory,
-// and same machine-environment state (counters and every label-level
-// projection of the cache/predictor state).
+// Differential tests for the linking passes: the fused register form
+// must be observationally indistinguishable from the lowered, unfused
+// form — same clock, same step count, same event trace, same
+// mitigation records, same final memory, and same machine-environment
+// state (counters and every label-level projection of the
+// cache/predictor state) — and the unfused form must reproduce the
+// golden rows recorded from the stack interpreter (golden_test.go).
 
 import (
 	"fmt"
@@ -13,7 +14,6 @@ import (
 	"testing"
 
 	"repro/internal/bytecode"
-	"repro/internal/bytecode/optimize"
 	"repro/internal/lang/parser"
 	"repro/internal/lattice"
 	"repro/internal/machine/hw"
@@ -39,17 +39,15 @@ func compileOpt(t *testing.T, src string, lat lattice.Lattice) *bytecode.Program
 	return bc
 }
 
-// withOpt returns a shallow copy of bc carrying the optimized form for
-// the given level (nil for level 0), leaving bc itself untouched.
-func withOpt(t *testing.T, bc *bytecode.Program, level int) *bytecode.Program {
+// unfused returns a copy of bc carrying the lowered but unfused
+// register form, leaving bc itself untouched.
+func unfused(t *testing.T, bc *bytecode.Program) *bytecode.Program {
 	t.Helper()
-	op, err := optimize.Compile(bc, level)
+	p, err := bytecode.Unfused(bc)
 	if err != nil {
-		t.Fatalf("optimize level %d: %v", level, err)
+		t.Fatal(err)
 	}
-	p2 := *bc
-	p2.Opt = op
-	return &p2
+	return p
 }
 
 // optEnvs builds the machine environments the differential matrix runs
@@ -108,28 +106,28 @@ func runSnap(t *testing.T, prog *bytecode.Program, env hw.Env, opts bytecode.VMO
 func diffSnaps(t *testing.T, lat lattice.Lattice, want, got optSnap) {
 	t.Helper()
 	if (want.err == nil) != (got.err == nil) {
-		t.Fatalf("error mismatch: baseline %v, optimized %v", want.err, got.err)
+		t.Fatalf("error mismatch: unfused %v, fused %v", want.err, got.err)
 	}
 	if want.clock != got.clock {
-		t.Errorf("clock: baseline %d, optimized %d", want.clock, got.clock)
+		t.Errorf("clock: unfused %d, fused %d", want.clock, got.clock)
 	}
 	if want.steps != got.steps {
-		t.Errorf("steps: baseline %d, optimized %d", want.steps, got.steps)
+		t.Errorf("steps: unfused %d, fused %d", want.steps, got.steps)
 	}
 	if !reflect.DeepEqual(want.trace, got.trace) {
-		t.Errorf("trace:\nbaseline:  %v\noptimized: %v", want.trace, got.trace)
+		t.Errorf("trace:\nunfused: %v\nfused:   %v", want.trace, got.trace)
 	}
 	if !reflect.DeepEqual(want.mits, got.mits) {
-		t.Errorf("mitigations:\nbaseline:  %v\noptimized: %v", want.mits, got.mits)
+		t.Errorf("mitigations:\nunfused: %v\nfused:   %v", want.mits, got.mits)
 	}
 	if !reflect.DeepEqual(want.scalars, got.scalars) {
-		t.Errorf("scalars: baseline %v, optimized %v", want.scalars, got.scalars)
+		t.Errorf("scalars: unfused %v, fused %v", want.scalars, got.scalars)
 	}
 	if !reflect.DeepEqual(want.arrays, got.arrays) {
-		t.Errorf("arrays: baseline %v, optimized %v", want.arrays, got.arrays)
+		t.Errorf("arrays: unfused %v, fused %v", want.arrays, got.arrays)
 	}
 	if want.stats != got.stats {
-		t.Errorf("hw stats:\nbaseline:  %+v\noptimized: %+v", want.stats, got.stats)
+		t.Errorf("hw stats:\nunfused: %+v\nfused:   %+v", want.stats, got.stats)
 	}
 	for _, lv := range lat.Levels() {
 		if !want.env.ProjEqual(got.env, lv) {
@@ -211,21 +209,31 @@ while (i < 4) [H,H] {
 `},
 }
 
+// TestOptDifferentialTestdata checks each pass on its own: subtest o1
+// runs the lowered, unfused form against the golden row the stack
+// interpreter recorded, and o2 runs the fused form against the unfused
+// one.
 func TestOptDifferentialTestdata(t *testing.T) {
 	lat := lattice.TwoPoint()
+	golden := loadGolden(t)
 	for _, tc := range optTestSources {
 		bc := compileOpt(t, tc.src, lat)
+		lowered := unfused(t, bc)
 		for envName, mkEnv := range optEnvs(lat) {
 			for _, timing := range []bytecode.TimingModel{bytecode.TimingMicro, bytecode.TimingTree} {
-				for _, level := range []int{1, 2} {
-					name := fmt.Sprintf("%s/%s/timing%d/o%d", tc.name, envName, timing, level)
-					t.Run(name, func(t *testing.T) {
-						opts := bytecode.VMOptions{Timing: timing}
-						base := runSnap(t, bc, mkEnv(), opts, 100000)
-						opt := runSnap(t, withOpt(t, bc, level), mkEnv(), opts, 100000)
-						diffSnaps(t, lat, base, opt)
-					})
-				}
+				opts := bytecode.VMOptions{Timing: timing}
+				name := fmt.Sprintf("%s/%s/timing%d", tc.name, envName, timing)
+				t.Run(name+"/o1", func(t *testing.T) {
+					key := goldenKey(tc.name, envName, timing)
+					got := goldenRow(key, runSnap(t, lowered, mkEnv(), opts, goldenBudget))
+					if got != golden[key] {
+						t.Errorf("lowered form differs from the golden row:\n want %s\n  got %s", golden[key], got)
+					}
+				})
+				t.Run(name+"/o2", func(t *testing.T) {
+					base := runSnap(t, lowered, mkEnv(), opts, goldenBudget)
+					diffSnaps(t, lat, base, runSnap(t, bc, mkEnv(), opts, goldenBudget))
+				})
 			}
 		}
 	}
@@ -249,14 +257,13 @@ func TestOptDifferentialProgen(t *testing.T) {
 		}
 		t.Run(fmt.Sprintf("seed%d/%s", seed, envName), func(t *testing.T) {
 			opts := bytecode.VMOptions{Timing: timing}
-			base := runSnap(t, bc, envs[envName](), opts, 2_000_000)
-			opt := runSnap(t, withOpt(t, bc, 2), envs[envName](), opts, 2_000_000)
-			diffSnaps(t, lat, base, opt)
+			base := runSnap(t, unfused(t, bc), envs[envName](), opts, 2_000_000)
+			diffSnaps(t, lat, base, runSnap(t, bc, envs[envName](), opts, 2_000_000))
 		})
 	}
 }
 
-// TestOptZeroAllocPerInstruction pins the optimized hot loop at zero
+// TestOptZeroAllocPerInstruction pins the VM's loop at zero
 // allocations per instruction: per-run allocations (Reset's right-sized
 // trace buffer, mitigation bookkeeping) are constant, so a 20×-longer
 // run must allocate exactly as much as a short one. Any per-instruction
@@ -278,7 +285,7 @@ while (i < n) {
 `, lat)
 	allocsAt := func(n int64) float64 {
 		env := hw.NewUnpartitioned(lat, hw.TinyConfig())
-		vm := bytecode.NewVM(withOpt(t, bc, 2), env, bytecode.VMOptions{})
+		vm := bytecode.NewVM(bc, env, bytecode.VMOptions{})
 		run := func() {
 			vm.Reset()
 			if err := vm.SetScalar("n", n); err != nil {
@@ -301,17 +308,17 @@ while (i < n) {
 	}
 }
 
-// TestOptResumeAfterBudget checks that the optimized loop's suspended
+// TestOptResumeAfterBudget checks that the VM's suspended
 // state (pc, registers, labels) survives a step-budget stop and resumes
 // to the same observable result as an uninterrupted run.
 func TestOptResumeAfterBudget(t *testing.T) {
 	lat := lattice.TwoPoint()
 	bc := compileOpt(t, optTestSources[1].src, lat)
 	opts := bytecode.VMOptions{}
-	full := runSnap(t, withOpt(t, bc, 2), hw.NewUnpartitioned(lat, hw.TinyConfig()), opts, 100000)
+	full := runSnap(t, bc, hw.NewUnpartitioned(lat, hw.TinyConfig()), opts, 100000)
 
 	env := hw.NewUnpartitioned(lat, hw.TinyConfig())
-	vm := bytecode.NewVM(withOpt(t, bc, 2), env, opts)
+	vm := bytecode.NewVM(bc, env, opts)
 	for i, name := range bc.ScalarNames {
 		if err := vm.SetScalar(name, int64(i*7%13+1)); err != nil {
 			t.Fatal(err)

@@ -49,7 +49,7 @@ var ErrNotApplicable = errors.New("certify: adversary not applicable to this tar
 // are not safe for concurrent use.
 type Target interface {
 	// Name identifies the configuration in reports
-	// (e.g. "engine/vm/opt2/partitioned/mitigated/login").
+	// (e.g. "engine/vm/partitioned/mitigated/login").
 	Name() string
 	// Secrets is the size N of the secret space.
 	Secrets() int

@@ -67,7 +67,7 @@ func TestCertifyDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		tgt, err := NewEngineTarget(w, TargetConfig{Engine: "vm", OptLevel: 2, OptSet: true, Mitigated: true})
+		tgt, err := NewEngineTarget(w, TargetConfig{Engine: "vm", Mitigated: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -150,7 +150,7 @@ func TestCertifyPoolBinding(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
-	mit, err := NewPoolTarget(w, TargetConfig{Engine: "vm", OptLevel: 2, OptSet: true, Mitigated: true})
+	mit, err := NewPoolTarget(w, TargetConfig{Engine: "vm", Mitigated: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +188,7 @@ func TestCertifyHTTPBinding(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
-	mit, err := NewHTTPTarget(w, TargetConfig{Engine: "vm", OptLevel: 2, OptSet: true, Mitigated: true})
+	mit, err := NewHTTPTarget(w, TargetConfig{Engine: "vm", Mitigated: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,40 +214,37 @@ func TestCertifyHTTPBinding(t *testing.T) {
 	}
 }
 
-// TestCertifyRSAWorkload: the Kocher channel across VM opt levels.
+// TestCertifyRSAWorkload: the Kocher channel on the vm engine.
 func TestCertifyRSAWorkload(t *testing.T) {
 	w, err := RSAWorkload(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
-	for _, opt := range []int{0, 2} {
-		cfg := TargetConfig{Engine: "vm", OptLevel: opt, OptSet: true}
-		cfg.Mitigated = false
-		unmit, err := NewEngineTarget(w, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := Certify(ctx, unmit, Options{Seed: 11})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.MeasuredBits < 1 {
-			t.Errorf("opt%d unmitigated rsa measured %.3f bits", opt, res.MeasuredBits)
-		}
-		cfg.Mitigated = true
-		mit, err := NewEngineTarget(w, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err = Certify(ctx, mit, Options{Seed: 11})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !res.Certified {
-			t.Errorf("opt%d mitigated rsa should certify: upper %.3f vs reported %.3f",
-				opt, res.UpperBits, res.ReportedBits)
-		}
+	cfg := TargetConfig{Engine: "vm"}
+	unmit, err := NewEngineTarget(w, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := Certify(ctx, unmit, Options{Seed: 11})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.MeasuredBits < 1 {
+		t.Errorf("unmitigated rsa measured %.3f bits", res.MeasuredBits)
+	}
+	cfg.Mitigated = true
+	mit, err := NewEngineTarget(w, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err = Certify(ctx, mit, Options{Seed: 11})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Certified {
+		t.Errorf("mitigated rsa should certify: upper %.3f vs reported %.3f",
+			res.UpperBits, res.ReportedBits)
 	}
 }
 

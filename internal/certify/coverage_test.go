@@ -9,7 +9,7 @@ import (
 )
 
 // TestCertifySweepFull runs the complete certification matrix in
-// process — the same 66 rows `make certify` records — so the full
+// process — the same 46 rows `make certify` records — so the full
 // planner, every binding constructor, and the gate logic are covered
 // by `go test` alone, not only by the external tool.
 func TestCertifySweepFull(t *testing.T) {
@@ -20,8 +20,8 @@ func TestCertifySweepFull(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 66 {
-		t.Fatalf("full matrix has %d rows, want 66", len(rows))
+	if len(rows) != 46 {
+		t.Fatalf("full matrix has %d rows, want 46", len(rows))
 	}
 	if err := Check(rows); err != nil {
 		t.Fatalf("full matrix gate: %v", err)

@@ -15,8 +15,8 @@ type SweepOptions struct {
 	Seed int64
 	// Quick selects the smoke slice: every binding and both verdict
 	// polarities, a few seconds of work. The full matrix crosses
-	// {tree, vm×opt0/2} × {partitioned, nopar} × {mitigated,
-	// unmitigated} × every workload.
+	// {tree, vm} × {partitioned, nopar} × {mitigated, unmitigated} ×
+	// every workload.
 	Quick bool
 }
 
@@ -35,16 +35,12 @@ type Row struct {
 // Label renders the row's stable identity (also the benchmark name
 // suffix in BENCH_certify.json).
 func (r Row) Label() string {
-	opt := r.Config.Engine
-	if r.Config.Engine == "vm" && r.Config.OptSet {
-		opt = fmt.Sprintf("vm-opt%d", r.Config.OptLevel)
-	}
 	mit := "off"
 	if r.Config.Mitigated {
 		mit = "on"
 	}
 	return fmt.Sprintf("bind=%s/workload=%s/engine=%s/hw=%s/mit=%s",
-		r.Binding, r.Workload, opt, r.Config.Hardware, mit)
+		r.Binding, r.Workload, r.Config.Engine, r.Config.Hardware, mit)
 }
 
 // plan is one row before execution.
@@ -71,20 +67,20 @@ func Sweep(ctx context.Context, o SweepOptions) ([]Row, error) {
 	}
 
 	var plans []plan
-	engCfg := func(engine string, opt int, hwName string, mit bool) TargetConfig {
-		return TargetConfig{Engine: engine, OptLevel: opt, OptSet: engine == "vm", Hardware: hwName, Mitigated: mit}
+	engCfg := func(engine, hwName string, mit bool) TargetConfig {
+		return TargetConfig{Engine: engine, Hardware: hwName, Mitigated: mit}
 	}
 	if o.Quick {
 		plans = []plan{
-			{"engine", login, engCfg("tree", 0, "partitioned", true)},
-			{"engine", login, engCfg("vm", 2, "partitioned", true)},
-			{"engine", login, engCfg("vm", 2, "partitioned", false)},
-			{"engine", sleep, engCfg("vm", 2, "partitioned", true)},
-			{"engine", progs[0], engCfg("vm", 2, "partitioned", true)},
-			{"engine", progs[0], engCfg("vm", 2, "partitioned", false)},
-			{"pool", sleep, engCfg("tree", 0, "partitioned", true)},
-			{"pool", sleep, engCfg("tree", 0, "partitioned", false)},
-			{"http", sleep, engCfg("vm", 2, "partitioned", true)},
+			{"engine", login, engCfg("tree", "partitioned", true)},
+			{"engine", login, engCfg("vm", "partitioned", true)},
+			{"engine", login, engCfg("vm", "partitioned", false)},
+			{"engine", sleep, engCfg("vm", "partitioned", true)},
+			{"engine", progs[0], engCfg("vm", "partitioned", true)},
+			{"engine", progs[0], engCfg("vm", "partitioned", false)},
+			{"pool", sleep, engCfg("tree", "partitioned", true)},
+			{"pool", sleep, engCfg("tree", "partitioned", false)},
+			{"http", sleep, engCfg("vm", "partitioned", true)},
 		}
 	} else {
 		rsa, err := RSAWorkload(nil)
@@ -92,26 +88,22 @@ func Sweep(ctx context.Context, o SweepOptions) ([]Row, error) {
 			return nil, err
 		}
 		workloads := append([]*Workload{login, rsa, sleep}, progs...)
-		engines := []struct {
-			name string
-			opt  int
-		}{{"tree", 0}, {"vm", 0}, {"vm", 2}}
 		for _, w := range workloads {
-			for _, e := range engines {
+			for _, e := range []string{"tree", "vm"} {
 				for _, hwName := range []string{"partitioned", "nopar"} {
 					for _, mit := range []bool{true, false} {
-						plans = append(plans, plan{"engine", w, engCfg(e.name, e.opt, hwName, mit)})
+						plans = append(plans, plan{"engine", w, engCfg(e, hwName, mit)})
 					}
 				}
 			}
 		}
 		for _, e := range []string{"tree", "vm"} {
 			for _, mit := range []bool{true, false} {
-				plans = append(plans, plan{"pool", sleep, engCfg(e, 2, "partitioned", mit)})
+				plans = append(plans, plan{"pool", sleep, engCfg(e, "partitioned", mit)})
 			}
 		}
 		for _, mit := range []bool{true, false} {
-			plans = append(plans, plan{"http", sleep, engCfg("vm", 2, "partitioned", mit)})
+			plans = append(plans, plan{"http", sleep, engCfg("vm", "partitioned", mit)})
 		}
 	}
 

@@ -99,9 +99,9 @@ func TestSweepCheckFailures(t *testing.T) {
 func TestRowLabel(t *testing.T) {
 	r := Row{
 		Binding: "http", Workload: "sleep",
-		Config: TargetConfig{Engine: "vm", OptLevel: 2, OptSet: true, Hardware: "partitioned", Mitigated: true},
+		Config: TargetConfig{Engine: "vm", Hardware: "partitioned", Mitigated: true},
 	}
-	want := "bind=http/workload=sleep/engine=vm-opt2/hw=partitioned/mit=on"
+	want := "bind=http/workload=sleep/engine=vm/hw=partitioned/mit=on"
 	if got := r.Label(); got != want {
 		t.Errorf("Label = %q, want %q", got, want)
 	}

@@ -12,17 +12,11 @@ import (
 )
 
 // TargetConfig selects one stack configuration to certify. The same
-// struct configures all three bindings; fields a binding cannot honor
-// (OptLevel on the tree engine, say) are ignored the same way the
-// underlying layers ignore them.
+// struct configures all three bindings.
 type TargetConfig struct {
 	// Engine is the registered engine name ("tree", "vm"); default
 	// "tree".
 	Engine string
-	// OptLevel/OptSet select the VM optimization tier, as in
-	// exec.Options.
-	OptLevel int
-	OptSet   bool
 	// Hardware is the registered machine-design name; default
 	// "partitioned".
 	Hardware string
@@ -49,11 +43,7 @@ func (c TargetConfig) label() string {
 	if c.Mitigated {
 		mit = "mitigated"
 	}
-	eng := c.Engine
-	if c.Engine == "vm" && c.OptSet {
-		eng = fmt.Sprintf("vm-opt%d", c.OptLevel)
-	}
-	return fmt.Sprintf("%s/%s/%s", eng, c.Hardware, mit)
+	return fmt.Sprintf("%s/%s/%s", c.Engine, c.Hardware, mit)
 }
 
 // defaultMaxSteps bounds one probe run; generous for every built-in
@@ -87,8 +77,6 @@ func NewEngineTarget(w *Workload, cfg TargetConfig) (*EngineTarget, error) {
 	}
 	eng, err := exec.NewEngine(cfg.Engine, w.Prog, w.Res, env, exec.Options{
 		DisableMitigation: !cfg.Mitigated,
-		OptLevel:          cfg.OptLevel,
-		OptSet:            cfg.OptSet,
 		Limits:            exec.Limits{MaxSteps: maxSteps},
 	})
 	if err != nil {

@@ -54,8 +54,6 @@ func NewHTTPTarget(w *Workload, cfg TargetConfig) (*HTTPTarget, error) {
 			Env:               env,
 			Engine:            cfg.Engine,
 			DisableMitigation: !cfg.Mitigated,
-			OptLevel:          cfg.OptLevel,
-			OptSet:            cfg.OptSet,
 			Limits:            exec.Limits{MaxSteps: maxSteps},
 		},
 	})

@@ -45,8 +45,6 @@ func NewPoolTarget(w *Workload, cfg TargetConfig) (*PoolTarget, error) {
 			Env:               env,
 			Engine:            cfg.Engine,
 			DisableMitigation: !cfg.Mitigated,
-			OptLevel:          cfg.OptLevel,
-			OptSet:            cfg.OptSet,
 			Limits:            exec.Limits{MaxSteps: maxSteps},
 		},
 	})

@@ -550,8 +550,6 @@ func runServe(args []string, stdout, stderr io.Writer) error {
 	maxSteps := fs.Int("max-steps", 10_000_000, "per-request step budget")
 	engine := fs.String("engine", "tree",
 		fmt.Sprintf("execution engine: one of %v", exec.EngineNames()))
-	optLevel := fs.Int("opt", exec.DefaultOptLevel,
-		"vm-engine bytecode optimization level: 0 = stack interpreter, 1 = register lowering, 2 = + superinstruction fusion (identical observable timing at every level)")
 	listen := fs.String("listen", "",
 		"serve the HTTP/JSON API on this address (e.g. 127.0.0.1:8080) until interrupted, instead of driving -requests locally")
 	maxInflight := fs.Int("max-inflight", 0,
@@ -659,8 +657,6 @@ func runServe(args []string, stdout, stderr io.Writer) error {
 		Options: server.Options{
 			Env:               env,
 			Engine:            *engine,
-			OptLevel:          *optLevel,
-			OptSet:            true,
 			DisableMitigation: !*mitigate,
 			Limits:            exec.Limits{MaxSteps: *maxSteps, Timeout: *timeout},
 			Injector:          injector,

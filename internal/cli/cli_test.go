@@ -442,32 +442,36 @@ func TestServeSubcommand(t *testing.T) {
 	}
 }
 
-func TestServeOptLevels(t *testing.T) {
-	// The vm engine's optimization pipeline must be invisible in every
-	// adversary-observable output: a single-worker serve run (fully
-	// deterministic request schedule) prints byte-identical summaries
-	// and instrumentation snapshots at -opt 0 and -opt 2.
-	serve := func(opt string) string {
+func TestServeEngineIdentity(t *testing.T) {
+	// The engine must be invisible in every adversary-observable
+	// output: a single-worker serve run (fully deterministic request
+	// schedule) prints the same summaries and instrumentation snapshot
+	// on the tree engine and on the vm engine. Only the engine name and
+	// the step count differ, because the vm counts instructions.
+	serve := func(engine string) []string {
 		code, out, errOut := run("serve",
-			"-workers", "1", "-requests", "8", "-engine", "vm", "-opt", opt,
+			"-workers", "1", "-requests", "8", "-engine", engine,
 			"-vary", "h=0:70:10",
 			testdataPath(t, "mitigated.tc"))
 		if code != 0 {
-			t.Fatalf("-opt %s: exit=%d stderr=%q", opt, code, errOut)
+			t.Fatalf("-engine %s: exit=%d stderr=%q", engine, code, errOut)
 		}
-		if !strings.Contains(out, "served 8 requests across 1 shards") {
-			t.Errorf("-opt %s: missing summary line:\n%s", opt, out)
+		want := "served 8 requests across 1 shards on partitioned hardware (" + engine + " engine)"
+		if !strings.Contains(out, want) {
+			t.Errorf("-engine %s: missing summary line %q:\n%s", engine, want, out)
 		}
-		return out
+		var lines []string
+		for _, line := range strings.Split(out, "\n") {
+			if !strings.HasPrefix(line, "served ") && !strings.HasPrefix(line, "language steps:") {
+				lines = append(lines, line)
+			}
+		}
+		return lines
 	}
-	unopt, opt := serve("0"), serve("2")
-	if unopt != opt {
-		t.Errorf("serve output differs across opt levels:\n--- opt 0 ---\n%s--- opt 2 ---\n%s", unopt, opt)
-	}
-	// Out-of-range levels clamp to the supported pipeline rather than
-	// erroring: -opt 9 behaves as the full pipeline.
-	if clamped := serve("9"); clamped != opt {
-		t.Errorf("-opt 9 should clamp to the full pipeline:\n%s", clamped)
+	tree, vm := serve("tree"), serve("vm")
+	if strings.Join(tree, "\n") != strings.Join(vm, "\n") {
+		t.Errorf("serve output differs across engines:\n--- tree ---\n%s\n--- vm ---\n%s",
+			strings.Join(tree, "\n"), strings.Join(vm, "\n"))
 	}
 }
 

@@ -106,12 +106,12 @@ func BenchmarkProgramCache(b *testing.B) {
 		b.Fatal(err)
 	}
 	c := NewProgramCache(8)
-	if _, err := c.Get(app.Prog, app.Res, DefaultOptLevel); err != nil {
+	if _, err := c.Get(app.Prog, app.Res); err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := c.Get(app.Prog, app.Res, DefaultOptLevel); err != nil {
+		if _, err := c.Get(app.Prog, app.Res); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -128,13 +128,13 @@ func BenchmarkProgramCacheParallel(b *testing.B) {
 		b.Fatal(err)
 	}
 	c := NewProgramCache(8)
-	if _, err := c.Get(app.Prog, app.Res, DefaultOptLevel); err != nil {
+	if _, err := c.Get(app.Prog, app.Res); err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
 		for pb.Next() {
-			if _, err := c.Get(app.Prog, app.Res, DefaultOptLevel); err != nil {
+			if _, err := c.Get(app.Prog, app.Res); err != nil {
 				b.Fatal(err)
 			}
 		}

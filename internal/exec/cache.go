@@ -3,13 +3,10 @@ package exec
 import (
 	"crypto/sha256"
 	"encoding/hex"
-	"errors"
-	"strconv"
 	"sync"
 	"sync/atomic"
 
 	"repro/internal/bytecode"
-	"repro/internal/bytecode/optimize"
 	"repro/internal/lang/ast"
 	"repro/internal/lang/printer"
 	"repro/internal/types"
@@ -21,7 +18,9 @@ import (
 //
 // Compiled programs are immutable after compilation — the VM keeps all
 // mutable state (registers, data, clock) in itself — so one *Program
-// can safely back any number of VMs.
+// can safely back any number of VMs. Compiling links the program to the
+// register form the VM executes, so that work, too, runs once per
+// program here and never per VM or per shard.
 //
 // The hit path is lock-free: the key map is copy-on-write behind an
 // atomic pointer, and recency is a per-entry atomic timestamp from a
@@ -87,20 +86,13 @@ func (c *ProgramCache) touch(e *cacheEntry) *bytecode.Program {
 	return e.prog
 }
 
-// Get returns the compiled program for (prog, res) at the given
-// optimization level, compiling and caching it on a miss and evicting
-// the least recently used entry past capacity. Hits never block: they
-// read the current map snapshot and bump the entry's recency stamp
-// atomically.
-//
-// The optimization level is part of the cache key — it changes the
-// compiled artifact (Program.Opt), so entries at different levels must
-// never be conflated: a server toggling -opt, or two experiment arms
-// sharing DefaultCache at different levels, would otherwise serve each
-// other stale compiled output. Any future knob that alters what Get
-// compiles must join the key the same way.
-func (c *ProgramCache) Get(prog *ast.Program, res *types.Result, optLevel int) (*bytecode.Program, error) {
-	key := Key(prog, res) + ":o" + strconv.Itoa(optLevel)
+// Get returns the compiled program for (prog, res), compiling and
+// caching it on a miss and evicting the least recently used entry past
+// capacity. Hits never block: they read the current map snapshot and
+// bump the entry's recency stamp atomically. Any future knob that
+// alters what Get compiles must join the key.
+func (c *ProgramCache) Get(prog *ast.Program, res *types.Result) (*bytecode.Program, error) {
+	key := Key(prog, res)
 	if e, ok := (*c.entries.Load())[key]; ok {
 		return c.touch(e), nil
 	}
@@ -111,16 +103,6 @@ func (c *ProgramCache) Get(prog *ast.Program, res *types.Result, optLevel int) (
 	compiled, err := bytecode.Compile(prog, res)
 	if err != nil {
 		return nil, err
-	}
-	if optLevel > 0 {
-		op, oerr := optimize.Compile(compiled, optLevel)
-		if oerr != nil && !errors.Is(oerr, optimize.ErrUnsupported) {
-			return nil, oerr
-		}
-		// ErrUnsupported falls back to the unoptimized program: the
-		// entry is still cached under the leveled key so the fallback
-		// decision is made once, not per miss.
-		compiled.Opt = op
 	}
 
 	c.mu.Lock()

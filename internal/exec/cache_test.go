@@ -37,11 +37,11 @@ func numberedProg(t *testing.T, i int) (*ast.Program, *types.Result) {
 func TestProgramCacheHitSharesProgram(t *testing.T) {
 	c := NewProgramCache(4)
 	prog, res := numberedProg(t, 1)
-	first, err := c.Get(prog, res, DefaultOptLevel)
+	first, err := c.Get(prog, res)
 	if err != nil {
 		t.Fatal(err)
 	}
-	second, err := c.Get(prog, res, DefaultOptLevel)
+	second, err := c.Get(prog, res)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +85,7 @@ func TestProgramCacheEviction(t *testing.T) {
 	ress := make([]*types.Result, 3)
 	for i := range progs {
 		progs[i], ress[i] = numberedProg(t, i)
-		if _, err := c.Get(progs[i], ress[i], DefaultOptLevel); err != nil {
+		if _, err := c.Get(progs[i], ress[i]); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -95,17 +95,17 @@ func TestProgramCacheEviction(t *testing.T) {
 	// Program 0 was least recently used and must have been evicted:
 	// re-getting it is a miss; 2 and 1 are still resident (hits).
 	_, missesBefore := c.Stats()
-	if _, err := c.Get(progs[2], ress[2], DefaultOptLevel); err != nil {
+	if _, err := c.Get(progs[2], ress[2]); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Get(progs[1], ress[1], DefaultOptLevel); err != nil {
+	if _, err := c.Get(progs[1], ress[1]); err != nil {
 		t.Fatal(err)
 	}
 	_, misses := c.Stats()
 	if misses != missesBefore {
 		t.Errorf("resident entries missed: %d -> %d", missesBefore, misses)
 	}
-	if _, err := c.Get(progs[0], ress[0], DefaultOptLevel); err != nil {
+	if _, err := c.Get(progs[0], ress[0]); err != nil {
 		t.Fatal(err)
 	}
 	_, misses = c.Stats()
@@ -116,48 +116,6 @@ func TestProgramCacheEviction(t *testing.T) {
 	// evicted the back. The cache never exceeds capacity.
 	if c.Len() != 2 {
 		t.Errorf("Len() = %d, want 2", c.Len())
-	}
-}
-
-// TestProgramCacheKeyIncludesOptLevel is the regression test for a
-// stale-artifact bug: the optimization level changes the compiled
-// output (Program.Opt), so it must be part of the cache key. Before the
-// fix, toggling -opt on a warm cache served the other level's program.
-func TestProgramCacheKeyIncludesOptLevel(t *testing.T) {
-	c := NewProgramCache(8)
-	prog, res := mustCheck(t, "var x: L;\nvar y: L;\nx := 3;\ny := x + 1;\n")
-	unopt, err := c.Get(prog, res, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if unopt.Opt != nil {
-		t.Fatal("level 0 produced an optimized program")
-	}
-	opt, err := c.Get(prog, res, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if opt == unopt {
-		t.Fatal("level 2 served the level-0 entry (stale artifact)")
-	}
-	if opt.Opt == nil || opt.Opt.Level != 2 {
-		t.Fatalf("level 2 entry carries Opt = %+v", opt.Opt)
-	}
-	// Each level is its own resident entry: re-getting both must hit.
-	_, missesBefore := c.Stats()
-	again0, err := c.Get(prog, res, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	again2, err := c.Get(prog, res, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if again0 != unopt || again2 != opt {
-		t.Error("per-level entries not shared on hit")
-	}
-	if _, misses := c.Stats(); misses != missesBefore {
-		t.Errorf("re-gets missed: %d -> %d", missesBefore, misses)
 	}
 }
 
@@ -181,7 +139,7 @@ func TestProgramCacheConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 50; i++ {
 				k := (g + i) % len(progs)
-				if _, err := c.Get(progs[k], ress[k], DefaultOptLevel); err != nil {
+				if _, err := c.Get(progs[k], ress[k]); err != nil {
 					errs <- err
 					return
 				}
@@ -214,11 +172,11 @@ reply := 1;
 	lat := lattice.TwoPoint()
 
 	c := NewProgramCache(4)
-	cold, err := c.Get(prog, res, DefaultOptLevel)
+	cold, err := c.Get(prog, res)
 	if err != nil {
 		t.Fatal(err)
 	}
-	hit, err := c.Get(prog, res, DefaultOptLevel)
+	hit, err := c.Get(prog, res)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/exec/budget"
@@ -124,18 +125,6 @@ func assertSameResult(t *testing.T, name string, tree, vm *Result) {
 	}
 }
 
-// optArms are the VM configurations every differential case compares
-// against the tree engine: the stack interpreter and both levels of the
-// optimizing pipeline. Identity must hold per arm AND between arms.
-var optArms = []struct {
-	name string
-	opts Options
-}{
-	{"vm-o0", Options{OptSet: true, OptLevel: 0}},
-	{"vm-o1", Options{OptSet: true, OptLevel: 1}},
-	{"vm-o2", Options{OptSet: true, OptLevel: 2}},
-}
-
 func TestEnginesDifferentialTestdata(t *testing.T) {
 	hwNames := []string{"partitioned", "nopar", "flat"}
 	for _, p := range loadTestdata(t) {
@@ -143,10 +132,8 @@ func TestEnginesDifferentialTestdata(t *testing.T) {
 			for seed := int64(0); seed < 3; seed++ {
 				setup := randomSetup(p.prog, seed)
 				tree := runEngine(t, "tree", hwName, p, Options{}, setup)
-				for _, arm := range optArms {
-					vm := runEngine(t, "vm", hwName, p, arm.opts, setup)
-					assertSameResult(t, p.name+"/"+hwName+"/"+arm.name, tree, vm)
-				}
+				vm := runEngine(t, "vm", hwName, p, Options{}, setup)
+				assertSameResult(t, p.name+"/"+hwName+"/vm", tree, vm)
 			}
 		}
 	}
@@ -170,10 +157,8 @@ func TestEnginesDifferentialProgen(t *testing.T) {
 		setup := randomSetup(prog, int64(i))
 		for _, hwName := range hwNames {
 			tree := runEngine(t, "tree", hwName, p, Options{}, setup)
-			for _, arm := range optArms {
-				vm := runEngine(t, "vm", hwName, p, arm.opts, setup)
-				assertSameResult(t, p.name+"/"+hwName+"/"+arm.name, tree, vm)
-			}
+			vm := runEngine(t, "vm", hwName, p, Options{}, setup)
+			assertSameResult(t, p.name+"/"+hwName+"/vm", tree, vm)
 			if t.Failed() {
 				t.Fatalf("progen seed %d diverged on %s; source:\n%s", i, hwName, src)
 			}
@@ -304,6 +289,31 @@ l := l + 1;
 	if tree.Clock >= withDefaults.Clock {
 		t.Errorf("explicit zero costs not honored: clock %d with CostSet, %d with defaults",
 			tree.Clock, withDefaults.Clock)
+	}
+}
+
+// TestVMRegisterLimit: an expression nested deeper than the VM's 256
+// registers cannot be linked, so constructing the vm engine fails with
+// the register error, while the tree engine still runs the program.
+func TestVMRegisterLimit(t *testing.T) {
+	const depth = 300
+	src := "var x: L;\nx := " + strings.Repeat("1 + (", depth) + "1" + strings.Repeat(")", depth) + ";\n"
+	prog, res := mustCheck(t, src)
+	lat := lattice.TwoPoint()
+	_, err := NewEngine("vm", prog, res, hw.MustEnv("flat", lat, hw.TinyConfig()), Options{})
+	if err == nil || !strings.Contains(err.Error(), "expression needs 301 evaluation-stack slots, more than the VM's 256 registers") {
+		t.Fatalf("vm engine: err = %v, want the register-limit error", err)
+	}
+	tree, err := NewEngine("tree", prog, res, hw.MustEnv("flat", lat, hw.TinyConfig()), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := tree.Run(context.Background(), Request{KeepMemory: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := r.Memory.Get("x"); got != depth+1 {
+		t.Errorf("tree engine: x = %d, want %d", got, depth+1)
 	}
 }
 

@@ -97,16 +97,6 @@ type Options struct {
 	Policy mitigation.Policy
 	// DisableMitigation makes mitigate blocks record but not pad.
 	DisableMitigation bool
-	// OptLevel selects the VM engine's bytecode optimization pipeline
-	// level: 0 runs the stack interpreter, 1 adds register lowering
-	// with operand predecoding, 2 adds superinstruction fusion. The
-	// optimized loop is observationally identical to level 0 (same
-	// clocks, traces, mitigation, memory); the differential suite in
-	// this package enforces that. When OptSet is false, OptLevel is
-	// ignored and DefaultOptLevel applies. The tree engine ignores
-	// both.
-	OptLevel int
-	OptSet   bool
 	// Limits bounds every Run: engine steps, simulated cycles, and —
 	// when Timeout is set — wall-clock time. Zero fields are
 	// unlimited.
@@ -122,27 +112,6 @@ type Options struct {
 	// engine (a pool sets worker i's shard to i), so shard-filtered
 	// fault rules can target one worker. Plain servers leave it 0.
 	Shard int
-}
-
-// DefaultOptLevel is the optimization level applied when Options.OptSet
-// is false: the full pipeline, since it is observationally identical
-// and strictly faster.
-const DefaultOptLevel = 2
-
-// EffectiveOptLevel resolves the optimization level: the default when
-// unset, and clamped to the pipeline's supported range.
-func (o Options) EffectiveOptLevel() int {
-	lvl := o.OptLevel
-	if !o.OptSet {
-		lvl = DefaultOptLevel
-	}
-	if lvl < 0 {
-		lvl = 0
-	}
-	if lvl > 2 {
-		lvl = 2
-	}
-	return lvl
 }
 
 // injectRun evaluates the pre-run engine fault points shared by every

@@ -40,7 +40,7 @@ func newVMEngine(prog *ast.Program, res *types.Result, env hw.Env, opts Options)
 		}
 		return nil, f.Err
 	}
-	bp, err := DefaultCache.Get(prog, res, opts.EffectiveOptLevel())
+	bp, err := DefaultCache.Get(prog, res)
 	if err != nil {
 		return nil, err
 	}

@@ -147,14 +147,10 @@ func (d *CertifyData) CSVHeader() []string {
 func (d *CertifyData) CSVRows() [][]string {
 	rows := make([][]string, 0, len(d.Rows))
 	for _, r := range d.Rows {
-		engine := r.Config.Engine
-		if r.Config.Engine == "vm" && r.Config.OptSet {
-			engine = fmt.Sprintf("vm-opt%d", r.Config.OptLevel)
-		}
 		rows = append(rows, []string{
 			r.Binding,
 			r.Workload,
-			engine,
+			r.Config.Engine,
 			r.Config.Hardware,
 			strconv.FormatBool(r.Config.Mitigated),
 			strconv.FormatFloat(r.Result.MeasuredBits, 'f', 4, 64),

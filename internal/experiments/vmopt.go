@@ -2,39 +2,36 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
-	"time"
 
 	"repro/internal/bytecode"
-	"repro/internal/bytecode/optimize"
+	"repro/internal/lang/ast"
 	"repro/internal/lang/parser"
 	"repro/internal/lattice"
 	"repro/internal/machine/hw"
-	"repro/internal/sem/events"
+	"repro/internal/sem/full"
+	"repro/internal/sem/mem"
 	"repro/internal/types"
 )
 
-// The vmopt experiment evaluates the bytecode optimization pipeline
-// (internal/bytecode/optimize): for a set of representative programs it
-// reports what the passes did (instruction counts, emitted
-// superinstructions by pattern), re-proves observational identity
-// between the stack interpreter and the optimized loop (clock, step
-// count, event trace, final memory, hardware counters), and measures
-// the host-time speedup of the optimized loop on a compute-bound
-// workload.
+// The vmopt experiment evaluates the passes that link every bytecode
+// program to the register form the VM executes (register lowering and
+// superinstruction fusion, internal/bytecode/lower.go): for a set of
+// representative programs it reports what the passes did (instruction
+// counts, emitted superinstructions by pattern) and re-proves that the
+// VM under TimingTree is observationally identical to the tree-walking
+// semantics (clock, event trace, mitigation records, final memory,
+// hardware counters).
 
 func init() {
 	MustRegister(Experiment{
 		Name: "vmopt", Order: 110,
-		Summary: "bytecode pipeline: fusion stats, identity, speedup",
-		Run: func(o RunOptions) (*Report, error) {
-			cfg := VmoptConfig{}
-			if o.Quick {
-				cfg = cfg.Quick()
-			}
-			d, err := Vmopt(cfg)
+		Summary: "bytecode pipeline: fusion stats, identity with sem/full",
+		Run: func(RunOptions) (*Report, error) {
+			d, err := Vmopt()
 			if err != nil {
 				return nil, err
 			}
@@ -43,11 +40,9 @@ func init() {
 	})
 }
 
-// vmoptPrograms are the workloads: the speedup measurement uses
-// "hotloop" (compute-bound: a fusable immediate-arithmetic chain and
-// compare-and-branch dominate; the array traffic sits outside the
-// loop, where its addresses are stable and per-site memos hold), the
-// others broaden the static-stats and identity table.
+// vmoptPrograms are the workloads: "hotloop" is compute-bound (a
+// fusable immediate-arithmetic chain and compare-and-branch dominate),
+// the others broaden the static-stats and identity table.
 var vmoptPrograms = []struct{ name, src string }{
 	{"hotloop", `
 var n : L;
@@ -78,8 +73,8 @@ l := 1;
 `},
 }
 
-// VmoptProgram is one workload's row: what the pipeline emitted and
-// whether the optimized run matched the stack interpreter exactly.
+// VmoptProgram is one workload's row: what the passes emitted and
+// whether the VM matched sem/full exactly.
 type VmoptProgram struct {
 	Name        string
 	OrigInstrs  int
@@ -91,107 +86,64 @@ type VmoptProgram struct {
 	// Patterns lists emitted superinstructions as "MNEMONIC×count",
 	// most frequent first.
 	Patterns string
-	// Identical is true when clock, steps, trace, memory, and hardware
-	// counters matched between the stack and optimized runs on both
-	// timing models.
+	// Identical is true when clock, event trace, mitigation records,
+	// final memory, and hardware counters matched between the VM under
+	// TimingTree and sem/full.
 	Identical bool
 }
 
 // VmoptData holds the experiment's results.
 type VmoptData struct {
-	Iters    int
 	Programs []VmoptProgram
-	// StackPerIter / OptPerIter are host-time costs of one hotloop run
-	// on the stack interpreter and the optimized loop; Speedup is their
-	// ratio.
-	StackPerIter time.Duration
-	OptPerIter   time.Duration
-	Speedup      float64
 }
 
-// VmoptConfig sizes the experiment.
-type VmoptConfig struct {
-	// Iters is the per-engine repetition count of the timing loop.
-	Iters int
-	// LoopN is the hotloop trip count per run.
-	LoopN int64
-}
+// vmoptLoopN is hotloop's trip count in the identity runs.
+const vmoptLoopN = 100
 
-// Defaults fills zero fields.
-func (c VmoptConfig) Defaults() VmoptConfig {
-	if c.Iters == 0 {
-		c.Iters = 300
+// vmoptInput is the initial value of the i-th declared scalar.
+func vmoptInput(i int, name string) int64 {
+	if name == "n" {
+		return vmoptLoopN
 	}
-	if c.LoopN == 0 {
-		c.LoopN = 400
+	return int64(i) + 2
+}
+
+// vmoptIdentical runs bp on the VM under TimingTree and its source on
+// sem/full, each on a fresh partitioned machine, and reports whether
+// everything observable matched.
+func vmoptIdentical(prog *ast.Program, res *types.Result, bp *bytecode.Program, lat lattice.Lattice) (bool, error) {
+	vmEnv := hw.NewPartitioned(lat, hw.Table1Config())
+	vm := bytecode.NewVM(bp, vmEnv, bytecode.VMOptions{Timing: bytecode.TimingTree})
+	treeEnv := hw.NewPartitioned(lat, hw.Table1Config())
+	m, err := full.New(prog, res, treeEnv, full.Options{})
+	if err != nil {
+		return false, err
 	}
-	return c
-}
-
-// Quick returns the reduced-scale configuration.
-func (c VmoptConfig) Quick() VmoptConfig {
-	c.Iters = 40
-	c.LoopN = 100
-	return c
-}
-
-type vmoptOutcome struct {
-	clock uint64
-	steps int
-	trace events.Trace
-	mem   []int64
-	stats hw.Stats
-}
-
-// vmoptRun executes p once and snapshots everything observable.
-func vmoptRun(p *bytecode.Program, lat lattice.Lattice, timing bytecode.TimingModel, n int64) (vmoptOutcome, error) {
-	vm := bytecode.NewVM(p, hw.NewPartitioned(lat, hw.Table1Config()), bytecode.VMOptions{Timing: timing})
-	for i, name := range p.ScalarNames {
-		v := int64(i) + 2
-		if name == "n" {
-			v = n
+	for i, name := range bp.ScalarNames {
+		if err := vm.SetScalar(name, vmoptInput(i, name)); err != nil {
+			return false, err
 		}
-		if err := vm.SetScalar(name, v); err != nil {
-			return vmoptOutcome{}, err
-		}
+		m.Memory().Set(name, vmoptInput(i, name))
 	}
 	if err := vm.Run(0); err != nil {
-		return vmoptOutcome{}, err
+		return false, err
 	}
-	o := vmoptOutcome{clock: vm.Clock(), steps: vm.Steps()}
-	o.trace = append(events.Trace(nil), vm.Trace()...)
-	o.mem = append([]int64(nil), vm.ScalarStorage()...)
-	o.stats = vm.Env().Stats()
-	return o, nil
-}
-
-func (a vmoptOutcome) equal(b vmoptOutcome) bool {
-	if a.clock != b.clock || a.steps != b.steps || a.stats != b.stats {
-		return false
+	if err := m.Run(0); err != nil {
+		return false, err
 	}
-	if len(a.trace) != len(b.trace) || len(a.mem) != len(b.mem) {
-		return false
-	}
-	for i := range a.trace {
-		if a.trace[i] != b.trace[i] {
-			return false
-		}
-	}
-	for i := range a.mem {
-		if a.mem[i] != b.mem[i] {
-			return false
-		}
-	}
-	return true
+	vmMem := mem.New(prog)
+	vm.StoreTo(vmMem)
+	return vm.Clock() == m.Clock() &&
+		vm.Trace().Equal(m.Trace()) &&
+		slices.Equal(vm.Mitigations(), m.Mitigations()) &&
+		vmMem.Equal(m.Memory()) &&
+		vmEnv.Stats() == treeEnv.Stats(), nil
 }
 
 // Vmopt runs the experiment.
-func Vmopt(cfg VmoptConfig) (*VmoptData, error) {
-	cfg = cfg.Defaults()
+func Vmopt() (*VmoptData, error) {
 	lat := lattice.TwoPoint()
-	d := &VmoptData{Iters: cfg.Iters}
-
-	var hotStack, hotOpt *bytecode.Program
+	d := &VmoptData{}
 	for _, w := range vmoptPrograms {
 		prog, err := parser.Parse(w.src)
 		if err != nil {
@@ -205,65 +157,20 @@ func Vmopt(cfg VmoptConfig) (*VmoptData, error) {
 		if err != nil {
 			return nil, fmt.Errorf("vmopt %s: %w", w.name, err)
 		}
-		op, err := optimize.Compile(bp, optimize.LevelFuse)
+		st := bp.Opt.Stats
+		identical, err := vmoptIdentical(prog, res, bp, lat)
 		if err != nil {
 			return nil, fmt.Errorf("vmopt %s: %w", w.name, err)
 		}
-		optP := *bp
-		optP.Opt = op
-
-		row := VmoptProgram{
+		d.Programs = append(d.Programs, VmoptProgram{
 			Name:        w.name,
-			OrigInstrs:  op.Stats.OrigInstrs,
-			OptInstrs:   op.Stats.OptInstrs,
-			FusedInstrs: op.Stats.FusedInstrs,
-			FusedOrig:   op.Stats.FusedOrig,
-			Patterns:    formatPatterns(op.Stats.Patterns),
-			Identical:   true,
-		}
-		for _, timing := range []bytecode.TimingModel{bytecode.TimingTree, bytecode.TimingMicro} {
-			base, err := vmoptRun(bp, lat, timing, cfg.LoopN)
-			if err != nil {
-				return nil, fmt.Errorf("vmopt %s (stack): %w", w.name, err)
-			}
-			opt, err := vmoptRun(&optP, lat, timing, cfg.LoopN)
-			if err != nil {
-				return nil, fmt.Errorf("vmopt %s (optimized): %w", w.name, err)
-			}
-			if !base.equal(opt) {
-				row.Identical = false
-			}
-		}
-		d.Programs = append(d.Programs, row)
-		if w.name == "hotloop" {
-			hotStack, hotOpt = bp, &optP
-		}
-	}
-
-	// Speedup: the same hotloop run cfg.Iters times per engine. One
-	// warmup iteration per engine keeps one-time costs (lazy site
-	// tables) out of the measurement.
-	measure := func(p *bytecode.Program) (time.Duration, error) {
-		if _, err := vmoptRun(p, lat, bytecode.TimingTree, cfg.LoopN); err != nil {
-			return 0, err
-		}
-		start := time.Now()
-		for i := 0; i < cfg.Iters; i++ {
-			if _, err := vmoptRun(p, lat, bytecode.TimingTree, cfg.LoopN); err != nil {
-				return 0, err
-			}
-		}
-		return time.Since(start) / time.Duration(cfg.Iters), nil
-	}
-	var err error
-	if d.StackPerIter, err = measure(hotStack); err != nil {
-		return nil, err
-	}
-	if d.OptPerIter, err = measure(hotOpt); err != nil {
-		return nil, err
-	}
-	if d.OptPerIter > 0 {
-		d.Speedup = float64(d.StackPerIter) / float64(d.OptPerIter)
+			OrigInstrs:  st.OrigInstrs,
+			OptInstrs:   st.OptInstrs,
+			FusedInstrs: st.FusedInstrs,
+			FusedOrig:   st.FusedOrig,
+			Patterns:    formatPatterns(st.Patterns),
+			Identical:   identical,
+		})
 	}
 	return d, nil
 }
@@ -291,7 +198,7 @@ func formatPatterns(pats map[string]int) string {
 // Render formats the experiment for the terminal.
 func (d *VmoptData) Render() string {
 	var b strings.Builder
-	b.WriteString("E8: Bytecode optimization pipeline (fusion + register lowering)\n")
+	b.WriteString("E8: Bytecode pipeline (register lowering + fusion), VM vs sem/full\n")
 	for _, p := range d.Programs {
 		ident := "identical"
 		if !p.Identical {
@@ -303,30 +210,23 @@ func (d *VmoptData) Render() string {
 			fmt.Fprintf(&b, "              %s\n", p.Patterns)
 		}
 	}
-	fmt.Fprintf(&b, "hotloop host time: stack %v/run, optimized %v/run — %.2fx speedup (%d runs each)\n",
-		d.StackPerIter.Round(time.Microsecond), d.OptPerIter.Round(time.Microsecond),
-		d.Speedup, d.Iters)
 	return b.String()
 }
 
 // CSVHeader implements CSV.
 func (d *VmoptData) CSVHeader() []string {
 	return []string{"program", "orig_instrs", "opt_instrs", "fused_instrs",
-		"fused_orig", "identical", "patterns", "speedup"}
+		"fused_orig", "identical", "patterns"}
 }
 
 // CSVRows implements CSV.
 func (d *VmoptData) CSVRows() [][]string {
 	rows := make([][]string, 0, len(d.Programs))
 	for _, p := range d.Programs {
-		speed := ""
-		if p.Name == "hotloop" {
-			speed = strconv.FormatFloat(d.Speedup, 'f', 2, 64)
-		}
 		rows = append(rows, []string{
 			p.Name, strconv.Itoa(p.OrigInstrs), strconv.Itoa(p.OptInstrs),
 			strconv.Itoa(p.FusedInstrs), strconv.Itoa(p.FusedOrig),
-			strconv.FormatBool(p.Identical), p.Patterns, speed,
+			strconv.FormatBool(p.Identical), p.Patterns,
 		})
 	}
 	return rows

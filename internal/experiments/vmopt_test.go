@@ -5,12 +5,11 @@ import (
 	"testing"
 )
 
-// TestVmoptQuick asserts the experiment's claims at quick scale: the
-// pipeline fuses the hot loop, every workload's optimized run is
-// observationally identical to the stack interpreter, and the report
-// renders the stats and speedup.
+// TestVmoptQuick asserts the experiment's claims: the passes fuse the
+// hot loop, every workload's VM run is observationally identical to
+// sem/full, and the report renders the stats.
 func TestVmoptQuick(t *testing.T) {
-	d, err := Vmopt(VmoptConfig{}.Quick())
+	d, err := Vmopt()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -19,7 +18,7 @@ func TestVmoptQuick(t *testing.T) {
 	}
 	for _, p := range d.Programs {
 		if !p.Identical {
-			t.Errorf("%s: optimized run must match the stack interpreter", p.Name)
+			t.Errorf("%s: VM run must match sem/full", p.Name)
 		}
 		if p.OrigInstrs <= 0 || p.OptInstrs <= 0 || p.OptInstrs > p.OrigInstrs {
 			t.Errorf("%s: instruction counts %d -> %d", p.Name, p.OrigInstrs, p.OptInstrs)
@@ -35,12 +34,8 @@ func TestVmoptQuick(t *testing.T) {
 	if hot.Name != "hotloop" || hot.FusedInstrs == 0 {
 		t.Errorf("hotloop must fuse: %+v", hot)
 	}
-	if d.OptPerIter <= 0 || d.StackPerIter <= 0 || d.Speedup <= 0 {
-		t.Errorf("timing not measured: stack %v, opt %v, speedup %v",
-			d.StackPerIter, d.OptPerIter, d.Speedup)
-	}
 	text := d.Render()
-	for _, want := range []string{"hotloop", "fused", "speedup"} {
+	for _, want := range []string{"hotloop", "fused", "identical"} {
 		if !strings.Contains(text, want) {
 			t.Errorf("Render() missing %q:\n%s", want, text)
 		}

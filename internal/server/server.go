@@ -157,13 +157,6 @@ type Options struct {
 	Policy mitigation.Policy
 	// DisableMitigation runs the program unmitigated.
 	DisableMitigation bool
-	// OptLevel selects the VM engine's bytecode optimization level
-	// (0 = stack interpreter, 1 = register lowering, 2 = + fusion);
-	// observationally identical at every level. Honored only when
-	// OptSet is true — otherwise exec.DefaultOptLevel applies. The
-	// tree engine ignores both.
-	OptLevel int
-	OptSet   bool
 	// Limits bounds each request: engine steps (MaxSteps, default
 	// 10_000_000), simulated cycles (MaxCycles), and wall-clock time
 	// (Timeout). Exceeding a step or cycle bound fails the request
@@ -235,8 +228,6 @@ func New(prog *ast.Program, res *types.Result, opts Options) (*Server, error) {
 		Scheme:            opts.Scheme,
 		Policy:            opts.Policy,
 		DisableMitigation: opts.DisableMitigation,
-		OptLevel:          opts.OptLevel,
-		OptSet:            opts.OptSet,
 		Limits:            opts.Limits,
 		Metrics:           opts.Metrics,
 		Injector:          opts.Injector,

@@ -198,19 +198,17 @@ func summarize(benches []Benchmark) map[string]float64 {
 	return sum
 }
 
-// vmoptName parses "BenchmarkVMOpt/opt=N/workers=M".
-var vmoptName = regexp.MustCompile(`^BenchmarkVMOpt/opt=(\d+)/(workers=\d+)$`)
+// vmoptName parses "BenchmarkVMOpt/workers=M".
+var vmoptName = regexp.MustCompile(`^BenchmarkVMOpt/(workers=\d+)$`)
 
-// vmopt derives the bytecode-pipeline record from BenchmarkVMOpt runs:
-// the mean req/s of each opt level per worker count, and the
-// opt2-vs-opt0 throughput ratio — the pipeline's speedup on the
-// service path. Multiple -count runs average.
+// vmopt derives the VM throughput record from BenchmarkVMOpt runs: the
+// mean req/s per worker count. Multiple -count runs average.
 func vmopt(benches []Benchmark, sum map[string]float64) {
 	type acc struct {
 		sum float64
 		n   int
 	}
-	// key: "opt=N/workers=M"
+	// key: "workers=M"
 	groups := map[string]*acc{}
 	for _, b := range benches {
 		m := vmoptName.FindStringSubmatch(b.Name)
@@ -221,29 +219,16 @@ func vmopt(benches []Benchmark, sum map[string]float64) {
 		if !ok {
 			continue
 		}
-		key := "opt=" + m[1] + "/" + m[2]
-		a := groups[key]
+		a := groups[m[1]]
 		if a == nil {
 			a = &acc{}
-			groups[key] = a
+			groups[m[1]] = a
 		}
 		a.sum += rps
 		a.n++
 	}
 	for key, a := range groups {
 		sum["mean_req_per_s/"+key] = a.sum / float64(a.n)
-	}
-	for key, base := range groups {
-		if !strings.HasPrefix(key, "opt=0/") {
-			continue
-		}
-		rest := strings.TrimPrefix(key, "opt=0/")
-		opt2, ok := groups["opt=2/"+rest]
-		if !ok || base.sum == 0 {
-			continue
-		}
-		sum["opt2_vs_opt0_req_per_s/"+rest] =
-			(opt2.sum / float64(opt2.n)) / (base.sum / float64(base.n))
 	}
 }
 

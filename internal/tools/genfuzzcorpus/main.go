@@ -46,10 +46,10 @@ func main() {
 		write(pdir, name, "string("+strconv.Quote(string(src))+")")
 	}
 
-	// Optimizer corpus: every example program, crossed over machine
+	// VM differential corpus: every example program, crossed over machine
 	// environment and timing-model selectors, so the differential
 	// target starts from real programs on both timing models.
-	odir := filepath.Join(repo, "internal/bytecode/optimize/testdata/fuzz/FuzzOptTraceIdentity")
+	odir := filepath.Join(repo, "internal/bytecode/testdata/fuzz/FuzzOptTraceIdentity")
 	for i, tc := range tcs {
 		src, err := os.ReadFile(tc)
 		if err != nil {

@@ -4,7 +4,9 @@
 // 100-request batch, a metrics scrape in both formats, a pipelined
 // /v1/stream exchange), then sends SIGINT mid-stream and checks the
 // two-phase drain: the open stream gets a terminal shutting_down line
-// and a clean end before the process exits. Run via `make smoke-serve`.
+// and a clean end before the process exits. It runs the drive once per
+// engine, tree then vm, so both serve over real sockets. Run via `make
+// smoke-serve`.
 package main
 
 import (
@@ -44,11 +46,21 @@ func run() error {
 	if err := build.Run(); err != nil {
 		return fmt.Errorf("build timingc: %w", err)
 	}
+	for _, engine := range []string{"tree", "vm"} {
+		if err := drive(bin, engine); err != nil {
+			return fmt.Errorf("-engine %s: %w", engine, err)
+		}
+	}
+	return nil
+}
 
+// drive serves the API from bin on the given engine and runs the whole
+// exchange against it, shutdown included.
+func drive(bin, engine string) error {
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
 	srv := exec.CommandContext(ctx, bin,
-		"serve", "-listen", "127.0.0.1:0", "-workers", "2",
+		"serve", "-listen", "127.0.0.1:0", "-workers", "2", "-engine", engine,
 		filepath.Join("testdata", "mitigated.tc"))
 	srv.Stderr = os.Stderr
 	stdout, err := srv.StdoutPipe()
@@ -92,7 +104,7 @@ func run() error {
 	if err != nil {
 		return fmt.Errorf("health: %w", err)
 	}
-	if health.Status != wire.StatusOK || health.Workers != 2 {
+	if health.Status != wire.StatusOK || health.Workers != 2 || health.Engine != engine {
 		return fmt.Errorf("health = %+v", health)
 	}
 
