@@ -9,7 +9,7 @@ all: ci
 # test suite (the pool's concurrency is exercised under -race), the
 # engine differential suite (named explicitly so an engine-equivalence
 # regression is called out even though the race run also covers it),
-# the chaos suite under randomized fault schedules, a short continuous
+# the chaos suite of the overload contract, a short continuous
 # fuzz of each native fuzz target, a 1x-benchtime smoke run of
 # every benchmark so benchmark code cannot rot uncompiled or uncovered,
 # the repository benchmark's own vet and self-tests, and an end-to-end
@@ -25,11 +25,14 @@ engines:
 	$(GO) test -run 'TestEngine|TestEngines' ./internal/exec ./internal/server
 	$(GO) test -run 'TestOptDifferential|TestVMGolden' ./internal/bytecode
 
-# chaos runs the fault-injection suite under the race detector: 100
-# randomized fault schedules plus the breaker, deadline, crosstalk, and
-# determinism regressions.
+# chaos runs the overload contract's suite under the race detector:
+# 100 randomized pool schedules of overload, budget, deadline,
+# cancellation and shutdown, the deadline, crosstalk and determinism
+# regressions, and, over HTTP, an open-loop overload run with a drain
+# partway through plus the stream drain tests.
 chaos:
-	$(GO) test -race -count 1 -run 'TestChaos|TestBreaker|TestDeadline|TestCancelled|TestSameSeed|TestInjected' ./internal/server
+	$(GO) test -race -count 1 -run 'TestChaos|TestDeadline|TestCancelled' ./internal/server
+	$(GO) test -race -count 1 -run 'TestOverloadOutcomes|TestStreamDrain' ./internal/transport
 
 # fuzz-smoke runs each native fuzz target for FUZZTIME (default 30s) of
 # continuous mutation on top of the checked-in seed corpora

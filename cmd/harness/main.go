@@ -1,6 +1,6 @@
 // Command harness regenerates every table and figure of the paper's
 // evaluation section (§8) and the extended experiments (leakage
-// bounds, service, faults, network, sessions).
+// bounds, service, network, sessions).
 //
 // Usage:
 //

@@ -19,9 +19,9 @@
 // estimators have teeth).
 //
 // Determinism: every random choice — sampling order, plant selection,
-// bootstrap resampling — derives from fault.Mix64 (the splitmix64
-// finalizer the fault injector and client jitter already use), so a
-// certification run replays bit-for-bit from its seed.
+// bootstrap resampling — derives from splitmix.Mix64 (the splitmix64
+// finalizer the client jitter also uses), so a certification run
+// replays bit-for-bit from its seed.
 package certify
 
 import (
@@ -30,8 +30,8 @@ import (
 	"fmt"
 	"math"
 
-	"repro/internal/fault"
 	"repro/internal/machine/hw"
+	"repro/internal/splitmix"
 )
 
 // ErrNotApplicable is returned by an Adversary whose observation
@@ -207,7 +207,7 @@ func clamp(v, hi float64) float64 {
 }
 
 // RNG is the deterministic randomness stream of an attack: a counter
-// hashed through fault.Mix64 (splitmix64 finalization), so every draw
+// hashed through splitmix.Mix64 (splitmix64 finalization), so every draw
 // is a pure function of (seed, draw index) and a run replays exactly.
 type RNG struct {
 	seed uint64
@@ -220,13 +220,13 @@ func NewRNG(seed int64) *RNG { return &RNG{seed: uint64(seed)} }
 // Fork derives an independent stream; children with distinct tags are
 // uncorrelated regardless of how much the parent has drawn.
 func (r *RNG) Fork(tag uint64) *RNG {
-	return &RNG{seed: fault.Mix64(r.seed, 0x5ec7e7, tag)}
+	return &RNG{seed: splitmix.Mix64(r.seed, 0x5ec7e7, tag)}
 }
 
 // Uint64 returns the next draw.
 func (r *RNG) Uint64() uint64 {
 	r.ctr++
-	return fault.Mix64(r.seed, r.ctr)
+	return splitmix.Mix64(r.seed, r.ctr)
 }
 
 // Intn returns a draw in [0, n).
@@ -238,7 +238,7 @@ func (r *RNG) Intn(n int) int {
 }
 
 // Float64 returns a draw in [0, 1), with the same 53-bit construction
-// the fault injector and client jitter use.
+// the client jitter uses.
 func (r *RNG) Float64() float64 {
 	return float64(r.Uint64()>>11) / float64(1<<53)
 }

@@ -80,8 +80,8 @@ func TestEngineTargetCoresident(t *testing.T) {
 	}
 }
 
-// TestRNGFloat64 covers the 53-bit construction shared with the fault
-// injector: in range, and deterministic per seed.
+// TestRNGFloat64 covers the 53-bit construction shared with the client
+// jitter: in range, and deterministic per seed.
 func TestRNGFloat64(t *testing.T) {
 	a, b := NewRNG(3), NewRNG(3)
 	for i := 0; i < 100; i++ {

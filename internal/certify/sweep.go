@@ -5,7 +5,7 @@ import (
 	"fmt"
 	"strings"
 
-	"repro/internal/fault"
+	"repro/internal/splitmix"
 )
 
 // SweepOptions configure the certification matrix.
@@ -129,7 +129,7 @@ func Sweep(ctx context.Context, o SweepOptions) ([]Row, error) {
 		// Each row's adversaries draw from an independent stream
 		// derived from (sweep seed, row index), so reordering one row
 		// cannot perturb another.
-		res, cerr := Certify(ctx, t, Options{Seed: int64(fault.Mix64(uint64(o.Seed), uint64(i+1)) >> 1)})
+		res, cerr := Certify(ctx, t, Options{Seed: int64(splitmix.Mix64(uint64(o.Seed), uint64(i+1)) >> 1)})
 		if closeErr := t.Close(); cerr == nil {
 			cerr = closeErr
 		}

@@ -19,8 +19,8 @@ import (
 // HTTPTarget binds certification to the full network stack: the
 // workload is served by a real loopback HTTP service (pool, sessions,
 // transport handler) and probed through the client SDK, so JSON
-// marshaling, admission, retries, and the wire's leakage_bits field
-// are all inside the attack surface. The reported bound is what the
+// marshaling, admission, and the wire's leakage_bits field are all
+// inside the attack surface. The reported bound is what the
 // server told the client, not an in-process shortcut. Only workloads
 // with wire inputs (Workload.Inputs non-nil) can bind here.
 type HTTPTarget struct {

@@ -29,7 +29,6 @@ import (
 	"repro/internal/bytecode"
 	"repro/internal/certify"
 	"repro/internal/exec"
-	"repro/internal/fault"
 	"repro/internal/lang/ast"
 	"repro/internal/lang/diag"
 	"repro/internal/lang/parser"
@@ -565,18 +564,8 @@ func runServe(args []string, stdout, stderr io.Writer) error {
 	pprofAddr := fs.String("pprof", "",
 		"serve net/http/pprof on this address (e.g. localhost:6060) while requests run; with -listen and an equal address the profiles share the API listener")
 	timeout := fs.Duration("timeout", 0, "per-request deadline (0 = none)")
-	retries := fs.Int("retries", 0, "extra attempts for retryable request failures")
-	retryBackoff := fs.Duration("retry-backoff", time.Millisecond, "initial retry backoff (doubles per attempt)")
-	breakerThreshold := fs.Int("breaker-threshold", 0,
-		"consecutive failures that eject a shard (0 = breaker off)")
-	breakerCooldown := fs.Duration("breaker-cooldown", 10*time.Millisecond,
-		"how long an ejected shard rests before a recovery probe")
 	shed := fs.Bool("shed", false,
 		"fail fast (overloaded) instead of blocking when a shard queue is full")
-	faultSeed := fs.Int64("fault-seed", 1, "seed for the deterministic fault schedule")
-	var faults faultFlags
-	fs.Var(&faults, "fault",
-		fmt.Sprintf("inject faults: point=rate[:count], point one of %v (repeatable)", fault.Points))
 	var vary rangeFlags
 	fs.Var(&vary, "vary", "vary a variable across requests, e.g. -vary h=0:63:1 (repeatable)")
 	if err := fs.Parse(args); err != nil {
@@ -614,10 +603,6 @@ func runServe(args []string, stdout, stderr io.Writer) error {
 	if err != nil {
 		return err
 	}
-	var injector *fault.Injector
-	if len(faults.plan) > 0 {
-		injector = fault.New(*faultSeed, faults.plan)
-	}
 	// Tenant sessions are a transport-layer feature: any -session-* flag
 	// enables the manager, which only the HTTP path consults.
 	sessionsOn := false
@@ -649,17 +634,11 @@ func runServe(args []string, stdout, stderr io.Writer) error {
 		Workers:          *workers,
 		QueueDepth:       *queue,
 		ShedOnSaturation: *shed,
-		MaxRetries:       *retries,
-		RetryBase:        *retryBackoff,
-		RetrySeed:        *faultSeed,
-		BreakerThreshold: *breakerThreshold,
-		BreakerCooldown:  *breakerCooldown,
 		Options: server.Options{
 			Env:               env,
 			Engine:            *engine,
 			DisableMitigation: !*mitigate,
 			Limits:            exec.Limits{MaxSteps: *maxSteps, Timeout: *timeout},
-			Injector:          injector,
 			Metrics:           met,
 		},
 	})
@@ -681,13 +660,13 @@ func runServe(args []string, stdout, stderr io.Writer) error {
 	}
 	var resps []*server.Response
 	failed := 0
-	if injector != nil || *retries > 0 || *timeout > 0 || *shed {
-		// Fault-tolerant mode drives requests individually through the
-		// retry/deadline path; typed failures are tallied, not fatal.
+	if *timeout > 0 || *shed {
+		// Deadlines and shedding fail single requests, not the run:
+		// drive the requests one at a time and tally the typed failures.
 		for _, req := range reqs {
 			resp, err := pool.Handle(context.Background(), req)
 			if err != nil {
-				if server.Retryable(err) || errors.Is(err, context.DeadlineExceeded) ||
+				if errors.Is(err, server.ErrOverloaded) || errors.Is(err, context.DeadlineExceeded) ||
 					errors.Is(err, server.ErrBudgetExceeded) {
 					failed++
 					continue
@@ -715,9 +694,6 @@ func runServe(args []string, stdout, stderr io.Writer) error {
 		pool.Served(), pool.Workers(), env.Name(), *engine)
 	if failed > 0 {
 		fmt.Fprintf(stdout, "failed requests: %d of %d\n", failed, len(reqs))
-	}
-	if injector != nil {
-		fmt.Fprintf(stdout, "%s\n", injector)
 	}
 	fmt.Fprintf(stdout, "distinct response times: %d\n", len(distinct))
 	for shard, rs := range byShard {
@@ -992,64 +968,6 @@ func (s secretRange) values() []int64 {
 		out = append(out, v)
 	}
 	return out
-}
-
-// faultFlags collects repeated -fault point=rate[:count] flags into a
-// fault plan. Points without a natural payload on the command line get
-// a representative one (shard stalls pause 500µs, clock skew adds 100
-// cycles) so the flag is observable without a payload syntax.
-type faultFlags struct {
-	plan fault.Plan
-}
-
-func (f *faultFlags) String() string {
-	var parts []string
-	for p, r := range f.plan {
-		parts = append(parts, fmt.Sprintf("%s=%g", p, r.Rate))
-	}
-	return strings.Join(parts, ",")
-}
-
-func (f *faultFlags) Set(v string) error {
-	name, spec, ok := strings.Cut(v, "=")
-	if !ok {
-		return fmt.Errorf("want -fault point=rate[:count], got %q", v)
-	}
-	point := fault.Point(name)
-	known := false
-	for _, p := range fault.Points {
-		if p == point {
-			known = true
-			break
-		}
-	}
-	if !known {
-		return fmt.Errorf("-fault %s: unknown point (one of %v)", name, fault.Points)
-	}
-	rateStr, countStr, hasCount := strings.Cut(spec, ":")
-	rate, err := strconv.ParseFloat(rateStr, 64)
-	if err != nil || rate < 0 || rate > 1 {
-		return fmt.Errorf("-fault %s: rate %q must be in [0, 1]", name, rateStr)
-	}
-	rule := fault.Rule{Rate: rate}
-	if hasCount {
-		count, err := strconv.ParseUint(countStr, 10, 64)
-		if err != nil {
-			return fmt.Errorf("-fault %s: count %q: %v", name, countStr, err)
-		}
-		rule.Count = count
-	}
-	switch point {
-	case fault.ShardStall:
-		rule.Stall = 500 * time.Microsecond
-	case fault.ClockSkew:
-		rule.Skew = 100
-	}
-	if f.plan == nil {
-		f.plan = fault.Plan{}
-	}
-	f.plan[point] = rule
-	return nil
 }
 
 func runLeak(args []string, stdout, stderr io.Writer) error {

@@ -514,35 +514,17 @@ func TestServeBadHardware(t *testing.T) {
 	}
 }
 
-func TestServeFaultInjection(t *testing.T) {
-	// A finite engine-error budget with enough retries to outlast it
-	// (worst case all 4 faults land on one request): every request
-	// eventually succeeds, and the fault/retry accounting surfaces in
-	// the output.
-	code, out, errOut := run("serve",
-		"-workers", "2", "-requests", "8", "-engine", "vm",
-		"-retries", "4", "-fault", "engine-error=1:4", "-fault-seed", "7",
-		"-vary", "h=0:70:10",
-		testdataPath(t, "mitigated.tc"))
-	if code != 0 {
-		t.Fatalf("exit=%d stderr=%q", code, errOut)
-	}
-	if !strings.Contains(out, "served 8 requests across 2 shards") {
-		t.Errorf("missing summary line:\n%s", out)
-	}
-	if !strings.Contains(out, "fault: engine-error=4/") {
-		t.Errorf("missing injector accounting:\n%s", out)
-	}
-	if !strings.Contains(out, "fault tolerance:") {
-		t.Errorf("missing fault tolerance metrics:\n%s", out)
-	}
-}
-
-func TestServeBadFaultFlag(t *testing.T) {
-	for _, bad := range []string{"nonsense=0.5", "engine-error=2", "engine-error"} {
-		code, _, errOut := run("serve", "-fault", bad, testdataPath(t, "mitigated.tc"))
-		if code == 0 {
-			t.Errorf("-fault %s accepted; stderr=%q", bad, errOut)
+func TestServeRemovedFlagsRejected(t *testing.T) {
+	// The pool no longer retries, ejects shards or injects faults, so
+	// serve must refuse the flags that configured them.
+	for _, args := range [][]string{
+		{"-retries", "3"}, {"-retry-backoff", "1ms"},
+		{"-breaker-threshold", "3"}, {"-breaker-cooldown", "10ms"},
+		{"-fault", "engine-error=0.5"}, {"-fault-seed", "7"},
+	} {
+		code, _, errOut := run(append(append([]string{"serve"}, args...), testdataPath(t, "mitigated.tc"))...)
+		if code == 0 || !strings.Contains(errOut, "flag provided but not defined: "+args[0]) {
+			t.Errorf("serve %s: exit=%d stderr=%q", args[0], code, errOut)
 		}
 	}
 }
@@ -677,7 +659,7 @@ func TestServeListenBadAddress(t *testing.T) {
 func TestServeDeadlineAndShedFlagsAccepted(t *testing.T) {
 	code, out, errOut := run("serve",
 		"-workers", "2", "-requests", "8",
-		"-timeout", "1s", "-shed", "-breaker-threshold", "3",
+		"-timeout", "1s", "-shed", "-max-inflight", "4",
 		"-vary", "h=0:70:10",
 		testdataPath(t, "mitigated.tc"))
 	if code != 0 {

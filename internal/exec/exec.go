@@ -24,7 +24,6 @@ import (
 	"time"
 
 	"repro/internal/exec/budget"
-	"repro/internal/fault"
 	"repro/internal/mitigation"
 	"repro/internal/obs"
 	"repro/internal/sem/events"
@@ -103,42 +102,11 @@ type Options struct {
 	Limits
 	// Metrics, when non-nil, receives instrumentation from every run.
 	Metrics *obs.Metrics
-	// Injector, when non-nil, delivers scheduled faults at the engine
-	// fault points (fault.EngineError before a run, fault.ClockSkew on
-	// the reported clock, fault.CacheFactory at VM construction). Nil
-	// — the default — is a no-op.
-	Injector *fault.Injector
 	// Shard identifies the serial execution context that owns this
-	// engine (a pool sets worker i's shard to i), so shard-filtered
-	// fault rules can target one worker. Plain servers leave it 0.
+	// engine (a pool sets worker i's shard to i; plain servers leave it
+	// 0). The built-in engines ignore it; a registered engine can read
+	// it to attribute its runs to a shard.
 	Shard int
-}
-
-// injectRun evaluates the pre-run engine fault points shared by every
-// engine: an injected engine error fails the run with a transient
-// error before any machine state is touched.
-func (o *Options) injectRun() error {
-	f, ok := o.Injector.Fire(fault.EngineError, o.Shard)
-	if !ok {
-		return nil
-	}
-	if o.Metrics != nil {
-		o.Metrics.AddFault()
-	}
-	return f.Err
-}
-
-// injectClock evaluates the post-run clock-skew point, returning the
-// cycles to add to the reported clock (0 when quiet).
-func (o *Options) injectClock() uint64 {
-	f, ok := o.Injector.Fire(fault.ClockSkew, o.Shard)
-	if !ok {
-		return 0
-	}
-	if o.Metrics != nil {
-		o.Metrics.AddFault()
-	}
-	return f.Skew
 }
 
 // Request is one unit of work for an engine.

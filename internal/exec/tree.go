@@ -49,9 +49,6 @@ func (e *TreeEngine) Name() string { return "tree" }
 
 // Run implements Engine.
 func (e *TreeEngine) Run(ctx context.Context, req Request) (*Result, error) {
-	if err := e.opts.injectRun(); err != nil {
-		return nil, err
-	}
 	ctx, cancel := e.lim.Bound(ctx)
 	defer cancel()
 	if err := ctx.Err(); err != nil {
@@ -74,7 +71,7 @@ func (e *TreeEngine) Run(ctx context.Context, req Request) (*Result, error) {
 		m.MitigationState().CopyInto(req.Mit)
 	}
 	e.result = Result{
-		Clock:       m.Clock() + e.opts.injectClock(),
+		Clock:       m.Clock(),
 		Steps:       m.Steps(),
 		Trace:       m.Trace(),
 		Mitigations: m.Mitigations(),

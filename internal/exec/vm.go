@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"repro/internal/bytecode"
-	"repro/internal/fault"
 	"repro/internal/lang/ast"
 	"repro/internal/machine/hw"
 	"repro/internal/sem/mem"
@@ -23,7 +22,6 @@ type VMEngine struct {
 	prog    *bytecode.Program
 	src     *ast.Program
 	vm      *bytecode.VM
-	opts    Options
 	lim     Limits // resolved once at construction from opts.Limits
 	scratch *mem.Memory
 	used    bool
@@ -32,14 +30,6 @@ type VMEngine struct {
 
 // newVMEngine is the registered factory for "vm".
 func newVMEngine(prog *ast.Program, res *types.Result, env hw.Env, opts Options) (Engine, error) {
-	if f, ok := opts.Injector.Fire(fault.CacheFactory, opts.Shard); ok {
-		// A failed cache population (corrupt artifact store, racing
-		// deploy) surfaces at construction, before any machine exists.
-		if opts.Metrics != nil {
-			opts.Metrics.AddFault()
-		}
-		return nil, f.Err
-	}
 	bp, err := DefaultCache.Get(prog, res)
 	if err != nil {
 		return nil, err
@@ -74,7 +64,6 @@ func newVMEngine(prog *ast.Program, res *types.Result, env hw.Env, opts Options)
 		prog:    bp,
 		src:     prog,
 		vm:      vm,
-		opts:    opts,
 		lim:     opts.Limits,
 		scratch: scratch,
 	}, nil
@@ -85,9 +74,6 @@ func (e *VMEngine) Name() string { return "vm" }
 
 // Run implements Engine.
 func (e *VMEngine) Run(ctx context.Context, req Request) (*Result, error) {
-	if err := e.opts.injectRun(); err != nil {
-		return nil, err
-	}
 	ctx, cancel := e.lim.Bound(ctx)
 	defer cancel()
 	if err := ctx.Err(); err != nil {
@@ -115,7 +101,7 @@ func (e *VMEngine) Run(ctx context.Context, req Request) (*Result, error) {
 	// Reset replaces the VM's trace slices rather than truncating them,
 	// so handing them out does not alias the next request's.
 	e.result = Result{
-		Clock:       e.vm.Clock() + e.opts.injectClock(),
+		Clock:       e.vm.Clock(),
 		Steps:       e.vm.Steps(),
 		Trace:       e.vm.Trace(),
 		Mitigations: e.vm.Mitigations(),

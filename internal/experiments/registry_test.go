@@ -11,7 +11,7 @@ import (
 func TestRegistryHasAllBuiltins(t *testing.T) {
 	want := []string{
 		"table1", "figure7", "table2", "figure8", "figure9",
-		"leakage", "service", "faults", "network", "sessions", "vmopt",
+		"leakage", "service", "network", "sessions", "vmopt",
 		"certify",
 	}
 	got := Names()

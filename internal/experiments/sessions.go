@@ -10,7 +10,6 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/fault"
 	"repro/internal/lang/parser"
 	"repro/internal/lattice"
 	"repro/internal/leakage"
@@ -18,6 +17,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/server"
 	"repro/internal/session"
+	"repro/internal/splitmix"
 	"repro/internal/transport"
 	"repro/internal/transport/client"
 	"repro/internal/transport/wire"
@@ -214,7 +214,7 @@ func sessionsService(cfg SessionsConfig) (string, *obs.Metrics, func() error, er
 // the full 6-bit range (maximum timing variation, fast budget burn),
 // modest tenants from a 3-bit range. Deterministic in (seed, t, i).
 func sessionSecret(seed int64, greedy bool, i int) int64 {
-	h := int64(fault.Mix64(uint64(seed), uint64(i+1)) % 64)
+	h := int64(splitmix.Mix64(uint64(seed), uint64(i+1)) % 64)
 	if !greedy {
 		h %= 8
 	}

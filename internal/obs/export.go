@@ -26,12 +26,8 @@ type Export struct {
 	Mitigations    uint64 `json:"mitigations"`
 	Mispredictions uint64 `json:"mispredictions"`
 	ScheduleBumps  uint64 `json:"schedule_bumps"`
-	// Fault-tolerance accounting.
-	Faults        uint64 `json:"faults"`
-	Retries       uint64 `json:"retries"`
-	Sheds         uint64 `json:"sheds"`
-	BreakerOpens  uint64 `json:"breaker_opens"`
-	BreakerCloses uint64 `json:"breaker_closes"`
+	// Sheds counts requests rejected by load shedding.
+	Sheds uint64 `json:"sheds"`
 	// Tenant-session accounting (schema v2).
 	SessionsActive     int64  `json:"sessions_active"`
 	SessionsCreated    uint64 `json:"sessions_created"`
@@ -54,10 +50,11 @@ type Export struct {
 }
 
 // ExportSchemaVersion is the current Export layout version. Version 2
-// added the tenant-session gauge and counters; version 3 the wire
-// byte/stream accounting. Both purely additive: earlier consumers can
-// still read a v3 document.
-const ExportSchemaVersion = 3
+// added the tenant-session gauge and counters and version 3 the wire
+// byte/stream accounting, both purely additive. Version 4 removed the
+// faults, retries, breaker_opens and breaker_closes counters; a
+// consumer that reads them must reject it.
+const ExportSchemaVersion = 4
 
 // LatencyExport is the stable form of the latency histogram: summary
 // statistics plus sparse cumulative power-of-two buckets.
@@ -121,11 +118,7 @@ func (s Snapshot) Export() Export {
 		Mitigations:        s.Mitigations,
 		Mispredictions:     s.Mispredictions,
 		ScheduleBumps:      s.ScheduleBumps,
-		Faults:             s.Faults,
-		Retries:            s.Retries,
 		Sheds:              s.Sheds,
-		BreakerOpens:       s.BreakerOpens,
-		BreakerCloses:      s.BreakerCloses,
 		SessionsActive:     s.SessionsActive,
 		SessionsCreated:    s.SessionsCreated,
 		SessionsEvictedTTL: s.SessionsEvictedTTL,

@@ -17,11 +17,7 @@ func TestSnapshotExportCopiesCounters(t *testing.T) {
 	m.AddPadding(250)
 	m.AddMitigation(true)
 	m.AddScheduleBumps(2)
-	m.AddFault()
-	m.AddRetry()
 	m.AddShed()
-	m.AddBreakerOpen()
-	m.AddBreakerClose()
 	m.AddSessionCreated()
 	m.AddSessionCreated()
 	m.AddSessionEvicted(true)
@@ -43,8 +39,8 @@ func TestSnapshotExportCopiesCounters(t *testing.T) {
 	if e.Mitigations != 1 || e.Mispredictions != 1 || e.ScheduleBumps != 2 {
 		t.Errorf("mitigation accounting: %+v", e)
 	}
-	if e.Faults != 1 || e.Retries != 1 || e.Sheds != 1 || e.BreakerOpens != 1 || e.BreakerCloses != 1 {
-		t.Errorf("fault accounting: %+v", e)
+	if e.Sheds != 1 {
+		t.Errorf("shed accounting: %+v", e)
 	}
 	if e.SessionsCreated != 2 || e.SessionsActive != 1 || e.SessionsEvictedTTL != 1 ||
 		e.SessionsEvictedLRU != 0 || e.BudgetDenials != 1 {
@@ -82,7 +78,7 @@ func TestLatencyExportBucketsAreCumulative(t *testing.T) {
 }
 
 // The JSON field names are the contract with /v1/metrics consumers and
-// the harness output; renaming one is a schema break.
+// the harness output; renaming or removing one is a schema break.
 func TestExportJSONFieldNames(t *testing.T) {
 	raw, err := json.Marshal(Snapshot{}.Export())
 	if err != nil {
@@ -95,13 +91,22 @@ func TestExportJSONFieldNames(t *testing.T) {
 	for _, key := range []string{
 		"schema_version", "requests", "failures", "steps", "cycles",
 		"padding_cycles", "useful_cycles", "mitigations", "mispredictions",
-		"schedule_bumps", "faults", "retries", "sheds", "breaker_opens",
-		"breaker_closes", "sessions_active", "sessions_created",
+		"schedule_bumps", "sheds", "sessions_active", "sessions_created",
 		"sessions_evicted_ttl", "sessions_evicted_lru", "budget_denials",
+		"bytes_in", "bytes_out", "stream_items", "streams_active",
 		"latency", "hw",
 	} {
 		if _, ok := m[key]; !ok {
 			t.Errorf("export JSON missing key %q", key)
 		}
+	}
+	// Schema v4 removed the fault-injection, retry and breaker counters.
+	for _, key := range []string{"faults", "retries", "breaker_opens", "breaker_closes"} {
+		if _, ok := m[key]; ok {
+			t.Errorf("export JSON still carries removed key %q", key)
+		}
+	}
+	if v := m["schema_version"]; v != float64(4) {
+		t.Errorf("schema_version = %v, want 4", v)
 	}
 }

@@ -42,11 +42,7 @@ type stripe struct {
 	mitigations    atomic.Uint64
 	mispredictions atomic.Uint64
 	scheduleBumps  atomic.Uint64
-	faults         atomic.Uint64
-	retries        atomic.Uint64
 	sheds          atomic.Uint64
-	breakerOpens   atomic.Uint64
-	breakerCloses  atomic.Uint64
 	sessionsNew    atomic.Uint64
 	sessionsTTL    atomic.Uint64
 	sessionsLRU    atomic.Uint64
@@ -161,24 +157,9 @@ func (m *Metrics) AddMitigation(mispredicted bool) {
 // inflations); one misprediction may bump the counter several times.
 func (m *Metrics) AddScheduleBumps(n uint64) { m.local.scheduleBumps.Add(n) }
 
-// AddFault records one injected fault delivered by the fault layer
-// (stall, engine error, skew, shed, or cache failure), so every
-// degradation a chaos schedule causes is visible in the snapshot.
-func (m *Metrics) AddFault() { m.local.faults.Add(1) }
-
-// AddRetry records one retry attempt after a retryable failure.
-func (m *Metrics) AddRetry() { m.local.retries.Add(1) }
-
 // AddShed records one request rejected by load shedding (the caller
 // got ErrOverloaded instead of unbounded queueing).
 func (m *Metrics) AddShed() { m.local.sheds.Add(1) }
-
-// AddBreakerOpen records a per-shard circuit breaker tripping open.
-func (m *Metrics) AddBreakerOpen() { m.local.breakerOpens.Add(1) }
-
-// AddBreakerClose records a circuit breaker closing after a
-// successful half-open probe.
-func (m *Metrics) AddBreakerClose() { m.local.breakerCloses.Add(1) }
 
 // AddSessionCreated records a new tenant session being admitted and
 // bumps the sessions-active gauge.
@@ -234,11 +215,7 @@ func (m *Metrics) Snapshot() Snapshot {
 		s.Mitigations += st.mitigations.Load()
 		s.Mispredictions += st.mispredictions.Load()
 		s.ScheduleBumps += st.scheduleBumps.Load()
-		s.Faults += st.faults.Load()
-		s.Retries += st.retries.Load()
 		s.Sheds += st.sheds.Load()
-		s.BreakerOpens += st.breakerOpens.Load()
-		s.BreakerCloses += st.breakerCloses.Load()
 		s.SessionsCreated += st.sessionsNew.Load()
 		s.SessionsEvictedTTL += st.sessionsTTL.Load()
 		s.SessionsEvictedLRU += st.sessionsLRU.Load()
@@ -265,12 +242,8 @@ type Snapshot struct {
 	// Mitigations counts completed mitigate commands; Mispredictions
 	// those that missed; ScheduleBumps the miss-counter increments.
 	Mitigations, Mispredictions, ScheduleBumps uint64
-	// Faults counts injected faults delivered; Retries the retry
-	// attempts they (and organic transient failures) triggered; Sheds
-	// the requests rejected by load shedding; BreakerOpens and
-	// BreakerCloses the per-shard circuit-breaker transitions.
-	Faults, Retries, Sheds      uint64
-	BreakerOpens, BreakerCloses uint64
+	// Sheds counts the requests rejected by load shedding.
+	Sheds uint64
 	// Session accounting: SessionsCreated counts tenant sessions ever
 	// admitted; SessionsEvictedTTL/LRU the evictions by cause;
 	// BudgetDenials the requests rejected over leakage budget;
@@ -321,11 +294,7 @@ func (s Snapshot) Merge(o Snapshot) Snapshot {
 	out.Mitigations += o.Mitigations
 	out.Mispredictions += o.Mispredictions
 	out.ScheduleBumps += o.ScheduleBumps
-	out.Faults += o.Faults
-	out.Retries += o.Retries
 	out.Sheds += o.Sheds
-	out.BreakerOpens += o.BreakerOpens
-	out.BreakerCloses += o.BreakerCloses
 	out.SessionsCreated += o.SessionsCreated
 	out.SessionsEvictedTTL += o.SessionsEvictedTTL
 	out.SessionsEvictedLRU += o.SessionsEvictedLRU
@@ -350,9 +319,8 @@ func (s Snapshot) String() string {
 		s.Cycles, s.UsefulCycles(), s.PaddingCycles, 100*s.PaddingFraction())
 	fmt.Fprintf(&b, "mitigations:          %d (%d mispredicted, %d schedule bumps)\n",
 		s.Mitigations, s.Mispredictions, s.ScheduleBumps)
-	if s.Faults+s.Retries+s.Sheds+s.BreakerOpens > 0 {
-		fmt.Fprintf(&b, "fault tolerance:      %d faults injected, %d retries, %d shed, breaker %d opens / %d closes\n",
-			s.Faults, s.Retries, s.Sheds, s.BreakerOpens, s.BreakerCloses)
+	if s.Sheds > 0 {
+		fmt.Fprintf(&b, "load shed:            %d requests\n", s.Sheds)
 	}
 	if s.SessionsCreated+s.BudgetDenials > 0 {
 		fmt.Fprintf(&b, "tenant sessions:      %d active / %d created, evicted %d ttl + %d lru, %d budget denials\n",

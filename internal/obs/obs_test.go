@@ -238,32 +238,23 @@ func TestMetricsConcurrent(t *testing.T) {
 	}
 }
 
-func TestFaultToleranceCounters(t *testing.T) {
+func TestShedCounter(t *testing.T) {
 	m := NewMetrics()
 	w := m.Stripe(1) // counters merge across stripes like the others
-	m.AddFault()
-	w.AddFault()
-	m.AddRetry()
+	m.AddShed()
 	w.AddShed()
-	m.AddBreakerOpen()
-	w.AddBreakerClose()
 	s := m.Snapshot()
-	if s.Faults != 2 || s.Retries != 1 || s.Sheds != 1 {
-		t.Errorf("faults/retries/sheds = %d/%d/%d, want 2/1/1", s.Faults, s.Retries, s.Sheds)
+	if s.Sheds != 2 {
+		t.Errorf("sheds = %d, want 2", s.Sheds)
 	}
-	if s.BreakerOpens != 1 || s.BreakerCloses != 1 {
-		t.Errorf("breaker opens/closes = %d/%d, want 1/1", s.BreakerOpens, s.BreakerCloses)
+	if merged := s.Merge(s); merged.Sheds != 4 {
+		t.Errorf("Merge sheds = %d, want 4", merged.Sheds)
 	}
-	merged := s.Merge(s)
-	if merged.Faults != 4 || merged.Retries != 2 || merged.Sheds != 2 ||
-		merged.BreakerOpens != 2 || merged.BreakerCloses != 2 {
-		t.Errorf("Merge dropped fault-tolerance counters: %+v", merged)
+	if !strings.Contains(s.String(), "load shed:            2 requests") {
+		t.Errorf("String omits the shed line:\n%s", s)
 	}
-	if !strings.Contains(s.String(), "fault tolerance:") {
-		t.Errorf("String omits fault-tolerance line:\n%s", s)
-	}
-	// A fault-free snapshot keeps the report uncluttered.
-	if strings.Contains(NewMetrics().Snapshot().String(), "fault tolerance:") {
-		t.Error("fault-free snapshot renders a fault-tolerance line")
+	// A snapshot without sheds keeps the report uncluttered.
+	if strings.Contains(NewMetrics().Snapshot().String(), "load shed:") {
+		t.Error("shed-free snapshot renders a shed line")
 	}
 }

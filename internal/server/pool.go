@@ -2,14 +2,11 @@ package server
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
-	"time"
 
-	"repro/internal/fault"
 	"repro/internal/lang/ast"
 	"repro/internal/machine/hw"
 	"repro/internal/mitigation"
@@ -34,9 +31,7 @@ type PoolOptions struct {
 	// Workers, so any total function is safe. For a FIXED shard
 	// function the pool is deterministic: shard i's responses are
 	// identical, trace for trace, to a serial Server over shard i's
-	// subsequence on a clone of the same environment. (With the circuit
-	// breaker enabled, requests may be redistributed away from ejected
-	// shards, which trades per-shard determinism for availability.)
+	// subsequence on a clone of the same environment.
 	Shard func(index int) int
 
 	// ShedOnSaturation turns backpressure into load shedding: a
@@ -44,28 +39,6 @@ type PoolOptions struct {
 	// ErrOverloaded instead of blocking until space frees up. Bounded
 	// latency for the caller, bounded queues for the pool.
 	ShedOnSaturation bool
-
-	// MaxRetries, when positive, makes Handle transparently re-submit a
-	// request after a retryable failure (see Retryable), up to this
-	// many extra attempts, with exponential backoff and deterministic
-	// jitter between attempts.
-	MaxRetries int
-	// RetryBase is the first backoff delay; it doubles each attempt
-	// (capped at 100ms) with jitter in [delay/2, delay]. Default 1ms.
-	RetryBase time.Duration
-	// RetrySeed seeds the deterministic jitter sequence.
-	RetrySeed int64
-
-	// BreakerThreshold, when positive, arms a per-shard circuit
-	// breaker: after this many consecutive serve failures a shard is
-	// ejected (its traffic redistributes to the next healthy shard)
-	// until a cooldown passes and a half-open probe succeeds. Context
-	// cancellation by the caller is neutral; engine errors and deadline
-	// expiries count as failures.
-	BreakerThreshold int
-	// BreakerCooldown is how long an open breaker rejects traffic
-	// before allowing a probe. Default 10ms.
-	BreakerCooldown time.Duration
 }
 
 func (o PoolOptions) withDefaults() PoolOptions {
@@ -82,12 +55,6 @@ func (o PoolOptions) withDefaults() PoolOptions {
 	if o.Metrics == nil {
 		o.Metrics = obs.NewMetrics()
 	}
-	if o.RetryBase == 0 {
-		o.RetryBase = time.Millisecond
-	}
-	if o.BreakerCooldown == 0 {
-		o.BreakerCooldown = 10 * time.Millisecond
-	}
 	return o
 }
 
@@ -100,18 +67,6 @@ func (o PoolOptions) validate() error {
 	}
 	if o.QueueDepth < 0 {
 		return fmt.Errorf("%w: QueueDepth must be ≥ 0", ErrBadOptions)
-	}
-	if o.MaxRetries < 0 {
-		return fmt.Errorf("%w: MaxRetries must be ≥ 0", ErrBadOptions)
-	}
-	if o.RetryBase < 0 {
-		return fmt.Errorf("%w: RetryBase must be ≥ 0", ErrBadOptions)
-	}
-	if o.BreakerThreshold < 0 {
-		return fmt.Errorf("%w: BreakerThreshold must be ≥ 0", ErrBadOptions)
-	}
-	if o.BreakerCooldown < 0 {
-		return fmt.Errorf("%w: BreakerCooldown must be ≥ 0", ErrBadOptions)
 	}
 	return nil
 }
@@ -226,27 +181,12 @@ type result struct {
 	err  error
 }
 
-// Circuit-breaker states (worker.brState).
-const (
-	brClosed int32 = iota // healthy: traffic flows, failures counted
-	brOpen                // ejected: traffic redistributes until cooldown
-	brProbe               // half-open: exactly one probe admitted
-)
-
 // worker owns one shard: a serial Server over a private clone of the
 // machine environment and private persistent mitigation state.
 type worker struct {
 	shard int
 	srv   *Server
 	jobs  chan job
-
-	// Circuit-breaker state, used only when BreakerThreshold > 0.
-	// brFails counts consecutive serve failures while closed; brOpenedAt
-	// is the UnixNano timestamp of the last open transition, gating the
-	// cooldown before a probe.
-	brFails    atomic.Int64
-	brState    atomic.Int32
-	brOpenedAt atomic.Int64
 }
 
 // poolClosed is the lifecycle bit of Pool.state; the low bits count
@@ -285,9 +225,6 @@ type Pool struct {
 	// concurrent Close calls wait on it.
 	donec     chan struct{}
 	closeOnce sync.Once
-	// retrySeq numbers Handle's backoff sleeps so their jitter is a
-	// deterministic function of (RetrySeed, sequence number).
-	retrySeq atomic.Uint64
 }
 
 // NewPool constructs a pool over a type-checked program. Errors are
@@ -349,7 +286,6 @@ func (p *Pool) release() {
 func (p *Pool) run(w *worker) {
 	defer p.wg.Done()
 	for j := range w.jobs {
-		p.maybeStall(w)
 		if b := j.batch; b != nil {
 			// A failed request does not stop the rest of the batch:
 			// same behavior as independent single-request jobs.
@@ -377,114 +313,12 @@ func (p *Pool) serve(w *worker, ctx context.Context, req Request, index int, mit
 		re.Index = index
 		re.Shard = w.shard
 	}
-	p.recordBreaker(w, err)
 	return resp, err
 }
 
-// maybeStall evaluates the shard-stall fault point before a worker
-// touches its next job: an injected stall parks the worker (a GC
-// pause, a noisy neighbor) for the scheduled duration. Close
-// interrupts the stall, so shutdown never waits out an injected pause.
-func (p *Pool) maybeStall(w *worker) {
-	f, ok := p.opts.Injector.Fire(fault.ShardStall, w.shard)
-	if !ok {
-		return
-	}
-	w.srv.Metrics().AddFault()
-	if f.Stall <= 0 {
-		return
-	}
-	t := time.NewTimer(f.Stall)
-	defer t.Stop()
-	select {
-	case <-t.C:
-	case <-p.stopc:
-	}
-}
-
-// pickShard maps a submission index to a worker index, steering around
-// shards whose breaker is open. An open breaker past its cooldown
-// transitions to probe (half-open) and admits this one submission; an
-// open breaker inside its cooldown, or one already probing, is skipped
-// and the submission redistributes to the next healthy shard. If every
-// shard is ejected the home shard takes it anyway — rejecting all
-// traffic would turn a partial outage into a total one.
+// pickShard maps a submission index to a worker index.
 func (p *Pool) pickShard(index int) int {
-	home := mod(p.opts.Shard(index), len(p.workers))
-	if p.opts.BreakerThreshold <= 0 {
-		return home
-	}
-	for off := 0; off < len(p.workers); off++ {
-		s := mod(home+off, len(p.workers))
-		if p.admit(p.workers[s]) {
-			return s
-		}
-	}
-	return home
-}
-
-// admit asks a worker's breaker whether it may take a submission.
-func (p *Pool) admit(w *worker) bool {
-	switch w.brState.Load() {
-	case brClosed:
-		return true
-	case brOpen:
-		if time.Now().UnixNano()-w.brOpenedAt.Load() < int64(p.opts.BreakerCooldown) {
-			return false
-		}
-		// Cooldown elapsed: exactly one submitter wins the CAS and
-		// carries the probe; the rest keep redistributing until the
-		// probe's outcome settles the state.
-		return w.brState.CompareAndSwap(brOpen, brProbe)
-	default: // brProbe: a probe is already in flight
-		return false
-	}
-}
-
-// recordBreaker feeds one serve outcome into the worker's breaker.
-// Caller cancellation is neutral — it says nothing about shard health —
-// but a deadline expiry counts as a failure: a shard that cannot finish
-// inside the request timeout is exactly the slow shard the breaker
-// exists to eject.
-func (p *Pool) recordBreaker(w *worker, err error) {
-	if p.opts.BreakerThreshold <= 0 || errors.Is(err, context.Canceled) {
-		return
-	}
-	if err == nil {
-		if w.brState.Load() == brProbe && w.brState.CompareAndSwap(brProbe, brClosed) {
-			w.srv.Metrics().AddBreakerClose()
-		}
-		w.brFails.Store(0)
-		return
-	}
-	if w.brState.Load() == brProbe {
-		// Failed probe: reopen and restart the cooldown. The timestamp is
-		// written first so a racing admit never sees a stale cooldown.
-		w.brOpenedAt.Store(time.Now().UnixNano())
-		if w.brState.CompareAndSwap(brProbe, brOpen) {
-			w.srv.Metrics().AddBreakerOpen()
-		}
-		return
-	}
-	if w.brFails.Add(1) >= int64(p.opts.BreakerThreshold) {
-		w.brOpenedAt.Store(time.Now().UnixNano())
-		if w.brState.CompareAndSwap(brClosed, brOpen) {
-			w.brFails.Store(0)
-			w.srv.Metrics().AddBreakerOpen()
-		}
-	}
-}
-
-// injectSaturation evaluates the queue-saturation fault point for a
-// shard. An injected saturation models a full queue regardless of real
-// occupancy and always sheds, so chaos schedules can exercise the
-// overload path without actually filling queues.
-func (p *Pool) injectSaturation(shard int) bool {
-	_, ok := p.opts.Injector.Fire(fault.QueueSaturation, shard)
-	if ok {
-		p.opts.Metrics.AddFault()
-	}
-	return ok
+	return mod(p.opts.Shard(index), len(p.workers))
 }
 
 // resultChans recycles the one-shot response channels: every request
@@ -572,10 +406,6 @@ func (p *Pool) SubmitWith(ctx context.Context, req Request, mit *mitigation.Stat
 	defer p.release()
 	index := int(p.n.Add(1) - 1)
 	w := p.workers[p.pickShard(index)]
-	if p.injectSaturation(w.shard) {
-		p.opts.Metrics.AddShed()
-		return nil, &RequestError{Index: index, Shard: w.shard, Err: ErrOverloaded}
-	}
 	j := job{ctx: ctx, req: req, index: index, out: resultChans.Get().(chan result), mit: mit}
 	// Fast path: queue has room, skip the select.
 	select {
@@ -606,71 +436,19 @@ func (p *Pool) SubmitWith(ctx context.Context, req Request, mit *mitigation.Stat
 	}
 }
 
-// handleOnce is one submit-and-wait attempt.
-func (p *Pool) handleOnce(ctx context.Context, req Request, mit *mitigation.State) (*Response, error) {
-	f, err := p.SubmitWith(ctx, req, mit)
-	if err != nil {
-		return nil, err
-	}
-	return f.Wait(ctx)
-}
-
-// Handle submits a request and waits for its response. When MaxRetries
-// is set, retryable failures (see Retryable) are transparently
-// re-submitted — each attempt gets a fresh submission index and may
-// route to a different shard — with exponential backoff between
-// attempts. ErrPoolClosed is never self-retried: this pool will not
-// reopen.
+// Handle submits a request and waits for its response.
 func (p *Pool) Handle(ctx context.Context, req Request) (*Response, error) {
 	return p.HandleWith(ctx, req, nil)
 }
 
 // HandleWith is Handle with an explicit mitigation state (see
-// SubmitWith); retries reuse the same state, which is safe because a
-// failed attempt never updates it.
+// SubmitWith).
 func (p *Pool) HandleWith(ctx context.Context, req Request, mit *mitigation.State) (*Response, error) {
-	if ctx == nil {
-		ctx = context.Background()
+	f, err := p.SubmitWith(ctx, req, mit)
+	if err != nil {
+		return nil, err
 	}
-	resp, err := p.handleOnce(ctx, req, mit)
-	for attempt := 1; err != nil && attempt <= p.opts.MaxRetries; attempt++ {
-		if !Retryable(err) || errors.Is(err, ErrPoolClosed) || ctx.Err() != nil {
-			break
-		}
-		if !p.backoff(ctx, attempt) {
-			break
-		}
-		p.opts.Metrics.AddRetry()
-		resp, err = p.handleOnce(ctx, req, mit)
-	}
-	return resp, err
-}
-
-// backoff parks a retrying caller between attempts: exponential from
-// RetryBase, capped at 100ms, with deterministic jitter in
-// [delay/2, delay] drawn from the Mix64 stream seeded by RetrySeed.
-// Returns false if the context ended or the pool closed first.
-func (p *Pool) backoff(ctx context.Context, attempt int) bool {
-	const maxDelay = 100 * time.Millisecond
-	d := p.opts.RetryBase
-	for i := 1; i < attempt && d < maxDelay; i++ {
-		d *= 2
-	}
-	if d > maxDelay {
-		d = maxDelay
-	}
-	frac := float64(fault.Mix64(uint64(p.opts.RetrySeed), p.retrySeq.Add(1))>>11) / float64(1<<53)
-	d = d/2 + time.Duration(frac*float64(d/2))
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return true
-	case <-ctx.Done():
-		return false
-	case <-p.stopc:
-		return false
-	}
+	return f.Wait(ctx)
 }
 
 // HandleAll submits a request sequence and waits for every response,
@@ -745,17 +523,6 @@ func (p *Pool) handleAll(ctx context.Context, reqs []Request, errsOut []error) (
 			continue
 		}
 		w := p.workers[shard]
-		if p.injectSaturation(shard) {
-			// The whole shard run sheds: same fate as independent Submit
-			// calls racing a saturated queue.
-			for _, index := range b.idxs {
-				errs[index-base] = &RequestError{Index: index, Shard: shard, Err: ErrOverloaded}
-				p.opts.Metrics.AddShed()
-			}
-			releaseBatch(b)
-			batches[shard] = nil
-			continue
-		}
 		if p.opts.ShedOnSaturation {
 			select {
 			case w.jobs <- job{batch: b}:

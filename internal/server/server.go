@@ -32,7 +32,6 @@ import (
 
 	"repro/internal/exec"
 	"repro/internal/exec/budget"
-	"repro/internal/fault"
 	"repro/internal/lang/ast"
 	"repro/internal/machine/hw"
 	"repro/internal/mitigation"
@@ -55,21 +54,10 @@ var (
 	ErrPoolClosed = errors.New("server: pool closed")
 	// ErrOverloaded is returned (wrapped in a *RequestError) when a
 	// submission is load-shed because its shard queue is saturated,
-	// instead of blocking unboundedly. Shedding happens when
-	// PoolOptions.ShedOnSaturation is set, or when the fault layer
-	// injects queue saturation.
+	// instead of blocking unboundedly. Shedding happens only when
+	// PoolOptions.ShedOnSaturation is set.
 	ErrOverloaded = errors.New("server: overloaded")
 )
-
-// Retryable reports whether err is worth retrying: load sheds
-// (ErrOverloaded), pool shutdown races (ErrPoolClosed — useful to
-// callers that can re-dial a replacement pool; Pool.Handle itself does
-// not re-submit to a closed pool, which never reopens), and transient
-// injected faults. Budget exhaustion, context errors, and
-// configuration errors are deterministic and not retryable.
-func Retryable(err error) bool {
-	return errors.Is(err, ErrOverloaded) || errors.Is(err, ErrPoolClosed) || fault.IsTransient(err)
-}
 
 // RequestError identifies which request failed and why. Unwrap exposes
 // the cause, so errors.Is(err, ErrBudgetExceeded) and errors.Is(err,
@@ -169,13 +157,9 @@ type Options struct {
 	// allocate its own; a Pool installs one shared accumulator across
 	// its workers.
 	Metrics *obs.Metrics
-	// Injector, when non-nil, threads scheduled faults through the
-	// engine (and, under a Pool, the submit and serve paths). Nil — the
-	// default — injects nothing.
-	Injector *fault.Injector
 	// shard identifies the pool worker this Options copy configures;
-	// NewPool sets it so shard-filtered fault rules and breaker state
-	// target the right worker. Serial servers leave it 0.
+	// NewPool sets it, and New passes it to the engine as
+	// exec.Options.Shard. Serial servers leave it 0.
 	shard int
 }
 
@@ -230,15 +214,9 @@ func New(prog *ast.Program, res *types.Result, opts Options) (*Server, error) {
 		DisableMitigation: opts.DisableMitigation,
 		Limits:            opts.Limits,
 		Metrics:           opts.Metrics,
-		Injector:          opts.Injector,
 		Shard:             opts.shard,
 	})
 	if err != nil {
-		// An injected construction fault is transient infrastructure
-		// trouble, not misconfiguration; keep it typed for Retryable.
-		if errors.Is(err, fault.ErrInjected) {
-			return nil, fmt.Errorf("server: engine construction: %w", err)
-		}
 		return nil, fmt.Errorf("%w: %v", ErrBadOptions, err)
 	}
 	return &Server{

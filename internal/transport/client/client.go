@@ -2,9 +2,9 @@
 // It speaks the versioned wire schema (internal/transport/wire), maps
 // wire errors back onto typed sentinels that mirror the server-side
 // taxonomy (ErrOverloaded, ErrBudgetExceeded, ...), and transparently
-// retries overload rejections with the same deterministic
-// exponential-backoff-with-jitter scheme the pool itself uses, so a
-// retrying client is exactly as reproducible as a retrying pool.
+// retries overload rejections with exponential backoff and seeded
+// jitter, so a client's retry schedule replays exactly under a fixed
+// seed.
 //
 // Run sends one request, RunBatch one fixed burst, and Stream pipelines
 // any number of requests over one connection, which is the way to
@@ -26,8 +26,8 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/fault"
 	"repro/internal/obs"
+	"repro/internal/splitmix"
 	"repro/internal/transport/wire"
 	"repro/internal/transport/wire/fastjson"
 )
@@ -109,8 +109,9 @@ type Options struct {
 	Concurrency int
 	// MaxRetries, when positive, transparently re-issues a request
 	// rejected with ErrOverloaded up to this many extra attempts, with
-	// exponential backoff and deterministic jitter between attempts —
-	// the same scheme as server.PoolOptions.MaxRetries.
+	// exponential backoff and deterministic jitter between attempts.
+	// It is the only retry on the service path: the pool does not
+	// re-submit.
 	MaxRetries int
 	// RetryBase is the first backoff delay; it doubles each attempt
 	// (capped at 100ms) with jitter in [delay/2, delay]. Default 1ms.
@@ -131,7 +132,7 @@ type Client struct {
 	base string
 	opts Options
 	// retrySeq numbers backoff sleeps so jitter is a deterministic
-	// function of (RetrySeed, sequence number), as in the pool.
+	// function of (RetrySeed, sequence number).
 	retrySeq atomic.Uint64
 	// sleep parks between retry attempts; swapped out by tests to
 	// observe the deterministic delay sequence without waiting it out.
@@ -267,8 +268,8 @@ func (c *Client) postRetry(ctx context.Context, path string, encode func([]byte)
 
 // backoff computes attempt n's delay: exponential from RetryBase,
 // capped at 100ms, with deterministic jitter in [delay/2, delay] drawn
-// from the Mix64 stream — bit-compatible with Pool.backoff, so a
-// client-side retry schedule replays exactly under a fixed seed.
+// from the splitmix.Mix64 stream, so a retry schedule replays exactly
+// under a fixed seed.
 func (c *Client) backoff(attempt int) time.Duration {
 	const maxDelay = 100 * time.Millisecond
 	d := c.opts.RetryBase
@@ -278,7 +279,7 @@ func (c *Client) backoff(attempt int) time.Duration {
 	if d > maxDelay {
 		d = maxDelay
 	}
-	frac := float64(fault.Mix64(uint64(c.opts.RetrySeed), c.retrySeq.Add(1))>>11) / float64(1<<53)
+	frac := float64(splitmix.Mix64(uint64(c.opts.RetrySeed), c.retrySeq.Add(1))>>11) / float64(1<<53)
 	return d/2 + time.Duration(frac*float64(d/2))
 }
 

@@ -10,7 +10,7 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/fault"
+	"repro/internal/splitmix"
 	"repro/internal/transport/wire"
 )
 
@@ -68,7 +68,7 @@ func TestRetryOn503IsDeterministic(t *testing.T) {
 		for k := 1; k < i+1; k++ {
 			d *= 2
 		}
-		frac := float64(fault.Mix64(seed, uint64(i+1))>>11) / float64(1<<53)
+		frac := float64(splitmix.Mix64(seed, uint64(i+1))>>11) / float64(1<<53)
 		want[i] = d/2 + time.Duration(frac*float64(d/2))
 	}
 	if len(slept) != len(want) {

@@ -10,10 +10,10 @@ import (
 	"time"
 
 	"repro/internal/exec"
-	"repro/internal/fault"
 	"repro/internal/lang/parser"
 	"repro/internal/lattice"
 	"repro/internal/machine/hw"
+	"repro/internal/sem/mem"
 	"repro/internal/server"
 	"repro/internal/session"
 	"repro/internal/transport"
@@ -35,7 +35,7 @@ reply := 1;
 // liveService stands up a real pool + transport handler + HTTP server
 // (no stubs — every status code below is produced by the actual
 // service path) and counts requests so tests can assert retry counts.
-func liveService(t *testing.T, popts server.PoolOptions, hopts transport.Options) (*transport.Handler, string, *atomic.Int64) {
+func liveService(t *testing.T, popts server.PoolOptions, hopts transport.Options) (*transport.Handler, string, *atomic.Int64, *server.Pool) {
 	t.Helper()
 	p, err := parser.Parse(taxonomySrc)
 	if err != nil {
@@ -70,7 +70,7 @@ func liveService(t *testing.T, popts server.PoolOptions, hopts transport.Options
 		ts.Close()
 		pool.Close()
 	})
-	return h, ts.URL, &hits
+	return h, ts.URL, &hits, pool
 }
 
 // TestTaxonomyAgainstLiveService walks the full error taxonomy against
@@ -82,14 +82,14 @@ func TestTaxonomyAgainstLiveService(t *testing.T) {
 	ctx := context.Background()
 
 	t.Run("400 unknown_input", func(t *testing.T) {
-		_, url, _ := liveService(t, server.PoolOptions{}, transport.Options{})
+		_, url, _, _ := liveService(t, server.PoolOptions{}, transport.Options{})
 		c := New(url, Options{})
 		_, err := c.Run(ctx, wire.RunRequest{Inputs: map[string]int64{"nope": 1}})
 		assertTaxonomy(t, err, ErrInvalidRequest, http.StatusBadRequest, wire.CodeUnknownInput)
 	})
 
 	t.Run("422 budget_exceeded", func(t *testing.T) {
-		_, url, _ := liveService(t, server.PoolOptions{
+		_, url, _, _ := liveService(t, server.PoolOptions{
 			Options: server.Options{Limits: exec.Limits{MaxSteps: 2}},
 		}, transport.Options{})
 		c := New(url, Options{})
@@ -106,7 +106,7 @@ func TestTaxonomyAgainstLiveService(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, url, hits := liveService(t, server.PoolOptions{}, transport.Options{Sessions: mgr})
+		_, url, hits, _ := liveService(t, server.PoolOptions{}, transport.Options{Sessions: mgr})
 		// MaxRetries set high on purpose: a 429 must NOT be retried —
 		// the tenant's account only resets when the session expires.
 		c := New(url, Options{Tenant: "bob", MaxRetries: 5})
@@ -156,15 +156,29 @@ func TestTaxonomyAgainstLiveService(t *testing.T) {
 	})
 
 	t.Run("503 overloaded", func(t *testing.T) {
-		_, url, hits := liveService(t, server.PoolOptions{
-			ShedOnSaturation: true,
-			Options: server.Options{
-				Injector: fault.New(1, fault.Plan{fault.QueueSaturation: {Rate: 1}}),
-			},
+		_, url, hits, pool := liveService(t, server.PoolOptions{
+			Workers: 1, QueueDepth: 1, ShedOnSaturation: true,
 		}, transport.Options{RetryAfter: time.Second})
+		// Hold the only worker on a gated request and take the queue
+		// entry, so every submission sheds until the gate opens.
+		entered, gate := make(chan struct{}), make(chan struct{})
+		running, err := pool.Submit(ctx, func(*mem.Memory) { close(entered); <-gate })
+		if err != nil {
+			t.Fatal(err)
+		}
+		<-entered
+		queued, err := pool.Submit(ctx, func(*mem.Memory) {})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { // before liveService's pool.Close
+			close(gate)
+			running.Wait(ctx)
+			queued.Wait(ctx)
+		})
 		c := New(url, Options{MaxRetries: 2, RetrySeed: 7})
 		c.sleep = func(context.Context, time.Duration) bool { return true }
-		_, err := c.Run(ctx, wire.RunRequest{Inputs: map[string]int64{"h": 1}})
+		_, err = c.Run(ctx, wire.RunRequest{Inputs: map[string]int64{"h": 1}})
 		assertTaxonomy(t, err, ErrOverloaded, http.StatusServiceUnavailable, wire.CodeOverloaded)
 		// Overload IS retried: 1 initial + 2 retries.
 		if got := hits.Load(); got != 3 {
@@ -173,7 +187,7 @@ func TestTaxonomyAgainstLiveService(t *testing.T) {
 	})
 
 	t.Run("503 shutting_down", func(t *testing.T) {
-		h, url, _ := liveService(t, server.PoolOptions{}, transport.Options{})
+		h, url, _, _ := liveService(t, server.PoolOptions{}, transport.Options{})
 		if err := h.Shutdown(ctx); err != nil {
 			t.Fatal(err)
 		}

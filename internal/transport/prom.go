@@ -31,11 +31,7 @@ func writeProm(w io.Writer, e obs.Export) {
 	counter("mitigations_total", "Completed mitigate commands.", e.Mitigations)
 	counter("mispredictions_total", "Mitigate executions that overran their prediction.", e.Mispredictions)
 	counter("schedule_bumps_total", "Mitigation schedule inflations.", e.ScheduleBumps)
-	counter("faults_total", "Injected faults delivered.", e.Faults)
-	counter("retries_total", "Retry attempts after retryable failures.", e.Retries)
 	counter("sheds_total", "Requests rejected by load shedding.", e.Sheds)
-	counter("breaker_opens_total", "Circuit breaker open transitions.", e.BreakerOpens)
-	counter("breaker_closes_total", "Circuit breaker close transitions.", e.BreakerCloses)
 	gauge("sessions_active", "Live tenant sessions.", float64(e.SessionsActive))
 	counter("sessions_created_total", "Tenant sessions admitted.", e.SessionsCreated)
 	counter("sessions_evicted_ttl_total", "Sessions evicted after idle TTL expiry.", e.SessionsEvictedTTL)

@@ -3,8 +3,10 @@ package transport
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"errors"
 	"net/http"
+	"time"
 
 	"repro/internal/server"
 	"repro/internal/transport/wire"
@@ -46,7 +48,9 @@ type streamItem struct {
 // decode failure). Shutdown is two-phase: the stream holds one
 // admission slot for its whole life, and the decode loop checks
 // Draining() per line — on drain, in-flight results are delivered,
-// then a final shutting_down error line ends the stream.
+// then a final shutting_down error line ends the stream. A drain also
+// expires the body's read deadline, so a client that keeps an idle
+// stream open cannot hold Shutdown up.
 func (h *Handler) handleStream(w http.ResponseWriter, r *http.Request) {
 	// HTTP/1.x servers normally stop reading the request body once the
 	// response begins; a pipelined protocol needs both directions open
@@ -59,6 +63,14 @@ func (h *Handler) handleStream(w http.ResponseWriter, r *http.Request) {
 	// from a test recorder is equally fine to ignore.)
 	rc := http.NewResponseController(w)
 	_ = rc.EnableFullDuplex()
+	// The handler can return before it reads the body to the end: a
+	// refusal, a terminal error line, a drain. Close the connection
+	// after such a stream rather than reuse it. When net/http itself
+	// reads the rest of a full-duplex body after the handler, it races
+	// that read against the next request's ("invalid concurrent
+	// Body.Read call"), and the client sees its next request on the
+	// connection fail.
+	w.Header().Set("Connection", "close")
 
 	if werr := h.begin(); werr != nil {
 		h.writeError(w, werr)
@@ -76,6 +88,28 @@ func (h *Handler) handleStream(w http.ResponseWriter, r *http.Request) {
 	sc := bufio.NewScanner(r.Body)
 	sc.Buffer(make([]byte, 64<<10), maxPooledBuf)
 
+	// Items run under ctx, not r.Context(). On drain the watcher below
+	// expires the body's read deadline, so that a Scan blocked on an
+	// idle client returns; net/http answers that read error by
+	// cancelling r.Context(), which would fail the in-flight items the
+	// drain must still deliver. A client that goes away before the
+	// drain still cancels them. The watcher exits before the handler
+	// returns, so it never touches the connection after the stream.
+	ctx, cancel := context.WithCancel(context.WithoutCancel(r.Context()))
+	defer cancel()
+	stopWatch, watchDone := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(watchDone)
+		select {
+		case <-h.drainc:
+			_ = rc.SetReadDeadline(time.Now())
+		case <-r.Context().Done():
+			cancel()
+		case <-stopWatch:
+		}
+	}()
+	defer func() { close(stopWatch); <-watchDone }()
+
 	items := make(chan streamItem, h.opts.StreamWindow)
 	// dead closes when the write loop hits a write error (the client
 	// went away); the decode loop then stops reading. The write loop
@@ -83,7 +117,7 @@ func (h *Handler) handleStream(w http.ResponseWriter, r *http.Request) {
 	// sends never block on a dead peer.
 	dead := make(chan struct{})
 	done := make(chan struct{})
-	go h.streamWriteLoop(w, r, rc, items, dead, done)
+	go h.streamWriteLoop(ctx, w, rc, items, dead, done)
 	defer func() { close(items); <-done }()
 
 	// send hands one item to the write loop; false when the client is
@@ -114,11 +148,7 @@ func (h *Handler) handleStream(w http.ResponseWriter, r *http.Request) {
 		default:
 		}
 		if h.Draining() {
-			fail(&wire.Error{
-				Code:         wire.CodeShuttingDown,
-				Message:      "service is draining",
-				RetryAfterMS: h.opts.RetryAfter.Milliseconds(),
-			})
+			fail(h.drainError())
 			return
 		}
 		var req wire.RunRequest
@@ -134,7 +164,7 @@ func (h *Handler) handleStream(w http.ResponseWriter, r *http.Request) {
 		h.metrics.AddStreamItems(1)
 
 		if tenant == "" {
-			fut, err := h.opts.Pool.Submit(r.Context(), sreq)
+			fut, err := h.opts.Pool.Submit(ctx, sreq)
 			if err != nil {
 				// Admission failures are per-item outcomes; a closed
 				// pool additionally ends the stream.
@@ -154,9 +184,14 @@ func (h *Handler) handleStream(w http.ResponseWriter, r *http.Request) {
 		// leakage account in submission order. A denial (leakage budget,
 		// pool errors) is a per-item error line and the stream
 		// continues, mirroring a failed item inside a batch.
-		if !send(streamItem{res: h.runItem(r.Context(), req, sreq, tenant)}) {
+		if !send(streamItem{res: h.runItem(ctx, req, sreq, tenant)}) {
 			return
 		}
+	}
+	// The body ended, failed, or hit the drain's read deadline. A
+	// draining stream still owes its client the terminal line.
+	if h.Draining() {
+		fail(h.drainError())
 	}
 }
 
@@ -165,7 +200,7 @@ func (h *Handler) handleStream(w http.ResponseWriter, r *http.Request) {
 // exactly when the next item is not already available, so bytes never
 // sit unflushed while the loop blocks and back-to-back results still
 // coalesce into large writes.
-func (h *Handler) streamWriteLoop(w http.ResponseWriter, r *http.Request, rc *http.ResponseController, items <-chan streamItem, dead chan<- struct{}, done chan<- struct{}) {
+func (h *Handler) streamWriteLoop(ctx context.Context, w http.ResponseWriter, rc *http.ResponseController, items <-chan streamItem, dead chan<- struct{}, done chan<- struct{}) {
 	defer close(done)
 	bw := bufio.NewWriterSize(w, 32<<10)
 	failed := false
@@ -216,7 +251,7 @@ func (h *Handler) streamWriteLoop(w http.ResponseWriter, r *http.Request, rc *ht
 			break
 		}
 		if it.fut != nil {
-			resp, err := it.fut.Wait(r.Context())
+			resp, err := it.fut.Wait(ctx)
 			it.res = h.result(resp, err, it.req)
 		}
 		if !failed {

@@ -367,6 +367,103 @@ func TestStreamDrainMidStream(t *testing.T) {
 	}
 }
 
+// TestStreamDrainIdleStream: a client that has its results but keeps
+// the stream open must not stall the drain. Shutdown returns at once,
+// and the idle stream still gets its terminal shutting_down line.
+func TestStreamDrainIdleStream(t *testing.T) {
+	h, ts := newService(t, server0(), Options{})
+
+	pr, pw := io.Pipe()
+	defer pw.Close()
+	req, err := http.NewRequest(http.MethodPost, ts.URL+"/v1/stream", pr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	sc := bufio.NewScanner(resp.Body)
+	if _, err := io.WriteString(pw, `{"inputs":{"h":5}}`+"\n"); err != nil {
+		t.Fatal(err)
+	}
+	if !sc.Scan() {
+		t.Fatalf("no first result: %v", sc.Err())
+	}
+
+	// The stream now sits idle, its body still open.
+	ctx, cancel := context.WithTimeout(context.Background(), 500*time.Millisecond)
+	defer cancel()
+	if err := h.Shutdown(ctx); err != nil {
+		t.Fatalf("Shutdown with an idle stream open = %v, want nil", err)
+	}
+	if !sc.Scan() {
+		t.Fatalf("idle stream got no drain line: %v", sc.Err())
+	}
+	var res wire.BatchResult
+	if err := json.Unmarshal(sc.Bytes(), &res); err != nil || res.Error == nil || res.Error.Code != wire.CodeShuttingDown {
+		t.Fatalf("drain line = %s, want a shutting_down error", sc.Bytes())
+	}
+	if sc.Scan() {
+		t.Errorf("stream must end after the drain line, got %s", sc.Bytes())
+	}
+}
+
+// TestStreamDrainDeliversInFlight: the drain's read deadline must not
+// cancel work already submitted. An item queued behind a held worker
+// when Shutdown begins still gets its result line, then the stream
+// ends with shutting_down.
+func TestStreamDrainDeliversInFlight(t *testing.T) {
+	h, ts := newService(t, heldPool(), Options{})
+	release := holdWorker(t, h.opts.Pool, false)
+
+	pr, pw := io.Pipe()
+	defer pw.Close()
+	req, err := http.NewRequest(http.MethodPost, ts.URL+"/v1/stream", pr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if _, err := io.WriteString(pw, `{"inputs":{"h":5}}`+"\n"); err != nil {
+		t.Fatal(err)
+	}
+	// The count moves just before the item is submitted, and a drain
+	// only stops the decode loop at its next read.
+	for h.metrics.Snapshot().StreamItems == 0 {
+		time.Sleep(time.Millisecond)
+	}
+
+	done := make(chan error, 1)
+	go func() { done <- h.Shutdown(context.Background()) }()
+	for !h.Draining() {
+		time.Sleep(time.Millisecond)
+	}
+	release()
+	out, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := nonEmptyLines(out)
+	if len(lines) != 2 {
+		t.Fatalf("want a result line and a drain line, got %q", out)
+	}
+	var first, last wire.BatchResult
+	if err := json.Unmarshal(lines[0], &first); err != nil || first.Response == nil {
+		t.Fatalf("in-flight item must be delivered, got %s", lines[0])
+	}
+	if err := json.Unmarshal(lines[1], &last); err != nil || last.Error == nil || last.Error.Code != wire.CodeShuttingDown {
+		t.Fatalf("drain line = %s, want a shutting_down error", lines[1])
+	}
+	if err := <-done; err != nil {
+		t.Fatalf("Shutdown = %v", err)
+	}
+}
+
 // TestStreamMetrics: the wire counters account for stream traffic and
 // the gauge returns to zero after the stream closes.
 func TestStreamMetrics(t *testing.T) {

@@ -112,6 +112,7 @@ type Handler struct {
 	mu       sync.Mutex
 	inFlight int
 	draining bool
+	drainc   chan struct{} // closed when draining is set
 	idle     chan struct{} // closed when draining and inFlight hits 0
 }
 
@@ -133,6 +134,7 @@ func New(opts Options) (*Handler, error) {
 		opts:    opts,
 		names:   mem.New(opts.Prog),
 		metrics: opts.Pool.Metrics(),
+		drainc:  make(chan struct{}),
 	}
 	h.mux = http.NewServeMux()
 	h.mux.HandleFunc("POST /v1/run", h.handleRun)
@@ -156,11 +158,7 @@ func (h *Handler) begin() *wire.Error {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	if h.draining {
-		return &wire.Error{
-			Code:         wire.CodeShuttingDown,
-			Message:      "service is draining",
-			RetryAfterMS: h.opts.RetryAfter.Milliseconds(),
-		}
+		return h.drainError()
 	}
 	if h.opts.MaxInFlight > 0 && h.inFlight >= h.opts.MaxInFlight {
 		return &wire.Error{
@@ -171,6 +169,15 @@ func (h *Handler) begin() *wire.Error {
 	}
 	h.inFlight++
 	return nil
+}
+
+// drainError is the refusal of work that arrives while Shutdown drains.
+func (h *Handler) drainError() *wire.Error {
+	return &wire.Error{
+		Code:         wire.CodeShuttingDown,
+		Message:      "service is draining",
+		RetryAfterMS: h.opts.RetryAfter.Milliseconds(),
+	}
 }
 
 // end releases an admission; the last in-flight request out signals a
@@ -194,6 +201,7 @@ func (h *Handler) Shutdown(ctx context.Context) error {
 	h.mu.Lock()
 	if !h.draining {
 		h.draining = true
+		close(h.drainc)
 		if h.inFlight > 0 {
 			h.idle = make(chan struct{})
 		}
@@ -336,7 +344,7 @@ func (h *Handler) admit(req wire.RunRequest, r *http.Request) (server.Request, s
 }
 
 // runItem runs one admitted item and waits for its result. Anonymous
-// items go through Pool.Handle and its retries. A tenanted item runs
+// items go through Pool.Handle. A tenanted item runs
 // inside the tenant's session: admission against the leakage budget,
 // the tenant's own mitigation state spliced through the pool, and the
 // account advanced on success only.

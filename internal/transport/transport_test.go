@@ -9,10 +9,10 @@ import (
 	"net/http/httptest"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
-	"repro/internal/fault"
 	"repro/internal/lang/ast"
 	"repro/internal/lang/parser"
 	"repro/internal/lattice"
@@ -51,7 +51,13 @@ func buildProg(t testing.TB, src string) (*ast.Program, *types.Result) {
 // newService builds a pool + handler + httptest server over echoSrc.
 func newService(t testing.TB, popts server.PoolOptions, hopts Options) (*Handler, *httptest.Server) {
 	t.Helper()
-	p, r := buildProg(t, echoSrc)
+	return newServiceFor(t, echoSrc, popts, hopts)
+}
+
+// newServiceFor is newService over the program src.
+func newServiceFor(t testing.TB, src string, popts server.PoolOptions, hopts Options) (*Handler, *httptest.Server) {
+	t.Helper()
+	p, r := buildProg(t, src)
 	if popts.Env == nil {
 		popts.Env = hw.NewPartitioned(r.Lat, hw.Table1Config())
 	}
@@ -232,17 +238,55 @@ func TestMalformedAndVersionedRequestsRejected(t *testing.T) {
 	}
 }
 
-// TestSaturationMapsTo503 is the overload acceptance check: queue
-// saturation (here injected deterministically through the fault layer
-// the pool already uses for load-shed testing) must surface as 503
-// with a Retry-After header and the stable overloaded code.
+// heldPool is the one-worker, depth-one pool the overload tests hold:
+// the pool sheds once its worker is busy and its queue entry taken.
+func heldPool() server.PoolOptions {
+	return server.PoolOptions{Workers: 1, QueueDepth: 1, ShedOnSaturation: true}
+}
+
+// holdWorker occupies pool's only worker with a request whose setup
+// blocks until the returned release is called (at the latest by the
+// test's cleanup, which runs before newService's pool.Close). With
+// fill, a second request takes the queue entry too, so the next
+// submission sheds.
+func holdWorker(t *testing.T, pool *server.Pool, fill bool) (release func()) {
+	t.Helper()
+	entered, gate := make(chan struct{}), make(chan struct{})
+	f, err := pool.Submit(context.Background(), func(*mem.Memory) {
+		close(entered)
+		<-gate
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	held := []*server.Future{f}
+	<-entered
+	if fill {
+		f, err := pool.Submit(context.Background(), func(*mem.Memory) {})
+		if err != nil {
+			t.Fatal(err)
+		}
+		held = append(held, f)
+	}
+	var once sync.Once
+	release = func() {
+		once.Do(func() {
+			close(gate)
+			for _, f := range held {
+				f.Wait(context.Background())
+			}
+		})
+	}
+	t.Cleanup(release)
+	return release
+}
+
+// TestSaturationMapsTo503 is the overload acceptance check: a
+// saturated shard queue must surface as 503 with a Retry-After header
+// and the stable overloaded code.
 func TestSaturationMapsTo503(t *testing.T) {
-	_, ts := newService(t, server.PoolOptions{
-		ShedOnSaturation: true,
-		Options: server.Options{
-			Injector: fault.New(1, fault.Plan{fault.QueueSaturation: {Rate: 1}}),
-		},
-	}, Options{RetryAfter: 2 * time.Second})
+	h, ts := newService(t, heldPool(), Options{RetryAfter: 2 * time.Second})
+	holdWorker(t, h.opts.Pool, true)
 
 	resp, body := postJSON(t, ts.URL+"/v1/run", wire.RunRequest{Inputs: map[string]int64{"h": 1}})
 	if resp.StatusCode != http.StatusServiceUnavailable {
@@ -332,14 +376,10 @@ func TestGracefulShutdownDrains(t *testing.T) {
 }
 
 // TestGracefulShutdownUnderLoad drives a real in-flight HTTP request
-// (held open by an injected shard stall) through a full drain.
+// (queued behind a held worker) through a full drain.
 func TestGracefulShutdownUnderLoad(t *testing.T) {
-	h, ts := newService(t, server.PoolOptions{
-		Workers: 1,
-		Options: server.Options{
-			Injector: fault.New(1, fault.Plan{fault.ShardStall: {Rate: 1, Stall: 30 * time.Millisecond}}),
-		},
-	}, Options{})
+	h, ts := newService(t, heldPool(), Options{})
+	release := holdWorker(t, h.opts.Pool, false)
 
 	type outcome struct {
 		status int
@@ -361,7 +401,18 @@ func TestGracefulShutdownUnderLoad(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	if err := h.Shutdown(context.Background()); err != nil {
+	done := make(chan error, 1)
+	go func() { done <- h.Shutdown(context.Background()) }()
+	for !h.Draining() {
+		time.Sleep(time.Millisecond)
+	}
+	select {
+	case err := <-done:
+		t.Fatalf("Shutdown returned %v with a request still queued", err)
+	case <-time.After(10 * time.Millisecond):
+	}
+	release()
+	if err := <-done; err != nil {
 		t.Fatalf("Shutdown = %v", err)
 	}
 	o := <-got
@@ -433,11 +484,7 @@ func TestMetricsPromMatchesExport(t *testing.T) {
 		"timingc_mitigations_total":                      export.Mitigations,
 		"timingc_mispredictions_total":                   export.Mispredictions,
 		"timingc_schedule_bumps_total":                   export.ScheduleBumps,
-		"timingc_faults_total":                           export.Faults,
-		"timingc_retries_total":                          export.Retries,
 		"timingc_sheds_total":                            export.Sheds,
-		"timingc_breaker_opens_total":                    export.BreakerOpens,
-		"timingc_breaker_closes_total":                   export.BreakerCloses,
 		"timingc_latency_cycles_count":                   export.Latency.Count,
 		"timingc_latency_cycles_sum":                     export.Latency.Sum,
 		`timingc_hw_events_total{unit="l1d",kind="hit"}`: export.HW.L1DHits,
@@ -454,6 +501,17 @@ func TestMetricsPromMatchesExport(t *testing.T) {
 	}
 	if export.Requests != 8 {
 		t.Errorf("export.Requests = %d, want 8", export.Requests)
+	}
+	// Export schema v4 dropped the fault-injection, retry and breaker
+	// counters from both views.
+	if export.SchemaVersion != 4 || scraped["timingc_export_schema_version"] != 4 {
+		t.Errorf("schema version: json %d, prometheus %d, want 4",
+			export.SchemaVersion, scraped["timingc_export_schema_version"])
+	}
+	for _, gone := range []string{"faults", "retries", "breaker_opens", "breaker_closes"} {
+		if strings.Contains(string(promText), "timingc_"+gone+"_total") {
+			t.Errorf("exposition still carries timingc_%s_total", gone)
+		}
 	}
 }
 
