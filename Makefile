@@ -18,21 +18,24 @@ ci: fmt vet build race perfbench-test engines chaos certify-smoke fuzz-smoke ben
 
 # engines runs the tree/VM differential tests — identical traces,
 # clocks, mitigation records, and final memories across engines on the
-# testdata corpus and generated programs — and the bytecode package's
-# fusion differential (fused vs unfused register form) and golden
-# tests, which hold the only checks of the VM's micro timing model.
+# testdata corpus and generated programs — the check that both engines
+# charge the same pinned metrics for one run
+# (TestMetricsObservationalOnly), and the bytecode package's fusion
+# differential (fused vs unfused register form) and golden tests,
+# which hold the only checks of the VM's micro timing model.
 engines:
-	$(GO) test -run 'TestEngine|TestEngines' ./internal/exec ./internal/server
+	$(GO) test -run 'TestEngine|TestEngines|TestMetricsObservationalOnly' ./internal/exec ./internal/server
 	$(GO) test -run 'TestOptDifferential|TestVMGolden' ./internal/bytecode
 
 # chaos runs the overload contract's suite under the race detector:
 # 100 randomized pool schedules of overload, budget, deadline,
 # cancellation and shutdown, the deadline, crosstalk and determinism
 # regressions, and, over HTTP, an open-loop overload run with a drain
-# partway through plus the stream drain tests.
+# partway through, the stream drain tests, and /v1/metrics scraped
+# while the shards serve.
 chaos:
 	$(GO) test -race -count 1 -run 'TestChaos|TestDeadline|TestCancelled' ./internal/server
-	$(GO) test -race -count 1 -run 'TestOverloadOutcomes|TestStreamDrain' ./internal/transport
+	$(GO) test -race -count 1 -run 'TestOverloadOutcomes|TestStreamDrain|TestMetricsScrapeUnderLoad' ./internal/transport
 
 # fuzz-smoke runs each native fuzz target for FUZZTIME (default 30s) of
 # continuous mutation on top of the checked-in seed corpora

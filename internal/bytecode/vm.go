@@ -8,7 +8,6 @@ import (
 	"repro/internal/lattice"
 	"repro/internal/machine/hw"
 	"repro/internal/mitigation"
-	"repro/internal/obs"
 	"repro/internal/sem/events"
 	"repro/internal/sem/mem"
 )
@@ -75,11 +74,6 @@ type VMOptions struct {
 	Policy mitigation.Policy
 	// DisableMitigation makes MITENTER/MITEXIT record but not pad.
 	DisableMitigation bool
-	// Metrics, when non-nil, receives instrumentation (instructions,
-	// cycles, padding, mitigation outcomes). Recording is
-	// observational only and never changes execution or simulated
-	// time.
-	Metrics *obs.Metrics
 }
 
 func (o VMOptions) withDefaults() VMOptions {
@@ -182,7 +176,6 @@ func NewVM(prog *Program, env hw.Env, opts VMOptions) *VM {
 		ew:      prog.Lat.Bot(),
 		mstate:  mitigation.NewState(prog.Lat, opts.Scheme, opts.Policy),
 	}
-	vm.wireMetrics()
 	// Use the compiler's declaration-order offsets when present (they
 	// make data addresses match mem.NewLayout's); fall back to the
 	// legacy scalars-then-arrays assignment for hand-built programs and
@@ -229,13 +222,6 @@ func NewVM(prog *Program, env hw.Env, opts VMOptions) *VM {
 		}
 	}
 	return vm
-}
-
-func (vm *VM) wireMetrics() {
-	if vm.opts.Metrics != nil {
-		m := vm.opts.Metrics
-		vm.mstate.SetOnMiss(func(lattice.Label, int) { m.AddScheduleBumps(1) })
-	}
 }
 
 // Reset rewinds the VM to its initial state — program counter,
@@ -426,20 +412,9 @@ const ctxCheckInterval = 1024
 // (budget.ErrStepLimit / budget.ErrCycleLimit — for this engine
 // MaxSteps counts instructions), or context cancellation — in the last
 // case it returns ctx.Err(), so callers can test errors.Is(err,
-// context.DeadlineExceeded). The VM's instrumentation
-// (VMOptions.Metrics) is charged for the instructions and cycles
-// consumed, whether or not the run completes.
+// context.DeadlineExceeded).
 func (vm *VM) RunBudget(ctx context.Context, b budget.Budget) error {
-	// Metrics are recorded on every exit path without a deferred
-	// closure: the capture would heap-allocate per call, which matters
-	// on the service hot path.
-	startSteps, startClock := vm.steps, vm.clock
-	err := vm.runLoopOpt(ctx, b)
-	if vm.opts.Metrics != nil {
-		vm.opts.Metrics.AddSteps(uint64(vm.steps - startSteps))
-		vm.opts.Metrics.AddCycles(vm.clock - startClock)
-	}
-	return err
+	return vm.runLoopOpt(ctx, b)
 }
 
 // exitMitigation closes the innermost region: penalize and pad exactly
@@ -451,9 +426,6 @@ func (vm *VM) exitMitigation() {
 	if vm.opts.DisableMitigation {
 		vm.mits = append(vm.mits, events.MitRecord{
 			ID: f.id, Duration: elapsed, Elapsed: elapsed, Start: f.start})
-		if vm.opts.Metrics != nil {
-			vm.opts.Metrics.AddMitigation(false)
-		}
 		return
 	}
 	pred, missed := vm.mstate.Penalize(f.init, f.level, f.id, elapsed)
@@ -464,10 +436,4 @@ func (vm *VM) exitMitigation() {
 		ID: f.id, Duration: vm.clock - f.start, Elapsed: elapsed,
 		Start: f.start, Mispredicted: missed,
 	})
-	if vm.opts.Metrics != nil {
-		vm.opts.Metrics.AddMitigation(missed)
-		if pred > elapsed {
-			vm.opts.Metrics.AddPadding(pred - elapsed)
-		}
-	}
 }

@@ -100,7 +100,9 @@ type Options struct {
 	// when Timeout is set — wall-clock time. Zero fields are
 	// unlimited.
 	Limits
-	// Metrics, when non-nil, receives instrumentation from every run.
+	// Metrics, when non-nil, is charged once per run for the steps,
+	// cycles, mitigations, mispredictions, padding and schedule bumps
+	// it executed (see record).
 	Metrics *obs.Metrics
 	// Shard identifies the serial execution context that owns this
 	// engine (a pool sets worker i's shard to i; plain servers leave it
@@ -137,6 +139,32 @@ type Result struct {
 	Mitigations events.MitTrace
 	// Memory is the final program memory, when Request.KeepMemory.
 	Memory *mem.Memory
+}
+
+// record charges one run to m: its steps and clock, its completed
+// mitigate commands and how many of them mispredicted, the padding
+// they added (Duration − Elapsed), and bumps, the miss-counter
+// increments it made. The built-in engines call it once after every
+// RunBudget, failed or not, so a run that fails on a budget or a
+// deadline is charged for the work it did. Recording only reads the
+// run's outcome; it never changes simulated time.
+func record(m *obs.Metrics, steps int, clock uint64, mits events.MitTrace, bumps int) {
+	if m == nil {
+		return
+	}
+	var missed, padding uint64
+	for _, r := range mits {
+		if r.Mispredicted {
+			missed++
+		}
+		padding += r.Duration - r.Elapsed
+	}
+	m.Add(obs.Steps, uint64(steps))
+	m.Add(obs.Cycles, clock)
+	m.Add(obs.Mitigations, uint64(len(mits)))
+	m.Add(obs.Mispredictions, missed)
+	m.Add(obs.PaddingCycles, padding)
+	m.Add(obs.ScheduleBumps, uint64(bumps))
 }
 
 // Engine runs requests for one program against one machine

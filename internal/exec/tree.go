@@ -40,7 +40,6 @@ func treeOptions(opts Options) full.Options {
 		Scheme:            opts.Scheme,
 		Policy:            opts.Policy,
 		DisableMitigation: opts.DisableMitigation,
-		Metrics:           opts.Metrics,
 	}
 }
 
@@ -58,17 +57,21 @@ func (e *TreeEngine) Run(ctx context.Context, req Request) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	mit := m.MitigationState()
 	if req.Mit != nil {
-		req.Mit.CopyInto(m.MitigationState())
+		req.Mit.CopyInto(mit)
 	}
 	if req.Setup != nil {
 		req.Setup(m.Memory())
 	}
-	if err := m.RunBudget(ctx, e.lim.AsBudget()); err != nil {
+	misses := mit.TotalMisses()
+	err = m.RunBudget(ctx, e.lim.AsBudget())
+	record(e.opts.Metrics, m.Steps(), m.Clock(), m.Mitigations(), mit.TotalMisses()-misses)
+	if err != nil {
 		return nil, err
 	}
 	if req.Mit != nil {
-		m.MitigationState().CopyInto(req.Mit)
+		mit.CopyInto(req.Mit)
 	}
 	e.result = Result{
 		Clock:       m.Clock(),

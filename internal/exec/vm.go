@@ -7,6 +7,7 @@ import (
 	"repro/internal/bytecode"
 	"repro/internal/lang/ast"
 	"repro/internal/machine/hw"
+	"repro/internal/obs"
 	"repro/internal/sem/mem"
 	"repro/internal/types"
 )
@@ -23,6 +24,7 @@ type VMEngine struct {
 	src     *ast.Program
 	vm      *bytecode.VM
 	lim     Limits // resolved once at construction from opts.Limits
+	met     *obs.Metrics
 	scratch *mem.Memory
 	used    bool
 	result  Result // reused across Run calls (see Engine contract)
@@ -42,7 +44,6 @@ func newVMEngine(prog *ast.Program, res *types.Result, env hw.Env, opts Options)
 		Scheme:            opts.Scheme,
 		Policy:            opts.Policy,
 		DisableMitigation: opts.DisableMitigation,
-		Metrics:           opts.Metrics,
 	})
 	// The scratch memory aliases the VM's own storage: request setup
 	// writes machine state directly with no copy pass, and the VM's
@@ -65,6 +66,7 @@ func newVMEngine(prog *ast.Program, res *types.Result, env hw.Env, opts Options)
 		src:     prog,
 		vm:      vm,
 		lim:     opts.Limits,
+		met:     opts.Metrics,
 		scratch: scratch,
 	}, nil
 }
@@ -85,18 +87,22 @@ func (e *VMEngine) Run(ctx context.Context, req Request) (*Result, error) {
 		e.vm.Reset()
 	}
 	e.used = true
+	mit := e.vm.MitigationState()
 	if req.Mit != nil {
-		req.Mit.CopyInto(e.vm.MitigationState())
+		req.Mit.CopyInto(mit)
 	}
 	if req.Setup != nil {
 		// Setup writes land directly in VM storage via the aliases.
 		req.Setup(e.scratch)
 	}
-	if err := e.vm.RunBudget(ctx, e.lim.AsBudget()); err != nil {
+	misses := mit.TotalMisses()
+	err := e.vm.RunBudget(ctx, e.lim.AsBudget())
+	record(e.met, e.vm.Steps(), e.vm.Clock(), e.vm.Mitigations(), mit.TotalMisses()-misses)
+	if err != nil {
 		return nil, err
 	}
 	if req.Mit != nil {
-		e.vm.MitigationState().CopyInto(req.Mit)
+		mit.CopyInto(req.Mit)
 	}
 	// Reset replaces the VM's trace slices rather than truncating them,
 	// so handing them out does not alias the next request's.

@@ -135,17 +135,7 @@ type State struct {
 	global  int
 	// bySite is indexed by mitigate identifier (PerSite).
 	bySite map[int]int
-	// onMiss, when set, observes every miss-counter increment. It is
-	// instrumentation only: observers must not mutate mitigation state,
-	// and recording never affects predictions or timing.
-	onMiss func(level lattice.Label, site int)
 }
-
-// SetOnMiss installs an observer called on every miss-counter
-// increment (schedule inflation) with the penalized level and site.
-// Pass nil to remove it. Clones inherit the observer; CopyInto leaves
-// the destination's observer untouched.
-func (s *State) SetOnMiss(fn func(level lattice.Label, site int)) { s.onMiss = fn }
 
 // NewState creates mitigation state for the given lattice.
 func NewState(lat lattice.Lattice, scheme Scheme, policy Policy) *State {
@@ -186,9 +176,6 @@ func (s *State) bump(level lattice.Label, site int) {
 		s.bySite[site]++
 	default:
 		s.byLevel[level.ID()]++
-	}
-	if s.onMiss != nil {
-		s.onMiss(level, site)
 	}
 }
 
@@ -235,7 +222,6 @@ func (s *State) Clone() *State {
 		byLevel: append([]int(nil), s.byLevel...),
 		global:  s.global,
 		bySite:  make(map[int]int, len(s.bySite)),
-		onMiss:  s.onMiss,
 	}
 	for k, v := range s.bySite {
 		n.bySite[k] = v
@@ -243,8 +229,8 @@ func (s *State) Clone() *State {
 	return n
 }
 
-// Reset zeroes all miss counters in place, keeping the scheme, policy
-// and observer. It leaves the state exactly as NewState returned it, so
+// Reset zeroes all miss counters in place, keeping the scheme and
+// policy. It leaves the state exactly as NewState returned it, so
 // a service can reuse one allocation across requests.
 func (s *State) Reset() {
 	for i := range s.byLevel {

@@ -1,5 +1,12 @@
 package obs
 
+import (
+	"fmt"
+	"io"
+	"math"
+	"reflect"
+)
+
 // Export is the stable, versioned export schema of a metrics snapshot.
 // It is the one shape external consumers — the /v1/metrics endpoint of
 // internal/transport and the harness's JSON output — see, so the
@@ -11,36 +18,15 @@ type Export struct {
 	// SchemaVersion identifies this export layout; consumers should
 	// reject versions they do not understand.
 	SchemaVersion int `json:"schema_version"`
-	// Requests and Failures count completed and aborted requests.
-	Requests uint64 `json:"requests"`
-	Failures uint64 `json:"failures"`
-	// Steps, Cycles, PaddingCycles, and UsefulCycles account for the
-	// work executed; UsefulCycles = Cycles - PaddingCycles is
-	// precomputed so consumers need no arithmetic over the schema.
-	Steps         uint64 `json:"steps"`
-	Cycles        uint64 `json:"cycles"`
-	PaddingCycles uint64 `json:"padding_cycles"`
-	UsefulCycles  uint64 `json:"useful_cycles"`
-	// Mitigation accounting (paper §6: completed mitigate commands,
-	// mispredictions, and schedule inflations).
-	Mitigations    uint64 `json:"mitigations"`
-	Mispredictions uint64 `json:"mispredictions"`
-	ScheduleBumps  uint64 `json:"schedule_bumps"`
-	// Sheds counts requests rejected by load shedding.
-	Sheds uint64 `json:"sheds"`
-	// Tenant-session accounting (schema v2).
-	SessionsActive     int64  `json:"sessions_active"`
-	SessionsCreated    uint64 `json:"sessions_created"`
-	SessionsEvictedTTL uint64 `json:"sessions_evicted_ttl"`
-	SessionsEvictedLRU uint64 `json:"sessions_evicted_lru"`
-	BudgetDenials      uint64 `json:"budget_denials"`
-	// Wire accounting (schema v3): request/response body bytes moved by
-	// the transport, items served over /v1/stream, and the open-streams
-	// gauge.
-	BytesIn       uint64 `json:"bytes_in"`
-	BytesOut      uint64 `json:"bytes_out"`
-	StreamItems   uint64 `json:"stream_items"`
-	StreamsActive int64  `json:"streams_active"`
+	// Counts flattens into one key per counter (see Counts).
+	Counts
+	// UsefulCycles = Cycles - PaddingCycles, precomputed so consumers
+	// need no arithmetic over the schema.
+	UsefulCycles uint64 `json:"useful_cycles"`
+	// SessionsActive and StreamsActive are the live-session and
+	// open-stream gauges.
+	SessionsActive int64 `json:"sessions_active"`
+	StreamsActive  int64 `json:"streams_active"`
 	// Latency is the per-request response-time distribution in
 	// simulated cycles.
 	Latency LatencyExport `json:"latency"`
@@ -108,27 +94,12 @@ type HWExport struct {
 // Export converts the snapshot into the stable export schema.
 func (s Snapshot) Export() Export {
 	return Export{
-		SchemaVersion:      ExportSchemaVersion,
-		Requests:           s.Requests,
-		Failures:           s.Failures,
-		Steps:              s.Steps,
-		Cycles:             s.Cycles,
-		PaddingCycles:      s.PaddingCycles,
-		UsefulCycles:       s.UsefulCycles(),
-		Mitigations:        s.Mitigations,
-		Mispredictions:     s.Mispredictions,
-		ScheduleBumps:      s.ScheduleBumps,
-		Sheds:              s.Sheds,
-		SessionsActive:     s.SessionsActive,
-		SessionsCreated:    s.SessionsCreated,
-		SessionsEvictedTTL: s.SessionsEvictedTTL,
-		SessionsEvictedLRU: s.SessionsEvictedLRU,
-		BudgetDenials:      s.BudgetDenials,
-		BytesIn:            s.BytesIn,
-		BytesOut:           s.BytesOut,
-		StreamItems:        s.StreamItems,
-		StreamsActive:      s.StreamsActive,
-		Latency:            s.Latency.Export(),
+		SchemaVersion:  ExportSchemaVersion,
+		Counts:         s.Counts,
+		UsefulCycles:   s.UsefulCycles(),
+		SessionsActive: s.SessionsActive,
+		StreamsActive:  s.StreamsActive,
+		Latency:        s.Latency.Export(),
 		HW: HWExport{
 			L1DHits: s.HW.L1DHits, L1DMisses: s.HW.L1DMisses,
 			L2DHits: s.HW.L2DHits, L2DMisses: s.HW.L2DMisses,
@@ -171,4 +142,65 @@ func (s HistogramSnapshot) Export() LatencyExport {
 		e.Buckets = append(e.Buckets, LatencyBucket{Le: le, Count: cum})
 	}
 	return e
+}
+
+// WriteProm renders the export in the Prometheus text exposition format
+// (version 0.0.4). Every number comes straight from the Export — the
+// exposition is a projection of the stable schema, never a third
+// accounting — so a scrape and a JSON export taken together always
+// agree (modulo the race of two separate snapshots). Write errors are
+// left to w: an HTTP response has no way to report them to its client.
+func (e Export) WriteProm(w io.Writer) {
+	counter := func(name, help string, v uint64) {
+		fmt.Fprintf(w, "# HELP timingc_%s %s\n# TYPE timingc_%s counter\ntimingc_%s %d\n", name, help, name, name, v)
+	}
+	gauge := func(name, help string, v float64) {
+		fmt.Fprintf(w, "# HELP timingc_%s %s\n# TYPE timingc_%s gauge\ntimingc_%s %g\n", name, help, name, name, v)
+	}
+
+	gauge("export_schema_version", "Schema version of the obs export these metrics project.", float64(e.SchemaVersion))
+	ct, cv := reflect.TypeOf(e.Counts), reflect.ValueOf(e.Counts)
+	for i := 0; i < ct.NumField(); i++ {
+		f := ct.Field(i)
+		counter(f.Tag.Get("json")+"_total", f.Tag.Get("help"), cv.Field(i).Uint())
+	}
+	counter("useful_cycles_total", "Cycles spent on actual execution.", e.UsefulCycles)
+	gauge("sessions_active", "Live tenant sessions.", float64(e.SessionsActive))
+	gauge("streams_active", "Open /v1/stream connections.", float64(e.StreamsActive))
+
+	// Latency as a native Prometheus histogram. The Export's buckets are
+	// already cumulative with power-of-two upper bounds, which is exactly
+	// the le-label contract.
+	fmt.Fprintf(w, "# HELP timingc_latency_cycles Per-request response time in simulated cycles.\n")
+	fmt.Fprintf(w, "# TYPE timingc_latency_cycles histogram\n")
+	for _, b := range e.Latency.Buckets {
+		if b.Le == math.MaxUint64 {
+			// The top bucket is the +Inf bucket emitted below.
+			continue
+		}
+		fmt.Fprintf(w, "timingc_latency_cycles_bucket{le=\"%d\"} %d\n", b.Le, b.Count)
+	}
+	fmt.Fprintf(w, "timingc_latency_cycles_bucket{le=\"+Inf\"} %d\n", e.Latency.Count)
+	fmt.Fprintf(w, "timingc_latency_cycles_sum %d\n", e.Latency.Sum)
+	fmt.Fprintf(w, "timingc_latency_cycles_count %d\n", e.Latency.Count)
+
+	// Hardware counters, labeled by structure and event so dashboards
+	// can compute any hit rate with a PromQL ratio.
+	fmt.Fprintf(w, "# HELP timingc_hw_events_total Hardware structure hits and misses.\n")
+	fmt.Fprintf(w, "# TYPE timingc_hw_events_total counter\n")
+	for _, row := range []struct {
+		unit         string
+		hits, misses uint64
+	}{
+		{"l1d", e.HW.L1DHits, e.HW.L1DMisses},
+		{"l2d", e.HW.L2DHits, e.HW.L2DMisses},
+		{"l1i", e.HW.L1IHits, e.HW.L1IMisses},
+		{"l2i", e.HW.L2IHits, e.HW.L2IMisses},
+		{"dtlb", e.HW.DTLBHits, e.HW.DTLBMisses},
+		{"itlb", e.HW.ITLBHits, e.HW.ITLBMisses},
+		{"bp", e.HW.BPHits, e.HW.BPMisses},
+	} {
+		fmt.Fprintf(w, "timingc_hw_events_total{unit=%q,kind=\"hit\"} %d\n", row.unit, row.hits)
+		fmt.Fprintf(w, "timingc_hw_events_total{unit=%q,kind=\"miss\"} %d\n", row.unit, row.misses)
+	}
 }

@@ -11,17 +11,21 @@ func TestSnapshotExportCopiesCounters(t *testing.T) {
 	m := NewMetrics()
 	m.AddRequest(100)
 	m.AddRequest(3)
-	m.AddFailure()
-	m.AddSteps(7)
-	m.AddCycles(1000)
-	m.AddPadding(250)
-	m.AddMitigation(true)
-	m.AddScheduleBumps(2)
-	m.AddShed()
+	m.Add(Failures, 1)
+	m.Add(Steps, 7)
+	m.Add(Cycles, 1000)
+	m.Add(PaddingCycles, 250)
+	m.Add(Mitigations, 1)
+	m.Add(Mispredictions, 1)
+	m.Add(ScheduleBumps, 2)
+	m.Add(Sheds, 1)
 	m.AddSessionCreated()
 	m.AddSessionCreated()
 	m.AddSessionEvicted(true)
-	m.AddBudgetDenial()
+	m.Add(BudgetDenials, 1)
+	m.Add(BytesIn, 11)
+	m.Add(BytesOut, 13)
+	m.Add(StreamItems, 3)
 
 	s := m.Snapshot()
 	s.HW = hw.Stats{L1DHits: 9, L1DMisses: 1, BPHits: 3, BPMisses: 1}
@@ -45,6 +49,9 @@ func TestSnapshotExportCopiesCounters(t *testing.T) {
 	if e.SessionsCreated != 2 || e.SessionsActive != 1 || e.SessionsEvictedTTL != 1 ||
 		e.SessionsEvictedLRU != 0 || e.BudgetDenials != 1 {
 		t.Errorf("session accounting: %+v", e)
+	}
+	if e.BytesIn != 11 || e.BytesOut != 13 || e.StreamItems != 3 {
+		t.Errorf("wire accounting: %+v", e)
 	}
 	if e.Latency.Count != 2 || e.Latency.Sum != 103 {
 		t.Errorf("latency summary: %+v", e.Latency)

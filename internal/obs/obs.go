@@ -2,6 +2,10 @@
 // runtime: concurrency-safe counters and a power-of-two latency
 // histogram, aggregated into an immutable Snapshot for reporting.
 //
+// Every counter is declared once, as a tagged field of Counts indexed
+// by a Counter constant. The stripe storage, Snapshot, the JSON Export
+// and the Prometheus exposition are all derived from that one table.
+//
 // The counters are deliberately observational — recording them never
 // changes simulated time or machine state, so instrumented runs remain
 // bit-for-bit deterministic. All mutators are safe for concurrent use;
@@ -17,12 +21,62 @@ package obs
 import (
 	"fmt"
 	"math/bits"
+	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
 
 	"repro/internal/machine/hw"
 )
+
+// Counter indexes a field of Counts; the constants below follow the
+// field order. Add(c, n) bumps counter c.
+type Counter int
+
+const (
+	Requests Counter = iota
+	Failures
+	Steps
+	Cycles
+	PaddingCycles
+	Mitigations
+	Mispredictions
+	ScheduleBumps
+	Sheds
+	SessionsCreated
+	SessionsEvictedTTL
+	SessionsEvictedLRU
+	BudgetDenials
+	BytesIn
+	BytesOut
+	StreamItems
+	numCounters
+)
+
+// Counts is the counter table: one field per Counter, in constant
+// order. A field's json tag is its export key and names its Prometheus
+// series timingc_<key>_total; its help tag is that series' help text.
+// Adding a counter takes one constant above and one tagged field here.
+// ScheduleBumps counts miss-counter increments: one misprediction may
+// bump the counter several times.
+type Counts struct {
+	Requests           uint64 `json:"requests" help:"Requests served."`
+	Failures           uint64 `json:"failures" help:"Requests that failed (aborted, over budget, or canceled)."`
+	Steps              uint64 `json:"steps" help:"Language-level steps executed."`
+	Cycles             uint64 `json:"cycles" help:"Simulated cycles spent (useful work plus padding)."`
+	PaddingCycles      uint64 `json:"padding_cycles" help:"Cycles spent idling to mitigation prediction boundaries."`
+	Mitigations        uint64 `json:"mitigations" help:"Completed mitigate commands."`
+	Mispredictions     uint64 `json:"mispredictions" help:"Mitigate executions that overran their prediction."`
+	ScheduleBumps      uint64 `json:"schedule_bumps" help:"Mitigation schedule inflations."`
+	Sheds              uint64 `json:"sheds" help:"Requests rejected by load shedding."`
+	SessionsCreated    uint64 `json:"sessions_created" help:"Tenant sessions admitted."`
+	SessionsEvictedTTL uint64 `json:"sessions_evicted_ttl" help:"Sessions evicted after idle TTL expiry."`
+	SessionsEvictedLRU uint64 `json:"sessions_evicted_lru" help:"Sessions evicted by the LRU capacity bound."`
+	BudgetDenials      uint64 `json:"budget_denials" help:"Requests rejected over the tenant leakage budget."`
+	BytesIn            uint64 `json:"bytes_in" help:"Request body bytes read by the transport."`
+	BytesOut           uint64 `json:"bytes_out" help:"Response body bytes written by the transport."`
+	StreamItems        uint64 `json:"stream_items" help:"Items served over /v1/stream connections."`
+}
 
 // maxStripes bounds the stripe array; Stripe indices are reduced
 // modulo this bound, which comfortably exceeds any realistic worker
@@ -34,23 +88,8 @@ const maxStripes = 256
 // the cache line), so two stripes never share a cache line and
 // cross-core writes never bounce.
 type stripe struct {
-	requests       atomic.Uint64
-	failures       atomic.Uint64
-	steps          atomic.Uint64
-	cycles         atomic.Uint64
-	paddingCycles  atomic.Uint64
-	mitigations    atomic.Uint64
-	mispredictions atomic.Uint64
-	scheduleBumps  atomic.Uint64
-	sheds          atomic.Uint64
-	sessionsNew    atomic.Uint64
-	sessionsTTL    atomic.Uint64
-	sessionsLRU    atomic.Uint64
-	budgetDenials  atomic.Uint64
-	bytesIn        atomic.Uint64
-	bytesOut       atomic.Uint64
-	streamItems    atomic.Uint64
-	latency        Histogram
+	counts  [numCounters]atomic.Uint64
+	latency Histogram
 }
 
 // metricsState is the shared backing of every handle onto one
@@ -122,49 +161,22 @@ func (m *Metrics) Stripe(i int) *Metrics {
 // tests and diagnostics).
 func (m *Metrics) Stripes() int { return len(*m.state.stripes.Load()) }
 
+// Add adds n to counter c. Requests and the session counters have
+// their own mutators below, which also feed the latency histogram or
+// the sessions-active gauge.
+func (m *Metrics) Add(c Counter, n uint64) { m.local.counts[c].Add(n) }
+
 // AddRequest records one served request and its response latency in
 // simulated cycles.
 func (m *Metrics) AddRequest(latency uint64) {
-	m.local.requests.Add(1)
+	m.local.counts[Requests].Add(1)
 	m.local.latency.Observe(latency)
 }
-
-// AddFailure records one failed (aborted, over-budget, or canceled)
-// request.
-func (m *Metrics) AddFailure() { m.local.failures.Add(1) }
-
-// AddSteps records language-level steps executed.
-func (m *Metrics) AddSteps(n uint64) { m.local.steps.Add(n) }
-
-// AddCycles records simulated cycles spent (useful work and padding
-// together; padding is broken out by AddPadding).
-func (m *Metrics) AddCycles(n uint64) { m.local.cycles.Add(n) }
-
-// AddPadding records cycles spent idling to a mitigation prediction
-// boundary rather than doing useful work.
-func (m *Metrics) AddPadding(n uint64) { m.local.paddingCycles.Add(n) }
-
-// AddMitigation records one completed mitigate command and whether it
-// mispredicted.
-func (m *Metrics) AddMitigation(mispredicted bool) {
-	m.local.mitigations.Add(1)
-	if mispredicted {
-		m.local.mispredictions.Add(1)
-	}
-}
-
-// AddScheduleBumps records miss-counter increments (schedule
-// inflations); one misprediction may bump the counter several times.
-func (m *Metrics) AddScheduleBumps(n uint64) { m.local.scheduleBumps.Add(n) }
-
-// AddShed records one request rejected by load shedding (the caller
-// got ErrOverloaded instead of unbounded queueing).
-func (m *Metrics) AddShed() { m.local.sheds.Add(1) }
 
 // AddSessionCreated records a new tenant session being admitted and
 // bumps the sessions-active gauge.
 func (m *Metrics) AddSessionCreated() {
-	m.local.sessionsNew.Add(1)
+	m.local.counts[SessionsCreated].Add(1)
 	m.state.sessionsActive.Add(1)
 }
 
@@ -172,25 +184,12 @@ func (m *Metrics) AddSessionCreated() {
 // ttl distinguishes idle-expiry evictions from LRU capacity evictions.
 func (m *Metrics) AddSessionEvicted(ttl bool) {
 	if ttl {
-		m.local.sessionsTTL.Add(1)
+		m.local.counts[SessionsEvictedTTL].Add(1)
 	} else {
-		m.local.sessionsLRU.Add(1)
+		m.local.counts[SessionsEvictedLRU].Add(1)
 	}
 	m.state.sessionsActive.Add(-1)
 }
-
-// AddBudgetDenial records one request rejected at admission because
-// the tenant's cumulative leakage budget would be exceeded.
-func (m *Metrics) AddBudgetDenial() { m.local.budgetDenials.Add(1) }
-
-// AddBytesIn records wire bytes read from request bodies.
-func (m *Metrics) AddBytesIn(n int) { m.local.bytesIn.Add(uint64(n)) }
-
-// AddBytesOut records wire bytes written to response bodies.
-func (m *Metrics) AddBytesOut(n int) { m.local.bytesOut.Add(uint64(n)) }
-
-// AddStreamItems records items served over /v1/stream connections.
-func (m *Metrics) AddStreamItems(n int) { m.local.streamItems.Add(uint64(n)) }
 
 // StreamOpened bumps the open-streams gauge; StreamClosed drops it.
 func (m *Metrics) StreamOpened() { m.state.streamsActive.Add(1) }
@@ -206,24 +205,16 @@ func (m *Metrics) StreamClosed() { m.state.streamsActive.Add(-1) }
 // in.
 func (m *Metrics) Snapshot() Snapshot {
 	var s Snapshot
+	var sum [numCounters]uint64
 	for _, st := range *m.state.stripes.Load() {
-		s.Requests += st.requests.Load()
-		s.Failures += st.failures.Load()
-		s.Steps += st.steps.Load()
-		s.Cycles += st.cycles.Load()
-		s.PaddingCycles += st.paddingCycles.Load()
-		s.Mitigations += st.mitigations.Load()
-		s.Mispredictions += st.mispredictions.Load()
-		s.ScheduleBumps += st.scheduleBumps.Load()
-		s.Sheds += st.sheds.Load()
-		s.SessionsCreated += st.sessionsNew.Load()
-		s.SessionsEvictedTTL += st.sessionsTTL.Load()
-		s.SessionsEvictedLRU += st.sessionsLRU.Load()
-		s.BudgetDenials += st.budgetDenials.Load()
-		s.BytesIn += st.bytesIn.Load()
-		s.BytesOut += st.bytesOut.Load()
-		s.StreamItems += st.streamItems.Load()
+		for c := range sum {
+			sum[c] += st.counts[c].Load()
+		}
 		s.Latency = s.Latency.Merge(st.latency.Snapshot())
+	}
+	counts := reflect.ValueOf(&s.Counts).Elem()
+	for c, v := range sum {
+		counts.Field(c).SetUint(v)
 	}
 	s.SessionsActive = m.state.sessionsActive.Load()
 	s.StreamsActive = m.state.streamsActive.Load()
@@ -233,32 +224,10 @@ func (m *Metrics) Snapshot() Snapshot {
 // Snapshot is a plain-value copy of the metrics, suitable for
 // rendering, JSON export, and assertions.
 type Snapshot struct {
-	// Requests and Failures count completed and aborted requests.
-	Requests, Failures uint64
-	// Steps and Cycles are the total language steps and simulated
-	// cycles executed; PaddingCycles is the share of Cycles spent
-	// idling to mitigation prediction boundaries.
-	Steps, Cycles, PaddingCycles uint64
-	// Mitigations counts completed mitigate commands; Mispredictions
-	// those that missed; ScheduleBumps the miss-counter increments.
-	Mitigations, Mispredictions, ScheduleBumps uint64
-	// Sheds counts the requests rejected by load shedding.
-	Sheds uint64
-	// Session accounting: SessionsCreated counts tenant sessions ever
-	// admitted; SessionsEvictedTTL/LRU the evictions by cause;
-	// BudgetDenials the requests rejected over leakage budget;
-	// SessionsActive the point-in-time gauge of live sessions.
-	SessionsCreated    uint64
-	SessionsEvictedTTL uint64
-	SessionsEvictedLRU uint64
-	BudgetDenials      uint64
-	SessionsActive     int64
-	// Wire accounting: BytesIn/BytesOut are request/response body bytes
-	// moved by the transport; StreamItems counts items served over
-	// /v1/stream; StreamsActive gauges open stream connections.
-	BytesIn, BytesOut uint64
-	StreamItems       uint64
-	StreamsActive     int64
+	Counts
+	// SessionsActive and StreamsActive are point-in-time gauges of live
+	// tenant sessions and open /v1/stream connections.
+	SessionsActive, StreamsActive int64
 	// Latency is the distribution of per-request response times.
 	Latency HistogramSnapshot
 	// HW holds cumulative cache/TLB/branch-predictor counters, summed
@@ -281,32 +250,6 @@ func (s Snapshot) PaddingFraction() float64 {
 		return 0
 	}
 	return float64(s.PaddingCycles) / float64(s.Cycles)
-}
-
-// Merge returns the field-wise sum of two snapshots.
-func (s Snapshot) Merge(o Snapshot) Snapshot {
-	out := s
-	out.Requests += o.Requests
-	out.Failures += o.Failures
-	out.Steps += o.Steps
-	out.Cycles += o.Cycles
-	out.PaddingCycles += o.PaddingCycles
-	out.Mitigations += o.Mitigations
-	out.Mispredictions += o.Mispredictions
-	out.ScheduleBumps += o.ScheduleBumps
-	out.Sheds += o.Sheds
-	out.SessionsCreated += o.SessionsCreated
-	out.SessionsEvictedTTL += o.SessionsEvictedTTL
-	out.SessionsEvictedLRU += o.SessionsEvictedLRU
-	out.BudgetDenials += o.BudgetDenials
-	out.SessionsActive += o.SessionsActive
-	out.BytesIn += o.BytesIn
-	out.BytesOut += o.BytesOut
-	out.StreamItems += o.StreamItems
-	out.StreamsActive += o.StreamsActive
-	out.Latency = s.Latency.Merge(o.Latency)
-	out.HW = s.HW.Add(o.HW)
-	return out
 }
 
 // String renders the snapshot as the human-readable report printed by

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -12,13 +13,13 @@ func TestMetricsCounters(t *testing.T) {
 	m := NewMetrics()
 	m.AddRequest(100)
 	m.AddRequest(200)
-	m.AddFailure()
-	m.AddSteps(50)
-	m.AddCycles(300)
-	m.AddPadding(120)
-	m.AddMitigation(false)
-	m.AddMitigation(true)
-	m.AddScheduleBumps(3)
+	m.Add(Failures, 1)
+	m.Add(Steps, 50)
+	m.Add(Cycles, 300)
+	m.Add(PaddingCycles, 120)
+	m.Add(Mitigations, 2)
+	m.Add(Mispredictions, 1)
+	m.Add(ScheduleBumps, 3)
 	s := m.Snapshot()
 	if s.Requests != 2 || s.Failures != 1 {
 		t.Errorf("requests/failures = %d/%d", s.Requests, s.Failures)
@@ -48,39 +49,19 @@ func TestSnapshotEdgeCases(t *testing.T) {
 	}
 	// Padding reported past cycles (tearing between atomic loads) must
 	// not underflow.
-	s = Snapshot{Cycles: 10, PaddingCycles: 15}
+	s = Snapshot{Counts: Counts{Cycles: 10, PaddingCycles: 15}}
 	if s.UsefulCycles() != 0 {
 		t.Errorf("UsefulCycles under tear = %d, want 0", s.UsefulCycles())
-	}
-}
-
-func TestSnapshotMerge(t *testing.T) {
-	a := Snapshot{Requests: 1, Cycles: 10, Mitigations: 2,
-		HW: hw.Stats{L1DHits: 5}}
-	a.Latency.Buckets[3] = 1
-	a.Latency.Count, a.Latency.Sum = 1, 5
-	b := Snapshot{Requests: 2, Cycles: 20, Mispredictions: 1,
-		HW: hw.Stats{L1DHits: 7, L1DMisses: 1}}
-	b.Latency.Buckets[3] = 2
-	b.Latency.Count, b.Latency.Sum = 2, 12
-	m := a.Merge(b)
-	if m.Requests != 3 || m.Cycles != 30 || m.Mitigations != 2 || m.Mispredictions != 1 {
-		t.Errorf("merged = %+v", m)
-	}
-	if m.HW.L1DHits != 12 || m.HW.L1DMisses != 1 {
-		t.Errorf("merged HW = %+v", m.HW)
-	}
-	if m.Latency.Buckets[3] != 3 || m.Latency.Count != 3 || m.Latency.Sum != 17 {
-		t.Errorf("merged latency = %+v", m.Latency)
 	}
 }
 
 func TestSnapshotString(t *testing.T) {
 	m := NewMetrics()
 	m.AddRequest(64)
-	m.AddMitigation(true)
-	m.AddCycles(100)
-	m.AddPadding(25)
+	m.Add(Mitigations, 1)
+	m.Add(Mispredictions, 1)
+	m.Add(Cycles, 100)
+	m.Add(PaddingCycles, 25)
 	s := m.Snapshot()
 	s.HW = hw.Stats{L1DHits: 9, L1DMisses: 1}
 	out := s.String()
@@ -153,7 +134,7 @@ func TestMetricsStripes(t *testing.T) {
 	m.AddRequest(8)
 	s0.AddRequest(16)
 	s3.AddRequest(32)
-	s3.AddFailure()
+	s3.Add(Failures, 1)
 	for name, h := range map[string]*Metrics{"root": m, "s0": s0, "s3": s3} {
 		s := h.Snapshot()
 		if s.Requests != 3 || s.Failures != 1 {
@@ -170,8 +151,8 @@ func TestMetricsStripes(t *testing.T) {
 	}
 	// Negative and huge indices are reduced into range, not grown
 	// without bound.
-	m.Stripe(-7).AddSteps(5)
-	m.Stripe(maxStripes + 2).AddSteps(7)
+	m.Stripe(-7).Add(Steps, 5)
+	m.Stripe(maxStripes+2).Add(Steps, 7)
 	if m.Stripes() > maxStripes {
 		t.Errorf("stripes grew past bound: %d", m.Stripes())
 	}
@@ -193,10 +174,13 @@ func TestMetricsStripedConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < perWriter; i++ {
 				h.AddRequest(uint64(i))
-				h.AddCycles(3)
-				h.AddPadding(1)
-				h.AddMitigation(i%4 == 0)
-				h.AddScheduleBumps(2)
+				h.Add(Cycles, 3)
+				h.Add(PaddingCycles, 1)
+				h.Add(Mitigations, 1)
+				if i%4 == 0 {
+					h.Add(Mispredictions, 1)
+				}
+				h.Add(ScheduleBumps, 2)
 			}
 		}()
 	}
@@ -223,8 +207,11 @@ func TestMetricsConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 1000; i++ {
 				m.AddRequest(uint64(i))
-				m.AddCycles(2)
-				m.AddMitigation(i%2 == 0)
+				m.Add(Cycles, 2)
+				m.Add(Mitigations, 1)
+				if i%2 == 0 {
+					m.Add(Mispredictions, 1)
+				}
 			}
 		}()
 	}
@@ -241,14 +228,11 @@ func TestMetricsConcurrent(t *testing.T) {
 func TestShedCounter(t *testing.T) {
 	m := NewMetrics()
 	w := m.Stripe(1) // counters merge across stripes like the others
-	m.AddShed()
-	w.AddShed()
+	m.Add(Sheds, 1)
+	w.Add(Sheds, 1)
 	s := m.Snapshot()
 	if s.Sheds != 2 {
 		t.Errorf("sheds = %d, want 2", s.Sheds)
-	}
-	if merged := s.Merge(s); merged.Sheds != 4 {
-		t.Errorf("Merge sheds = %d, want 4", merged.Sheds)
 	}
 	if !strings.Contains(s.String(), "load shed:            2 requests") {
 		t.Errorf("String omits the shed line:\n%s", s)
@@ -256,5 +240,24 @@ func TestShedCounter(t *testing.T) {
 	// A snapshot without sheds keeps the report uncluttered.
 	if strings.Contains(NewMetrics().Snapshot().String(), "load shed:") {
 		t.Error("shed-free snapshot renders a shed line")
+	}
+}
+
+// TestCountsTable: Counts has one uint64 field per Counter constant,
+// each with a distinct export key and Prometheus help text — what
+// Snapshot, Export and WriteProm derive every counter from.
+func TestCountsTable(t *testing.T) {
+	ct := reflect.TypeOf(Counts{})
+	if ct.NumField() != int(numCounters) {
+		t.Fatalf("Counts has %d fields for %d Counter constants", ct.NumField(), numCounters)
+	}
+	seen := map[string]bool{}
+	for i := 0; i < ct.NumField(); i++ {
+		f := ct.Field(i)
+		key, help := f.Tag.Get("json"), f.Tag.Get("help")
+		if f.Type.Kind() != reflect.Uint64 || key == "" || help == "" || seen[key] {
+			t.Errorf("field %s: type %s, json %q, help %q, key seen before: %v", f.Name, f.Type, key, help, seen[key])
+		}
+		seen[key] = true
 	}
 }

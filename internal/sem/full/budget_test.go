@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"repro/internal/machine/hw"
-	"repro/internal/obs"
 )
 
 const loopSrc = `
@@ -108,55 +107,5 @@ x := 1;
 	if m1.Clock() != m2.Clock() || m1.Steps() != m2.Steps() {
 		t.Errorf("Run: %d cycles/%d steps; RunBudget: %d cycles/%d steps",
 			m1.Clock(), m1.Steps(), m2.Clock(), m2.Steps())
-	}
-}
-
-func TestMetricsObservationalOnly(t *testing.T) {
-	// Instrumented and uninstrumented runs must be cycle-identical:
-	// recording metrics never perturbs simulated time.
-	src := `
-var h : H;
-var x : L;
-mitigate (1, H) [L,L] {
-    sleep(h % 32) [H,H];
-}
-x := 1;
-`
-	p, r := build(t, src)
-	run := func(metrics *obs.Metrics) uint64 {
-		m, err := New(p, r, hw.NewFlat(r.Lat, 2), Options{Metrics: metrics})
-		if err != nil {
-			t.Fatal(err)
-		}
-		m.Memory().Set("h", 21)
-		if err := m.Run(1_000_000); err != nil {
-			t.Fatal(err)
-		}
-		return m.Clock()
-	}
-	plain := run(nil)
-	metrics := obs.NewMetrics()
-	instrumented := run(metrics)
-	if plain != instrumented {
-		t.Errorf("instrumentation changed simulated time: %d vs %d", plain, instrumented)
-	}
-	s := metrics.Snapshot()
-	if s.Mitigations != 1 {
-		t.Errorf("mitigations = %d, want 1", s.Mitigations)
-	}
-	if s.Mispredictions != 1 {
-		t.Errorf("mispredictions = %d, want 1 (init estimate 1 < body)", s.Mispredictions)
-	}
-	if s.PaddingCycles == 0 {
-		t.Error("expected padding cycles to be recorded")
-	}
-	if s.ScheduleBumps == 0 {
-		t.Error("expected schedule bumps to be recorded")
-	}
-	if s.Cycles != instrumented {
-		t.Errorf("metrics cycles = %d, machine clock = %d", s.Cycles, instrumented)
-	}
-	if s.Steps == 0 {
-		t.Error("expected steps to be recorded")
 	}
 }

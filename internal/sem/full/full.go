@@ -26,10 +26,8 @@ import (
 	"repro/internal/exec/budget"
 	"repro/internal/lang/ast"
 	"repro/internal/lang/token"
-	"repro/internal/lattice"
 	"repro/internal/machine/hw"
 	"repro/internal/mitigation"
-	"repro/internal/obs"
 	"repro/internal/sem/core"
 	"repro/internal/sem/events"
 	"repro/internal/sem/mem"
@@ -70,10 +68,6 @@ type Options struct {
 	// CostSet, when true, takes BaseCost and OpCost literally — an
 	// explicit zero is honored instead of selecting the default of 1.
 	CostSet bool
-	// Metrics, when non-nil, receives instrumentation (steps, cycles,
-	// padding, mitigation outcomes). Recording is observational only
-	// and never changes execution or simulated time.
-	Metrics *obs.Metrics
 }
 
 func (o Options) withDefaults() Options {
@@ -138,7 +132,7 @@ func New(prog *ast.Program, res *types.Result, env hw.Env, opts Options) (*Machi
 	if unresolved != nil {
 		return nil, unresolved
 	}
-	m := &Machine{
+	return &Machine{
 		prog:   prog,
 		res:    res,
 		opts:   opts,
@@ -147,11 +141,7 @@ func New(prog *ast.Program, res *types.Result, env hw.Env, opts Options) (*Machi
 		mem:    mem.New(prog),
 		env:    env,
 		mit:    mitigation.NewState(res.Lat, opts.Scheme, opts.Policy),
-	}
-	if opts.Metrics != nil {
-		m.mit.SetOnMiss(func(lattice.Label, int) { opts.Metrics.AddScheduleBumps(1) })
-	}
-	return m, nil
+	}, nil
 }
 
 // Memory returns the machine's memory (for setting inputs and reading
@@ -229,9 +219,6 @@ func (k *Machine) finishMitigation(x *mitExit) {
 		k.mits = append(k.mits, events.MitRecord{
 			ID: x.m.MitID, Duration: elapsed, Elapsed: elapsed, Start: x.start,
 		})
-		if k.opts.Metrics != nil {
-			k.opts.Metrics.AddMitigation(false)
-		}
 		return
 	}
 	pred, missed := k.mit.Penalize(x.init, x.m.Level, x.m.MitID, elapsed)
@@ -245,12 +232,6 @@ func (k *Machine) finishMitigation(x *mitExit) {
 		Start:        x.start,
 		Mispredicted: missed,
 	})
-	if k.opts.Metrics != nil {
-		k.opts.Metrics.AddMitigation(missed)
-		if pred > elapsed {
-			k.opts.Metrics.AddPadding(pred - elapsed)
-		}
-	}
 }
 
 // access charges one machine-environment access under the current
@@ -397,17 +378,8 @@ const ctxCheckInterval = 1024
 // RunBudget executes to completion, a budget violation (ErrStepLimit /
 // ErrCycleLimit), or context cancellation — in the last case it
 // returns ctx.Err(), so callers can test errors.Is(err,
-// context.DeadlineExceeded). The machine's instrumentation (Options.
-// Metrics) is charged for the steps and cycles consumed, whether or
-// not the run completes.
-func (k *Machine) RunBudget(ctx context.Context, b Budget) (err error) {
-	if k.opts.Metrics != nil {
-		startSteps, startClock := k.steps, k.clock
-		defer func() {
-			k.opts.Metrics.AddSteps(uint64(k.steps - startSteps))
-			k.opts.Metrics.AddCycles(k.clock - startClock)
-		}()
-	}
+// context.DeadlineExceeded).
+func (k *Machine) RunBudget(ctx context.Context, b Budget) error {
 	nextPoll := k.steps + ctxCheckInterval
 	for !k.Done() {
 		if b.MaxSteps > 0 && k.steps >= b.MaxSteps {

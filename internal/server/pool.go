@@ -187,6 +187,21 @@ type worker struct {
 	shard int
 	srv   *Server
 	jobs  chan job
+	// mu guards hw, the shard environment's counters as of the
+	// worker's last finished job. Only the worker touches the
+	// environment itself, so Pool.Snapshot reads this copy instead.
+	mu sync.Mutex
+	hw hw.Stats
+}
+
+// publish copies the shard environment's counters for Pool.Snapshot.
+// Only the worker's own goroutine (or NewPool, before it starts) calls
+// it.
+func (w *worker) publish() {
+	s := w.srv.Env().Stats()
+	w.mu.Lock()
+	w.hw = s
+	w.mu.Unlock()
 }
 
 // poolClosed is the lifecycle bit of Pool.state; the low bits count
@@ -252,6 +267,7 @@ func NewPool(prog *ast.Program, res *types.Result, opts PoolOptions) (*Pool, err
 			return nil, err
 		}
 		w := &worker{shard: i, srv: srv, jobs: make(chan job, opts.QueueDepth)}
+		w.publish()
 		p.workers = append(p.workers, w)
 		p.wg.Add(1)
 		go p.run(w)
@@ -292,10 +308,12 @@ func (p *Pool) run(w *worker) {
 			for i, req := range b.reqs {
 				b.resps[i], b.errs[i] = p.serve(w, b.ctx, req, b.idxs[i], nil)
 			}
+			w.publish()
 			b.done <- b
 			continue
 		}
 		resp, err := p.serve(w, j.ctx, j.req, j.index, j.mit)
+		w.publish()
 		j.out <- result{resp, err}
 	}
 }
@@ -416,7 +434,7 @@ func (p *Pool) SubmitWith(ctx context.Context, req Request, mit *mitigation.Stat
 	if p.opts.ShedOnSaturation {
 		// Bounded-latency mode: a saturated shard sheds instead of
 		// blocking the submitter.
-		p.opts.Metrics.AddShed()
+		p.opts.Metrics.Add(obs.Sheds, 1)
 		resultChans.Put(j.out)
 		return nil, &RequestError{Index: index, Shard: w.shard, Err: ErrOverloaded}
 	}
@@ -529,7 +547,7 @@ func (p *Pool) handleAll(ctx context.Context, reqs []Request, errsOut []error) (
 			default:
 				for _, index := range b.idxs {
 					errs[index-base] = &RequestError{Index: index, Shard: shard, Err: ErrOverloaded}
-					p.opts.Metrics.AddShed()
+					p.opts.Metrics.Add(obs.Sheds, 1)
 				}
 				releaseBatch(b)
 				batches[shard] = nil
@@ -600,15 +618,17 @@ func (p *Pool) Shard(i int) *Server { return p.workers[i].srv }
 func (p *Pool) Metrics() *obs.Metrics { return p.opts.Metrics }
 
 // Snapshot returns the pooled instrumentation, with hardware counters
-// summed across every shard's environment. Call after Close (or while
-// quiescent) for exact numbers; concurrent snapshots are approximate.
+// summed across every shard. It is safe to call while the pool serves:
+// each shard's counters are those its worker published after its last
+// finished job, so a snapshot leaves out only the requests still in
+// flight, and after Close it is exact.
 func (p *Pool) Snapshot() obs.Snapshot {
 	snap := p.opts.Metrics.Snapshot()
-	var hwStats hw.Stats
 	for _, w := range p.workers {
-		hwStats = hwStats.Add(w.srv.Env().Stats())
+		w.mu.Lock()
+		snap.HW = snap.HW.Add(w.hw)
+		w.mu.Unlock()
 	}
-	snap.HW = hwStats
 	return snap
 }
 

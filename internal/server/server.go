@@ -312,7 +312,7 @@ func (s *Server) HandleWith(ctx context.Context, req Request, mit *mitigation.St
 
 // fail records a failure and wraps the cause with the request index.
 func (s *Server) fail(err error) error {
-	s.opts.Metrics.AddFailure()
+	s.opts.Metrics.Add(obs.Failures, 1)
 	return &RequestError{Index: s.n, Err: err}
 }
 

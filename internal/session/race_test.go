@@ -39,9 +39,12 @@ type commit struct {
 // goroutines — each doing the full Begin → pool.HandleWith → Commit
 // cycle — while the injected clock jumps past the TTL mid-stream so
 // generations of the session are evicted and recreated under load.
-// Run with -race; the assertions reconstruct the account from the raw
-// commit log and fail if any epoch was lost, double-counted, or
-// mis-billed.
+// A session expires only while no request holds it, so every fifth
+// iteration the goroutines meet at a barrier once all have checked
+// in; the clock jumps once there, and they are released together to
+// race Begin on the expired session. Run with -race; the assertions
+// reconstruct the account from the raw commit log and fail if any
+// epoch was lost, double-counted, or mis-billed.
 func TestSessionRaceEvictionAccounting(t *testing.T) {
 	prog, err := parser.Parse(`
 var h : H;
@@ -84,7 +87,17 @@ reply := 1;
 	const (
 		goroutines = 8
 		iters      = 25
+		jumps      = iters / 5
 	)
+	// Barrier round r: every goroutine calls arrived[r].Done at the
+	// start of iteration 5r+4, once its earlier tickets are committed,
+	// then waits for release[r], which closes after the one clock jump.
+	var arrived [jumps]sync.WaitGroup
+	var release [jumps]chan struct{}
+	for r := range release {
+		arrived[r].Add(goroutines)
+		release[r] = make(chan struct{})
+	}
 	ctx := context.Background()
 	log := make([][]commit, goroutines)
 	var wg sync.WaitGroup
@@ -93,16 +106,16 @@ reply := 1;
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < iters; i++ {
-				// Periodically jump the clock past the TTL so the NEXT
-				// Begin on the tenant finds the session expired and
-				// rebuilds it — racing every other goroutine's cycle.
+				// Errors continue rather than return, so no goroutine
+				// leaves the others waiting at a barrier.
 				if i%5 == 4 {
-					clock.Add(int64(ttl) + 1)
+					arrived[i/5].Done()
+					<-release[i/5]
 				}
 				tk, err := mgr.Begin("alice")
 				if err != nil {
 					t.Errorf("goroutine %d: Begin: %v", g, err)
-					return
+					continue
 				}
 				h := int64(g*iters + i)
 				resp, err := pool.HandleWith(ctx, func(m *mem.Memory) {
@@ -111,12 +124,17 @@ reply := 1;
 				if err != nil {
 					tk.Abort()
 					t.Errorf("goroutine %d: HandleWith: %v", g, err)
-					return
+					continue
 				}
 				info := tk.Commit(resp.Time, len(resp.Mitigations))
 				log[g] = append(log[g], commit{resp.Time, len(resp.Mitigations), info})
 			}
 		}(g)
+	}
+	for r := range release {
+		arrived[r].Wait()
+		clock.Add(int64(ttl) + 1)
+		close(release[r])
 	}
 	wg.Wait()
 
@@ -189,10 +207,10 @@ reply := 1;
 		t.Fatalf("%d generation starts but %d first epochs", generations, epochs[1])
 	}
 
-	// The clock jumps must have actually forced evictions mid-stream;
-	// otherwise this test degenerates to the serial one.
-	if generations < 2 {
-		t.Fatalf("want ≥ 2 session generations under TTL pressure, got %d", generations)
+	// Each clock jump finds the session idle and expired, so exactly
+	// one racing Begin starts a new generation.
+	if generations != 1+jumps {
+		t.Fatalf("want %d session generations, one per clock jump plus the first, got %d", 1+jumps, generations)
 	}
 	if s := met.Snapshot(); s.SessionsEvictedTTL != uint64(generations-1) {
 		t.Errorf("SessionsEvictedTTL = %d, want %d (one per non-initial generation)",

@@ -418,7 +418,7 @@ func (m *Manager) Begin(tenant string) (*Ticket, error) {
 			e.mu.Unlock()
 			m.checkIn(e)
 			if m.opts.Metrics != nil {
-				m.opts.Metrics.AddBudgetDenial()
+				m.opts.Metrics.Add(obs.BudgetDenials, 1)
 			}
 			return nil, denErr
 		}

@@ -6,37 +6,11 @@ import (
 	"repro/internal/transport/wire"
 )
 
-// Pooled wire buffers. Request bodies are read into and responses
-// encoded out of these, so the steady-state hot path (run, batch,
-// stream) performs no per-request buffer allocation. Discipline: a
-// buffer is put back only after its bytes have been handed off (the
-// ResponseWriter copies on Write, and decode destinations copy or
-// intern what they keep), never while still referenced — the leak
-// tests in bufpool_test.go pin this.
+// Pooled batch-result slices; the byte buffers the handler reads
+// bodies into and encodes responses out of come from wire.GetBuf.
 
-// maxPooledBuf bounds what a put returns to the pool: one pathological
-// multi-megabyte batch must not pin its buffer forever.
-const maxPooledBuf = 1 << 20
-
-var bufPool = sync.Pool{New: func() any {
-	b := make([]byte, 0, 4096)
-	return &b
-}}
-
-// getBuf returns an empty pooled byte buffer (pointer-to-slice, so
-// puts do not allocate a slice header).
-func getBuf() *[]byte { return bufPool.Get().(*[]byte) }
-
-// putBuf returns a buffer to the pool, dropping oversized ones.
-func putBuf(b *[]byte) {
-	if cap(*b) > maxPooledBuf {
-		return
-	}
-	*b = (*b)[:0]
-	bufPool.Put(b)
-}
-
-// maxPooledResults bounds pooled batch-result slices the same way.
+// maxPooledResults bounds what putResults returns to the pool, as
+// wire.MaxPooledBuf does for byte buffers.
 const maxPooledResults = 4096
 
 var resultsPool = sync.Pool{New: func() any {

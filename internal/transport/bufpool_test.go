@@ -46,8 +46,8 @@ func TestPutResultsClearsReferences(t *testing.T) {
 // TestPutBufDropsOversized: pathological bodies must not pin megabytes
 // in the pool.
 func TestPutBufDropsOversized(t *testing.T) {
-	big := make([]byte, 0, maxPooledBuf+1)
-	putBuf(&big) // must be dropped, not pooled
+	big := make([]byte, 0, wire.MaxPooledBuf+1)
+	wire.PutBuf(&big) // must be dropped, not pooled
 	huge := make([]wire.BatchResult, 0, maxPooledResults+1)
 	putResults(&huge)
 	// No direct observation of the pool internals; the property under

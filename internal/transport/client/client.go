@@ -297,8 +297,8 @@ func (c *Client) timerSleep(ctx context.Context, d time.Duration) bool {
 // post issues one POST, encoding the body into a pooled buffer and
 // decoding the response or error envelope.
 func (c *Client) post(ctx context.Context, path string, encode func([]byte) ([]byte, error), decode func([]byte) error) error {
-	bp := getBuf()
-	defer putBuf(bp)
+	bp := wire.GetBuf()
+	defer wire.PutBuf(bp)
 	b, err := encode((*bp)[:0])
 	*bp = b[:0]
 	if err != nil {
@@ -322,8 +322,8 @@ func (c *Client) do(req *http.Request, decode func([]byte) error) error {
 	if err != nil {
 		return err
 	}
-	bp := getBuf()
-	defer putBuf(bp)
+	bp := wire.GetBuf()
+	defer wire.PutBuf(bp)
 	b, rerr := readBody(resp.Body, (*bp)[:0])
 	*bp = b[:0]
 	resp.Body.Close()

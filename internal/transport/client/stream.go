@@ -54,16 +54,16 @@ func (c *Client) Stream(ctx context.Context) (*Stream, error) {
 	}
 	if resp.StatusCode != http.StatusOK {
 		pw.Close()
-		bp := getBuf()
+		bp := wire.GetBuf()
 		b, _ := readBody(resp.Body, (*bp)[:0])
 		*bp = b[:0]
 		resp.Body.Close()
 		err := c.decodeError(resp.StatusCode, b)
-		putBuf(bp)
+		wire.PutBuf(bp)
 		return nil, err
 	}
 	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 64<<10), maxPooledBuf)
+	sc.Buffer(make([]byte, 64<<10), wire.MaxPooledBuf)
 	return &Stream{c: c, pw: pw, resp: resp, sc: sc}, nil
 }
 
@@ -74,8 +74,8 @@ func (s *Stream) Send(req wire.RunRequest) error {
 	req = s.c.tenanted(req)
 	s.sendMu.Lock()
 	defer s.sendMu.Unlock()
-	bp := getBuf()
-	defer putBuf(bp)
+	bp := wire.GetBuf()
+	defer wire.PutBuf(bp)
 	b, err := fastjson.AppendRunRequest((*bp)[:0], &req)
 	*bp = b[:0]
 	if err != nil {

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"time"
 
+	"repro/internal/obs"
 	"repro/internal/server"
 	"repro/internal/transport/wire"
 	"repro/internal/transport/wire/fastjson"
@@ -86,7 +87,7 @@ func (h *Handler) handleStream(w http.ResponseWriter, r *http.Request) {
 	_ = rc.Flush() // commit headers so the client's round trip completes
 
 	sc := bufio.NewScanner(r.Body)
-	sc.Buffer(make([]byte, 64<<10), maxPooledBuf)
+	sc.Buffer(make([]byte, 64<<10), wire.MaxPooledBuf)
 
 	// Items run under ctx, not r.Context(). On drain the watcher below
 	// expires the body's read deadline, so that a Scan blocked on an
@@ -138,7 +139,7 @@ func (h *Handler) handleStream(w http.ResponseWriter, r *http.Request) {
 
 	for sc.Scan() {
 		line := sc.Bytes()
-		h.metrics.AddBytesIn(len(line) + 1)
+		h.metrics.Add(obs.BytesIn, uint64(len(line)+1))
 		if len(bytes.TrimSpace(line)) == 0 {
 			continue
 		}
@@ -161,7 +162,7 @@ func (h *Handler) handleStream(w http.ResponseWriter, r *http.Request) {
 			fail(werr)
 			return
 		}
-		h.metrics.AddStreamItems(1)
+		h.metrics.Add(obs.StreamItems, 1)
 
 		if tenant == "" {
 			fut, err := h.opts.Pool.Submit(ctx, sreq)
@@ -206,8 +207,8 @@ func (h *Handler) streamWriteLoop(ctx context.Context, w http.ResponseWriter, rc
 	failed := false
 
 	writeResult := func(res *wire.BatchResult) {
-		bp := getBuf()
-		defer putBuf(bp)
+		bp := wire.GetBuf()
+		defer wire.PutBuf(bp)
 		b, err := fastjson.AppendBatchResult((*bp)[:0], res)
 		*bp = b[:0]
 		if err != nil {
@@ -223,7 +224,7 @@ func (h *Handler) streamWriteLoop(ctx context.Context, w http.ResponseWriter, rc
 		b = append(b, '\n')
 		*bp = b[:0]
 		n, werr := bw.Write(b)
-		h.metrics.AddBytesOut(n)
+		h.metrics.Add(obs.BytesOut, uint64(n))
 		if werr != nil {
 			failed = true
 			close(dead)

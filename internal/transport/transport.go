@@ -245,7 +245,7 @@ func (h *Handler) handleRun(w http.ResponseWriter, r *http.Request) {
 	}
 	var req wire.RunRequest
 	err := fastjson.DecodeRunRequest(*body, &req, true)
-	putBuf(body)
+	wire.PutBuf(body)
 	if err != nil {
 		h.writeError(w, invalidRequest(err))
 		return
@@ -266,16 +266,16 @@ func (h *Handler) handleRun(w http.ResponseWriter, r *http.Request) {
 // writeRunResponse encodes a run response into a pooled buffer and
 // writes it with an exact Content-Length.
 func (h *Handler) writeRunResponse(w http.ResponseWriter, out *wire.RunResponse) {
-	bp := getBuf()
+	bp := wire.GetBuf()
 	b, err := fastjson.AppendRunResponse((*bp)[:0], out)
 	*bp = b[:0]
 	if err != nil {
-		putBuf(bp)
+		wire.PutBuf(bp)
 		h.writeError(w, &wire.Error{Code: wire.CodeInternal, Message: err.Error()})
 		return
 	}
 	h.writeBody(w, http.StatusOK, b)
-	putBuf(bp)
+	wire.PutBuf(bp)
 }
 
 // writeBody writes one fully buffered JSON body: exact Content-Length
@@ -286,7 +286,7 @@ func (h *Handler) writeBody(w http.ResponseWriter, status int, b []byte) {
 	w.Header().Set("Content-Length", strconv.Itoa(len(b)))
 	w.WriteHeader(status)
 	n, _ := w.Write(b)
-	h.metrics.AddBytesOut(n)
+	h.metrics.Add(obs.BytesOut, uint64(n))
 }
 
 // tenantOf resolves a request's tenant: the body field, then the
@@ -395,7 +395,7 @@ func (h *Handler) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	var req wire.BatchRequest
 	err := fastjson.DecodeBatchRequest(*body, &req, true)
-	putBuf(body)
+	wire.PutBuf(body)
 	if err != nil {
 		h.writeError(w, invalidRequest(err))
 		return
@@ -455,16 +455,16 @@ func (h *Handler) handleBatch(w http.ResponseWriter, r *http.Request) {
 // The Results slice itself is pooled by the caller; it is released
 // only after the encode has copied everything onto the wire.
 func (h *Handler) writeBatchResponse(w http.ResponseWriter, out *wire.BatchResponse) {
-	bp := getBuf()
+	bp := wire.GetBuf()
 	b, err := fastjson.AppendBatchResponse((*bp)[:0], out)
 	*bp = b[:0]
 	if err != nil {
-		putBuf(bp)
+		wire.PutBuf(bp)
 		h.writeError(w, &wire.Error{Code: wire.CodeInternal, Message: err.Error()})
 		return
 	}
 	h.writeBody(w, http.StatusOK, b)
-	putBuf(bp)
+	wire.PutBuf(bp)
 }
 
 func (h *Handler) handleMetrics(w http.ResponseWriter, r *http.Request) {
@@ -475,7 +475,7 @@ func (h *Handler) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	w.WriteHeader(http.StatusOK)
-	writeProm(w, export)
+	export.WriteProm(w)
 }
 
 func (h *Handler) handleHealthz(w http.ResponseWriter, r *http.Request) {
@@ -495,11 +495,11 @@ func (h *Handler) handleHealthz(w http.ResponseWriter, r *http.Request) {
 // Conversions
 
 // readBody slurps a request body into a pooled buffer and counts the
-// bytes. The caller owns the returned buffer and must putBuf it after
-// the decoded request no longer aliases it (wire decoders copy or
-// intern everything they keep, so after decode is safe).
+// bytes. The caller owns the returned buffer and must wire.PutBuf it
+// after the decoded request no longer aliases it (wire decoders copy
+// or intern everything they keep, so after decode is safe).
 func (h *Handler) readBody(r *http.Request) (*[]byte, *wire.Error) {
-	bp := getBuf()
+	bp := wire.GetBuf()
 	b := *bp
 	for {
 		if len(b) == cap(b) {
@@ -512,12 +512,12 @@ func (h *Handler) readBody(r *http.Request) (*[]byte, *wire.Error) {
 		}
 		if err != nil {
 			*bp = b[:0]
-			putBuf(bp)
+			wire.PutBuf(bp)
 			return nil, &wire.Error{Code: wire.CodeInvalidRequest, Message: err.Error()}
 		}
 	}
 	*bp = b
-	h.metrics.AddBytesIn(len(b))
+	h.metrics.Add(obs.BytesIn, uint64(len(b)))
 	return bp, nil
 }
 
@@ -648,18 +648,18 @@ func (h *Handler) writeError(w http.ResponseWriter, werr *wire.Error) {
 		secs := (werr.RetryAfterMS + 999) / 1000 // Retry-After is whole seconds; round up
 		w.Header().Set("Retry-After", strconv.FormatInt(secs, 10))
 	}
-	bp := getBuf()
+	bp := wire.GetBuf()
 	b, err := fastjson.AppendErrorEnvelope((*bp)[:0], werr)
 	*bp = b[:0]
 	if err != nil {
-		putBuf(bp)
+		wire.PutBuf(bp)
 		writeJSON(w, status, struct {
 			Error *wire.Error `json:"error"`
 		}{werr})
 		return
 	}
 	h.writeBody(w, status, b)
-	putBuf(bp)
+	wire.PutBuf(bp)
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {

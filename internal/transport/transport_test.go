@@ -4,12 +4,15 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -20,6 +23,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/sem/mem"
 	"repro/internal/server"
+	"repro/internal/session"
 	"repro/internal/transport/wire"
 	"repro/internal/types"
 )
@@ -439,16 +443,36 @@ func TestHealthz(t *testing.T) {
 }
 
 // TestMetricsPromMatchesExport is the exposition acceptance check:
-// every counter scraped from /v1/metrics must equal the corresponding
-// obs.Export field from the JSON form of the same endpoint.
+// every obs.Counts field, walked by its JSON key, and the derived
+// useful_cycles and both gauges scraped from /v1/metrics must equal the
+// JSON form of the same endpoint. Anonymous and tenanted runs, a budget
+// denial and a stream item come first, so the session, wire and stream
+// series are non-zero.
 func TestMetricsPromMatchesExport(t *testing.T) {
-	_, ts := newService(t, server.PoolOptions{}, Options{})
+	met := obs.NewMetrics()
+	mgr := newSessions(t, session.Options{BudgetBits: 10, TTL: time.Minute, Metrics: met})
+	popts := server0()
+	popts.Metrics = met
+	_, ts := newService(t, popts, Options{Sessions: mgr})
 	for i := 0; i < 8; i++ {
 		resp, body := postJSON(t, ts.URL+"/v1/run", wire.RunRequest{Inputs: map[string]int64{"h": int64(i)}})
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("warmup run %d: status %d: %s", i, resp.StatusCode, body)
 		}
 	}
+	served := uint64(8)
+	for denied := false; !denied; served++ {
+		if served > 60 {
+			t.Fatal("a 10-bit budget must eventually deny")
+		}
+		_, _, werr := runTenant(t, ts.URL, "bob", 63)
+		denied = werr != nil
+	}
+	served-- // the denied request was not served
+	if res := postStream(t, ts.URL, []wire.RunRequest{{Inputs: map[string]int64{"h": 1}}}); len(res) != 1 || res[0].Error != nil {
+		t.Fatalf("stream item: %+v", res)
+	}
+	served++
 
 	jr, err := http.Get(ts.URL + "/v1/metrics?format=json")
 	if err != nil {
@@ -474,33 +498,44 @@ func TestMetricsPromMatchesExport(t *testing.T) {
 	}
 
 	scraped := parseProm(t, string(promText))
-	for name, want := range map[string]uint64{
-		"timingc_requests_total":                         export.Requests,
-		"timingc_failures_total":                         export.Failures,
-		"timingc_steps_total":                            export.Steps,
-		"timingc_cycles_total":                           export.Cycles,
-		"timingc_padding_cycles_total":                   export.PaddingCycles,
+	want := map[string]uint64{
 		"timingc_useful_cycles_total":                    export.UsefulCycles,
-		"timingc_mitigations_total":                      export.Mitigations,
-		"timingc_mispredictions_total":                   export.Mispredictions,
-		"timingc_schedule_bumps_total":                   export.ScheduleBumps,
-		"timingc_sheds_total":                            export.Sheds,
+		"timingc_sessions_active":                        uint64(export.SessionsActive),
+		"timingc_streams_active":                         uint64(export.StreamsActive),
 		"timingc_latency_cycles_count":                   export.Latency.Count,
 		"timingc_latency_cycles_sum":                     export.Latency.Sum,
 		`timingc_hw_events_total{unit="l1d",kind="hit"}`: export.HW.L1DHits,
 		`timingc_hw_events_total{unit="bp",kind="miss"}`: export.HW.BPMisses,
-	} {
+	}
+	ct, cv := reflect.TypeOf(export.Counts), reflect.ValueOf(export.Counts)
+	for i := 0; i < ct.NumField(); i++ {
+		want["timingc_"+ct.Field(i).Tag.Get("json")+"_total"] = cv.Field(i).Uint()
+	}
+	for name, w := range want {
 		got, ok := scraped[name]
 		if !ok {
 			t.Errorf("metric %s missing from exposition", name)
 			continue
 		}
-		if got != want {
-			t.Errorf("%s = %d, exposition disagrees with export %d", name, got, want)
+		if got != w {
+			t.Errorf("%s = %d, exposition disagrees with export %d", name, got, w)
 		}
 	}
-	if export.Requests != 8 {
-		t.Errorf("export.Requests = %d, want 8", export.Requests)
+	if export.Requests != served {
+		t.Errorf("export.Requests = %d, want %d", export.Requests, served)
+	}
+	if export.SessionsActive != 1 || export.StreamsActive != 0 {
+		t.Errorf("gauges: %d sessions, %d streams, want 1 and 0", export.SessionsActive, export.StreamsActive)
+	}
+	for key, v := range map[string]uint64{
+		"steps": export.Steps, "padding_cycles": export.PaddingCycles,
+		"mispredictions": export.Mispredictions, "schedule_bumps": export.ScheduleBumps,
+		"sessions_created": export.SessionsCreated, "budget_denials": export.BudgetDenials,
+		"bytes_in": export.BytesIn, "bytes_out": export.BytesOut, "stream_items": export.StreamItems,
+	} {
+		if v == 0 {
+			t.Errorf("%s = 0; the traffic above must move it", key)
+		}
 	}
 	// Export schema v4 dropped the fault-injection, retry and breaker
 	// counters from both views.
@@ -512,6 +547,75 @@ func TestMetricsPromMatchesExport(t *testing.T) {
 		if strings.Contains(string(promText), "timingc_"+gone+"_total") {
 			t.Errorf("exposition still carries timingc_%s_total", gone)
 		}
+	}
+}
+
+// TestMetricsScrapeUnderLoad: /v1/metrics may be scraped while the
+// shards serve. The hardware counters it reports are the ones each
+// worker published after its last finished job, never the environment
+// the worker is writing, so under -race the scrapes below race nothing;
+// and since a worker publishes before it delivers, a scrape after the
+// load matches the exact counters after Close.
+func TestMetricsScrapeUnderLoad(t *testing.T) {
+	h, ts := newService(t, server.PoolOptions{Workers: 2}, Options{})
+	var stop atomic.Bool
+	var served atomic.Uint64
+	var wg sync.WaitGroup
+	for g := 0; g < 2; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; !stop.Load(); i++ {
+				body := fmt.Sprintf(`{"inputs":{"h":%d}}`, (g*31+i)%64)
+				resp, err := http.Post(ts.URL+"/v1/run", "application/json", strings.NewReader(body))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				_, err = io.Copy(io.Discard, resp.Body)
+				resp.Body.Close()
+				if err != nil || resp.StatusCode != http.StatusOK {
+					t.Errorf("run: status %d, read error %v", resp.StatusCode, err)
+					return
+				}
+				served.Add(1)
+			}
+		}(g)
+	}
+	for i := 0; i < 50; i++ {
+		url := ts.URL + "/v1/metrics"
+		if i%2 == 1 {
+			url += "?format=json"
+		}
+		if resp, body := get(t, url); resp.StatusCode != http.StatusOK {
+			t.Fatalf("scrape %d: status %d: %s", i, resp.StatusCode, body)
+		}
+	}
+	stop.Store(true)
+	wg.Wait()
+
+	resp, body := get(t, ts.URL+"/v1/metrics?format=json")
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("final scrape: status %d", resp.StatusCode)
+	}
+	var e obs.Export
+	if err := json.Unmarshal(body, &e); err != nil {
+		t.Fatal(err)
+	}
+	if e.Requests != served.Load() || e.Requests == 0 {
+		t.Errorf("requests = %d, want the %d served", e.Requests, served.Load())
+	}
+	pool := h.opts.Pool
+	pool.Close()
+	var envs hw.Stats
+	for i := 0; i < pool.Workers(); i++ {
+		envs = envs.Add(pool.Shard(i).Env().Stats())
+	}
+	if closed := pool.Snapshot().HW; closed != envs {
+		t.Errorf("after Close the pool reports %+v, its environments hold %+v", closed, envs)
+	}
+	if want := (obs.Snapshot{HW: envs}).Export().HW; e.HW != want || want.L1DHits == 0 {
+		t.Errorf("scrape after the load reports %+v, want the exact %+v", e.HW, want)
 	}
 }
 
