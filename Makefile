@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 30s
 
-.PHONY: all ci fmt vet build test race perfbench-test bench bench-smoke bench-engines bench-scaling bench-sessions bench-vmopt bench-transport profile engines chaos fuzz-smoke smoke-serve certify certify-smoke cover harness quick clean
+.PHONY: all ci fmt vet build test race allocs perfbench-test bench bench-smoke bench-engines bench-scaling bench-sessions bench-vmopt bench-transport profile engines chaos fuzz-smoke smoke-serve certify certify-smoke cover harness quick clean
 
 all: ci
 
@@ -12,9 +12,10 @@ all: ci
 # the chaos suite of the overload contract, a short continuous
 # fuzz of each native fuzz target, a 1x-benchtime smoke run of
 # every benchmark so benchmark code cannot rot uncompiled or uncovered,
-# the repository benchmark's own vet and self-tests, and an end-to-end
-# drive of the HTTP service through the real binary.
-ci: fmt vet build race perfbench-test engines chaos certify-smoke fuzz-smoke bench-smoke smoke-serve
+# the repository benchmark's own vet and self-tests, the allocation
+# pins without the race detector, and an end-to-end drive of the HTTP
+# service through the real binary.
+ci: fmt vet build race allocs perfbench-test engines chaos certify-smoke fuzz-smoke bench-smoke smoke-serve
 
 # engines runs the tree/VM differential tests — identical traces,
 # clocks, mitigation records, and final memories across engines on the
@@ -32,10 +33,22 @@ engines:
 # cancellation and shutdown, the deadline, crosstalk and determinism
 # regressions, and, over HTTP, an open-loop overload run with a drain
 # partway through, the stream drain tests, and /v1/metrics scraped
-# while the shards serve.
+# while the shards serve. It also repeats the session races 20 times:
+# a session evicted with no ticket is recycled for the next tenant, so
+# a ticket used after its Commit, or a worker still writing a state its
+# caller has released, would race another tenant's request, and one
+# run of each test seldom catches that.
 chaos:
 	$(GO) test -race -count 1 -run 'TestChaos|TestDeadline|TestCancelled' ./internal/server
 	$(GO) test -race -count 1 -run 'TestOverloadOutcomes|TestStreamDrain|TestMetricsScrapeUnderLoad' ./internal/transport
+	$(GO) test -race -count 20 -run 'TestConcurrentTenantsRace|TestSessionRace' ./internal/session
+
+# allocs runs the allocation pins without the race detector (whose
+# sync.Pool drops a quarter of Puts on purpose, so the race run skips
+# the pins that go through pools): the pool and server hot paths with
+# recycled run buffers, admission, and the wire codec.
+allocs:
+	$(GO) test -count 1 -run 'Alloc' ./internal/server ./internal/session ./internal/transport/wire/fastjson
 
 # fuzz-smoke runs each native fuzz target for FUZZTIME (default 30s) of
 # continuous mutation on top of the checked-in seed corpora
@@ -118,7 +131,9 @@ bench-scaling:
 
 # bench-sessions records the tenant-session manager's admission hot
 # path into BENCH_sessions.json: working sets of 1/100/10k tenants,
-# LRU eviction churn, and budget-checked admission, 3 runs each.
+# LRU eviction churn (a 64-session cap, and tables filled to caps of
+# 1,024 and 65,536 — serve's default — with and without a TTL, where
+# every admission evicts), and budget-checked admission, 3 runs each.
 # (ci's bench-smoke already executes these once per run, so the
 # benchmark code cannot rot; this target is the measurement.)
 bench-sessions:

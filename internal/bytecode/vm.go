@@ -225,9 +225,11 @@ func NewVM(prog *Program, env hw.Env, opts VMOptions) *VM {
 }
 
 // Reset rewinds the VM to its initial state — program counter,
-// registers, data, labels, clock, traces, and a fresh mitigation state
-// — so a service can reuse one VM (and its compiled program) across
-// requests.
+// registers, data, labels, clock, empty traces, and a fresh mitigation
+// state — so a service can reuse one VM (and its compiled program)
+// across requests. Traces handed out by the last run stay the
+// caller's; the next run's come from the buffers callers recycle
+// (events.Recycle), so a service that recycles them allocates none.
 // The machine environment is NOT reset; the caller owns it (a service
 // deliberately keeps cache/predictor state warm across requests, and
 // resets it only between experiment arms).
@@ -249,23 +251,27 @@ func (vm *VM) Reset() {
 	vm.curNode = 0
 	vm.clock = 0
 	vm.steps = 0
-	// Trace storage is handed out to the caller (Trace/Mitigations), so
-	// it can never be reused — but the last run's lengths are a good
-	// capacity hint for a service replaying the same program, turning
-	// O(log n) append regrowth into one right-sized allocation. Empty
-	// traces stay nil (see Trace) so they compare equal to a fresh run.
-	if n := len(vm.trace); n > 0 {
-		vm.trace = make(events.Trace, 0, n)
-	} else {
-		vm.trace = nil
-	}
-	if n := len(vm.mits); n > 0 {
-		vm.mits = make(events.MitTrace, 0, n)
-	} else {
-		vm.mits = nil
-	}
+	vm.trace = nextBuf(vm.trace, events.ReuseTrace)
+	vm.mits = nextBuf(vm.mits, events.ReuseMitTrace)
 	vm.open = vm.open[:0]
 	vm.mstate.Reset()
+}
+
+// nextBuf picks the next run's trace storage. A non-empty buffer has
+// been handed out to the caller (Trace/Mitigations), so it is never
+// reused here: the next run takes a buffer a caller handed back
+// through events.Recycle, or else a fresh one sized to the last run,
+// which for a service replaying the same program turns O(log n) append
+// regrowth into one right-sized allocation. An empty buffer was never
+// handed out (Trace returns nil for it) and stays.
+func nextBuf[S ~[]E, E any](buf S, reuse func() S) S {
+	if len(buf) == 0 {
+		return buf
+	}
+	if r := reuse(); r != nil {
+		return r
+	}
+	return make(S, 0, len(buf))
 }
 
 // SetScalar sets an input variable by source name.

@@ -133,9 +133,12 @@ type Result struct {
 	Clock uint64
 	// Steps is engine-granular work: language steps or instructions.
 	Steps int
-	// Trace holds the observable assignment events.
-	Trace events.Trace
-	// Mitigations holds the completed mitigation records.
+	// Trace holds the observable assignment events, and Mitigations
+	// the completed mitigation records. Both are this request's own
+	// storage: the vm engine draws it from the buffers recycled
+	// through events.Recycle, so whoever recycles them must not use
+	// them afterwards (see Engine.Run).
+	Trace       events.Trace
 	Mitigations events.MitTrace
 	// Memory is the final program memory, when Request.KeepMemory.
 	Memory *mem.Memory
@@ -177,7 +180,10 @@ type Engine interface {
 	// Run executes one request. The returned Result struct is owned by
 	// the engine and valid only until the next Run call; callers that
 	// retain it across requests must copy it first. The slices and
-	// memory it points to (Trace, Mitigations, Memory) are freshly
-	// allocated per request and stay valid.
+	// memory it points to (Trace, Mitigations, Memory) belong to this
+	// request alone and stay valid until the caller hands them back:
+	// a server response that carries them is released with
+	// server.ReleaseResponse, which recycles them for later runs
+	// (events.Recycle). A caller that never releases keeps them.
 	Run(ctx context.Context, req Request) (*Result, error)
 }

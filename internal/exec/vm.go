@@ -104,8 +104,9 @@ func (e *VMEngine) Run(ctx context.Context, req Request) (*Result, error) {
 	if req.Mit != nil {
 		mit.CopyInto(req.Mit)
 	}
-	// Reset replaces the VM's trace slices rather than truncating them,
-	// so handing them out does not alias the next request's.
+	// Reset never reuses trace storage it handed out (it takes
+	// recycled buffers instead), so these do not alias the next
+	// request's.
 	e.result = Result{
 		Clock:       e.vm.Clock(),
 		Steps:       e.vm.Steps(),

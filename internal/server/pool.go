@@ -354,12 +354,28 @@ type Future struct {
 	out  chan result
 	done result
 	got  bool
+	// owned marks a request that runs against the caller's mitigation
+	// state (SubmitWith): the worker reads and writes that state until
+	// it sends the result.
+	owned bool
 }
 
 // Wait blocks until the response is ready or the context is done.
+//
+// A request submitted with a mitigation state is the exception: its
+// Wait ignores ctx and returns only once the worker is done with the
+// state, because the caller may hand the state to another request as
+// soon as Wait returns (a tenant session evicted after an Abort is
+// recycled, state and all, for another tenant). The context given to
+// SubmitWith bounds the wait instead: once it is done the worker skips
+// the request when it reaches it, or stops a started run within 1,024
+// steps.
 func (f *Future) Wait(ctx context.Context) (*Response, error) {
 	if f.got {
 		return f.done.resp, f.done.err
+	}
+	if f.owned {
+		return f.take(<-f.out)
 	}
 	if ctx == nil {
 		ctx = context.Background()
@@ -369,18 +385,12 @@ func (f *Future) Wait(ctx context.Context) (*Response, error) {
 	// receive is much cheaper than a select.
 	select {
 	case r := <-f.out:
-		f.done, f.got = r, true
-		resultChans.Put(f.out)
-		f.out = nil
-		return r.resp, r.err
+		return f.take(r)
 	default:
 	}
 	select {
 	case r := <-f.out:
-		f.done, f.got = r, true
-		resultChans.Put(f.out)
-		f.out = nil
-		return r.resp, r.err
+		return f.take(r)
 	case <-ctx.Done():
 		// Final non-blocking drain: the worker may have delivered in the
 		// race window between ctx firing and this select choosing. Taking
@@ -391,14 +401,20 @@ func (f *Future) Wait(ctx context.Context) (*Response, error) {
 		// between unrelated requests.
 		select {
 		case r := <-f.out:
-			f.done, f.got = r, true
-			resultChans.Put(f.out)
-			f.out = nil
-			return r.resp, r.err
+			return f.take(r)
 		default:
 		}
 		return nil, ctx.Err()
 	}
+}
+
+// take records the received result and recycles the channel, which
+// the receive proved empty.
+func (f *Future) take(r result) (*Response, error) {
+	f.done, f.got = r, true
+	resultChans.Put(f.out)
+	f.out = nil
+	return r.resp, r.err
 }
 
 // Submit enqueues a request on its shard's bounded queue, blocking for
@@ -414,21 +430,34 @@ func (p *Pool) Submit(ctx context.Context, req Request) (*Future, error) {
 // persistent state (per-tenant session state; see Server.HandleWith).
 // The caller owns mit and must not submit two requests sharing one mit
 // concurrently — a session lock upstream provides that serialization.
+// The worker uses mit until it has sent the result, so the Future's
+// Wait returns only then, even after its context is done.
 func (p *Pool) SubmitWith(ctx context.Context, req Request, mit *mitigation.State) (*Future, error) {
+	f, err := p.submit(ctx, req, mit)
+	if err != nil {
+		return nil, err
+	}
+	return &f, nil
+}
+
+// submit enqueues one request and returns its pending response by
+// value, so HandleWith can wait on it without a heap-allocated Future.
+func (p *Pool) submit(ctx context.Context, req Request, mit *mitigation.State) (Future, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	if !p.acquire() {
-		return nil, ErrPoolClosed
+		return Future{}, ErrPoolClosed
 	}
 	defer p.release()
 	index := int(p.n.Add(1) - 1)
 	w := p.workers[p.pickShard(index)]
 	j := job{ctx: ctx, req: req, index: index, out: resultChans.Get().(chan result), mit: mit}
+	f := Future{out: j.out, owned: mit != nil}
 	// Fast path: queue has room, skip the select.
 	select {
 	case w.jobs <- j:
-		return &Future{out: j.out}, nil
+		return f, nil
 	default:
 	}
 	if p.opts.ShedOnSaturation {
@@ -436,21 +465,21 @@ func (p *Pool) SubmitWith(ctx context.Context, req Request, mit *mitigation.Stat
 		// blocking the submitter.
 		p.opts.Metrics.Add(obs.Sheds, 1)
 		resultChans.Put(j.out)
-		return nil, &RequestError{Index: index, Shard: w.shard, Err: ErrOverloaded}
+		return Future{}, &RequestError{Index: index, Shard: w.shard, Err: ErrOverloaded}
 	}
 	select {
 	case w.jobs <- j:
-		return &Future{out: j.out}, nil
+		return f, nil
 	case <-ctx.Done():
 		// The job never reached a worker, so its channel is still empty
 		// and safe to recycle.
 		resultChans.Put(j.out)
-		return nil, &RequestError{Index: index, Shard: w.shard, Err: ctx.Err()}
+		return Future{}, &RequestError{Index: index, Shard: w.shard, Err: ctx.Err()}
 	case <-p.stopc:
 		// Close aborts backpressured submitters instead of waiting for
 		// their queue space; the request was never accepted.
 		resultChans.Put(j.out)
-		return nil, &RequestError{Index: index, Shard: w.shard, Err: ErrPoolClosed}
+		return Future{}, &RequestError{Index: index, Shard: w.shard, Err: ErrPoolClosed}
 	}
 }
 
@@ -460,9 +489,12 @@ func (p *Pool) Handle(ctx context.Context, req Request) (*Response, error) {
 }
 
 // HandleWith is Handle with an explicit mitigation state (see
-// SubmitWith).
+// SubmitWith). When mit is non-nil it returns only once the worker is
+// done with mit: a done ctx makes the worker skip or stop the request,
+// and HandleWith then returns its outcome — an error, or a response
+// if the run had already finished.
 func (p *Pool) HandleWith(ctx context.Context, req Request, mit *mitigation.State) (*Response, error) {
-	f, err := p.SubmitWith(ctx, req, mit)
+	f, err := p.submit(ctx, req, mit)
 	if err != nil {
 		return nil, err
 	}

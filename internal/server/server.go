@@ -91,16 +91,20 @@ type Request func(*mem.Memory)
 var responsePool = sync.Pool{New: func() any { return new(Response) }}
 
 // ReleaseResponse returns a response to the internal pool for reuse by
-// a later request. It is optional — responses are ordinary
-// garbage-collected values — but high-throughput callers (benchmarks,
-// load drivers) that release responses keep the hot path allocation
-// profile flat. The response and everything it references (Trace,
-// Mitigations) must not be used after release. ReleaseResponse is
-// safe for concurrent use; a nil response is a no-op.
+// a later request, and its Trace and Mitigations to the run-buffer
+// recycler (events.Recycle), from which the vm engine takes the next
+// runs' trace storage. It is optional — responses are ordinary
+// garbage-collected values — but high-throughput callers (the HTTP
+// transport, benchmarks, load generators) that release responses keep the
+// hot path allocation-free. The response and everything it references
+// (Trace, Mitigations) must not be used after release: a later run
+// writes its trace into the same storage. ReleaseResponse is safe for
+// concurrent use; a nil response is a no-op.
 func ReleaseResponse(resp *Response) {
 	if resp == nil {
 		return
 	}
+	events.Recycle(resp.Trace, resp.Mitigations)
 	*resp = Response{}
 	responsePool.Put(resp)
 }

@@ -35,8 +35,9 @@ func tenantNames(n int) []string {
 // BenchmarkSessionManager measures the admission hot path — Begin,
 // budget check, Commit — across tenant working-set sizes: 1 (maximum
 // per-session serialization), 100 (typical), and 10k (map- and
-// LRU-heavy). Goroutines hit the manager concurrently, as transport
-// handlers do.
+// LRU-heavy), with goroutines hitting the manager concurrently as
+// transport handlers do, and single-goroutine eviction churn at caps
+// of 1,024 and 65,536 sessions.
 func BenchmarkSessionManager(b *testing.B) {
 	for _, tenants := range []int{1, 100, 10_000} {
 		b.Run(fmt.Sprintf("tenants=%d", tenants), func(b *testing.B) {
@@ -74,6 +75,37 @@ func BenchmarkSessionManager(b *testing.B) {
 			}
 		})
 	})
+
+	// Admission churn at realistic caps: the table is filled to the
+	// cap, then every Begin names a tenant out of four times the cap
+	// in rotation, so every admission evicts the LRU victim and
+	// recycles it. 65,536 is serve's default -session-max; with 4 per
+	// shard the case above cannot show a cost that grows with the
+	// shard's size, these can. The TTL cases keep the idle list and
+	// its sweep on the path (nothing expires within an hour).
+	for _, capacity := range []int{1024, 65536} {
+		for _, ttl := range []time.Duration{0, time.Hour} {
+			b.Run(fmt.Sprintf("churn/cap=%d/ttl=%v", capacity, ttl), func(b *testing.B) {
+				m := benchManager(b, Options{MaxSessions: capacity, TTL: ttl})
+				names := tenantNames(4 * capacity)
+				admit := func(tenant string) {
+					tk, err := m.Begin(tenant)
+					if err != nil {
+						b.Fatal(err)
+					}
+					tk.Commit(1024, 1)
+				}
+				for _, name := range names[:capacity] {
+					admit(name)
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					admit(names[(capacity+i)%len(names)])
+				}
+			})
+		}
+	}
 
 	// Budget-checked admission: every Begin recomputes the §7 bound
 	// against a budget high enough to always admit — the enforcement

@@ -11,6 +11,7 @@ package session_test
 
 import (
 	"context"
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -20,6 +21,7 @@ import (
 	"repro/internal/lattice"
 	"repro/internal/leakage"
 	"repro/internal/machine/hw"
+	"repro/internal/mitigation"
 	"repro/internal/obs"
 	"repro/internal/sem/mem"
 	"repro/internal/server"
@@ -228,4 +230,93 @@ reply := 1;
 	if post[state{final.CumTime, final.CumMitigations}] == 0 {
 		t.Errorf("final account (T=%d, K=%d) was never produced by any commit", final.CumTime, final.CumMitigations)
 	}
+}
+
+// TestSessionRaceRecycledState serves tenants in rotation through a
+// table of one session per shard, with request contexts that often
+// end while the run is still on a worker. Each new tenant takes over
+// the session evicted to make room for it, mitigation state included,
+// so it must be admitted with exactly the state NewState makes: had
+// HandleWith returned on the done context while the worker was still
+// running, the worker's late copy-back would land in the recycled
+// state and carry the evicted tenant's miss counters into another
+// principal's padding. Run with -race, which also reports that late
+// write directly.
+func TestSessionRaceRecycledState(t *testing.T) {
+	prog, err := parser.Parse(`
+var h : H;
+var i : H;
+var reply : L;
+mitigate (1, H) [L,L] {
+    i := 0 [H,H];
+    while (i < 100) [H,H] {
+        i := i + 1 [H,H];
+    }
+    sleep(h % 64) [H,H];
+}
+reply := 1;
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lat := lattice.TwoPoint()
+	res, err := types.Check(prog, lat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool, err := server.NewPool(prog, res, server.PoolOptions{
+		Options: server.Options{Env: hw.NewPartitioned(lat, hw.Table1Config()), Engine: "vm"},
+		Workers: 2,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pool.Close()
+	mgr, err := session.NewManager(session.Options{Lat: lat, MaxSessions: 2, Shards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh := mitigation.NewState(lat, nil, mitigation.PerLevel)
+
+	const (
+		goroutines = 4
+		iters      = 300
+		tenants    = 8 // per goroutine, so nearly every Begin evicts
+	)
+	var failed, served atomic.Int64
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < iters; i++ {
+				tenant := fmt.Sprintf("g%d-t%d", g, i%tenants)
+				tk, err := mgr.Begin(tenant)
+				if err != nil {
+					t.Errorf("Begin(%s): %v", tenant, err)
+					return
+				}
+				if tk.Epoch() == 0 && !tk.Mit().Equal(fresh) {
+					t.Errorf("%s admitted with another tenant's mitigation state", tenant)
+				}
+				ctx, cancel := context.WithTimeout(context.Background(), time.Duration((g*iters+i)%50)*time.Microsecond)
+				h := int64(g*iters + i)
+				resp, err := pool.HandleWith(ctx, func(m *mem.Memory) { m.Set("h", h) }, tk.Mit())
+				cancel()
+				if err != nil {
+					tk.Abort()
+					failed.Add(1)
+					continue
+				}
+				tk.Commit(resp.Time, len(resp.Mitigations))
+				server.ReleaseResponse(resp)
+				served.Add(1)
+			}
+		}(g)
+	}
+	wg.Wait()
+	if failed.Load() == 0 {
+		t.Error("no request context ended before its response: the test exercised nothing")
+	}
+	t.Logf("%d requests served, %d ended by their context", served.Load(), failed.Load())
 }

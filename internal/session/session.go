@@ -159,15 +159,24 @@ func (o Options) validate() error {
 }
 
 // session is one tenant's state. The shard lock guards the table
-// fields (busy, lastSeen, LRU links); mu serializes the tenant's
-// requests and guards the accounting fields.
+// fields (busy, pins, lastSeen, list links); mu serializes the
+// tenant's requests and guards the accounting fields. A session that
+// leaves the table with no ticket, waiter or pin is recycled for the
+// next tenant admitted on its shard (see Begin).
 type session struct {
 	tenant string
+	// tk is the session's one ticket, handed out by every Begin. Its
+	// fields are set when the session is created and never change, so
+	// a holder's Commit or Abort never races the next Begin.
+	tk Ticket
 
-	// LRU intrusive list links + table state, guarded by shard.mu.
-	prev, next *session
-	busy       int
-	lastSeen   time.Time
+	// Table state, guarded by shard.mu: LRU links (ordered by Begin),
+	// idle-list links (ordered by check-in), busy counts tickets and
+	// waiters, pins counts Peeks in progress.
+	prev, next         *session
+	idlePrev, idleNext *session
+	busy, pins         int
+	lastSeen           time.Time
 
 	// mu is held from Begin to Commit/Abort: one request per tenant at
 	// a time, which is exactly the serial epoch sequence of §7.
@@ -179,13 +188,18 @@ type session struct {
 	denials uint64
 }
 
-// shard is one stripe of the session table with an intrusive LRU list
-// (head = most recent).
+// shard is one stripe of the session table with two intrusive lists:
+// the LRU list of every session (head = most recently begun) and the
+// idle list of the sessions with busy == 0 (head = most recently
+// checked in). Sessions join the idle list at check-in and stamp
+// lastSeen then, so with a clock that never goes backwards the idle
+// list is ordered by lastSeen and the TTL sweep stops at the first
+// session that has not expired.
 type shard struct {
-	mu   sync.Mutex
-	byID map[string]*session
-	head *session
-	tail *session
+	mu                 sync.Mutex
+	byID               map[string]*session
+	head, tail         *session
+	idleHead, idleTail *session
 }
 
 func (s *shard) pushFront(e *session) {
@@ -220,6 +234,35 @@ func (s *shard) moveFront(e *session) {
 	}
 	s.remove(e)
 	s.pushFront(e)
+}
+
+// idlePush puts a session that just checked in at the idle list's
+// head.
+func (s *shard) idlePush(e *session) {
+	e.idlePrev = nil
+	e.idleNext = s.idleHead
+	if s.idleHead != nil {
+		s.idleHead.idlePrev = e
+	}
+	s.idleHead = e
+	if s.idleTail == nil {
+		s.idleTail = e
+	}
+}
+
+// idleRemove takes a session off the idle list.
+func (s *shard) idleRemove(e *session) {
+	if e.idlePrev != nil {
+		e.idlePrev.idleNext = e.idleNext
+	} else {
+		s.idleHead = e.idleNext
+	}
+	if e.idleNext != nil {
+		e.idleNext.idlePrev = e.idlePrev
+	} else {
+		s.idleTail = e.idlePrev
+	}
+	e.idlePrev, e.idleNext = nil, nil
 }
 
 // Manager is the sharded session table. Safe for concurrent use.
@@ -280,15 +323,18 @@ func (m *Manager) spentBits(e *session) float64 {
 // expired reports whether an idle session has outlived the TTL.
 // Caller holds the shard lock.
 func (m *Manager) expired(e *session, now time.Time) bool {
-	return m.opts.TTL > 0 && e.busy == 0 && now.Sub(e.lastSeen) >= m.opts.TTL
+	return m.opts.TTL > 0 && e.busy == 0 && e.pins == 0 && now.Sub(e.lastSeen) >= m.opts.TTL
 }
 
 // Ticket is one admitted request: the right to run against the
 // tenant's mitigation state. Exactly one of Commit or Abort must be
 // called; until then the tenant's session lock is held and further
-// requests from the same tenant block.
+// requests from the same tenant block. A ticket must not be used after
+// its Commit or Abort: the session it belongs to may by then serve
+// another request of the tenant, or, once evicted, another tenant.
 type Ticket struct {
 	m *Manager
+	s *shard
 	e *session
 }
 
@@ -319,16 +365,9 @@ type Info struct {
 	Denials uint64
 }
 
-// Commit records a served request — elapsed simulated cycles and
-// completed mitigation records — advancing the tenant's epoch and
-// leakage account, and releases the session. It returns the updated
-// accounting snapshot (the response's leakage_bits field).
-func (t *Ticket) Commit(elapsed uint64, mitigations int) Info {
-	e, m := t.e, t.m
-	e.cumTime += elapsed
-	e.cumMits += mitigations
-	e.epoch++
-	info := Info{
+// info snapshots a session's account. Caller holds e.mu.
+func (m *Manager) info(e *session) Info {
+	return Info{
 		Tenant:         e.tenant,
 		Epoch:          e.epoch,
 		SpentBits:      m.spentBits(e),
@@ -336,8 +375,20 @@ func (t *Ticket) Commit(elapsed uint64, mitigations int) Info {
 		CumMitigations: e.cumMits,
 		Denials:        e.denials,
 	}
+}
+
+// Commit records a served request — elapsed simulated cycles and
+// completed mitigation records — advancing the tenant's epoch and
+// leakage account, and releases the session. It returns the updated
+// accounting snapshot (the response's leakage_bits field).
+func (t *Ticket) Commit(elapsed uint64, mitigations int) Info {
+	e := t.e
+	e.cumTime += elapsed
+	e.cumMits += mitigations
+	e.epoch++
+	info := t.m.info(e)
 	e.mu.Unlock()
-	m.checkIn(e)
+	t.m.checkIn(t.s, e)
 	return info
 }
 
@@ -346,15 +397,18 @@ func (t *Ticket) Commit(elapsed uint64, mitigations int) Info {
 // mitigation state either, so the session is exactly as admitted.
 func (t *Ticket) Abort() {
 	t.e.mu.Unlock()
-	t.m.checkIn(t.e)
+	t.m.checkIn(t.s, t.e)
 }
 
-// checkIn drops a session's busy mark and stamps its idle clock.
-func (m *Manager) checkIn(e *session) {
-	s := m.shardFor(e.tenant)
+// checkIn drops a session's busy mark and stamps its idle clock; the
+// last holder to leave puts it at the idle list's head.
+func (m *Manager) checkIn(s *shard, e *session) {
 	s.mu.Lock()
 	e.busy--
 	e.lastSeen = m.opts.Now()
+	if e.busy == 0 {
+		s.idlePush(e)
+	}
 	s.mu.Unlock()
 }
 
@@ -363,6 +417,11 @@ func (m *Manager) checkIn(e *session) {
 // checks the leakage budget. On success the returned Ticket holds the
 // session locked; the caller must Commit or Abort it. A budget denial
 // returns a *BudgetError (errors.Is ErrBudgetExceeded).
+//
+// Admission takes constant time and, in steady state, allocates
+// nothing: a new tenant takes over the session evicted to make room
+// for it, mitigation state included, and the ticket is part of the
+// session.
 func (m *Manager) Begin(tenant string) (*Ticket, error) {
 	if tenant == "" {
 		return nil, fmt.Errorf("session: empty tenant ID")
@@ -372,23 +431,27 @@ func (m *Manager) Begin(tenant string) (*Ticket, error) {
 
 	s.mu.Lock()
 	e, ok := s.byID[tenant]
+	var spare *session
 	if ok && m.expired(e, now) {
 		// Idle past the TTL: the session ages out now and the tenant
 		// starts fresh — new mitigation state, empty leakage account.
-		s.remove(e)
-		delete(s.byID, tenant)
-		if m.opts.Metrics != nil {
-			m.opts.Metrics.AddSessionEvicted(true)
-		}
-		ok = false
+		m.drop(s, e, true)
+		spare, ok = e, false
 	}
 	if !ok {
-		m.evict(s, now)
-		e = &session{
-			tenant:   tenant,
-			mit:      mitigation.NewState(m.opts.Lat, m.opts.Scheme, m.opts.Policy),
-			lastSeen: now,
+		if v := m.evict(s, now); v != nil {
+			spare = v
 		}
+		e = spare
+		if e == nil {
+			e = &session{mit: mitigation.NewState(m.opts.Lat, m.opts.Scheme, m.opts.Policy)}
+			e.tk = Ticket{m: m, s: s, e: e}
+		} else {
+			e.mit.Reset()
+			e.epoch, e.cumTime, e.cumMits, e.denials = 0, 0, 0, 0
+		}
+		e.tenant = tenant
+		e.lastSeen = now
 		s.byID[tenant] = e
 		s.pushFront(e)
 		if m.opts.Metrics != nil {
@@ -396,6 +459,9 @@ func (m *Manager) Begin(tenant string) (*Ticket, error) {
 		}
 	} else {
 		s.moveFront(e)
+		if e.busy == 0 {
+			s.idleRemove(e)
+		}
 		e.lastSeen = now
 	}
 	e.busy++
@@ -416,14 +482,14 @@ func (m *Manager) Begin(tenant string) (*Ticket, error) {
 				RetryAfter: m.retryAfter(),
 			}
 			e.mu.Unlock()
-			m.checkIn(e)
+			m.checkIn(s, e)
 			if m.opts.Metrics != nil {
 				m.opts.Metrics.Add(obs.BudgetDenials, 1)
 			}
 			return nil, denErr
 		}
 	}
-	return &Ticket{m: m, e: e}, nil
+	return &e.tk, nil
 }
 
 // retryAfter derives the denial's Retry-After from the session
@@ -438,66 +504,73 @@ func (m *Manager) retryAfter() time.Duration {
 	return m.opts.TTL
 }
 
-// evict makes room on a shard before an insert: expired sessions at
-// the LRU tail go first, then — when the shard is at capacity — the
-// least recently used idle session. Busy sessions are never evicted.
-// Caller holds s.mu.
-func (m *Manager) evict(s *shard, now time.Time) {
-	// Opportunistic TTL sweep from the tail (oldest first).
-	for e := s.tail; e != nil; {
-		prev := e.prev
-		if m.expired(e, now) {
-			s.remove(e)
-			delete(s.byID, e.tenant)
-			if m.opts.Metrics != nil {
-				m.opts.Metrics.AddSessionEvicted(true)
+// drop removes an idle, unpinned session from its shard and counts
+// the eviction. Caller holds s.mu.
+func (m *Manager) drop(s *shard, e *session, ttl bool) {
+	s.remove(e)
+	s.idleRemove(e)
+	delete(s.byID, e.tenant)
+	if m.opts.Metrics != nil {
+		m.opts.Metrics.AddSessionEvicted(ttl)
+	}
+}
+
+// evict makes room on a shard before an insert: expired sessions go
+// first, then — when the shard is at capacity — the least recently
+// used idle session. Busy and pinned sessions are never evicted. It
+// returns one of the sessions it removed, for the caller to recycle,
+// or nil. Caller holds s.mu.
+//
+// The TTL sweep visits only expired sessions (and pinned ones among
+// them): it walks the idle list from its tail, oldest check-in first,
+// and stops at the first session that has not expired. The victim
+// scan skips only busy and pinned sessions.
+func (m *Manager) evict(s *shard, now time.Time) *session {
+	var spare *session
+	if m.opts.TTL > 0 {
+		for e := s.idleTail; e != nil && now.Sub(e.lastSeen) >= m.opts.TTL; {
+			prev := e.idlePrev
+			if e.pins == 0 {
+				m.drop(s, e, true)
+				spare = e
 			}
+			e = prev
 		}
-		e = prev
 	}
 	for len(s.byID) >= m.perShard {
 		victim := s.tail
-		for victim != nil && victim.busy > 0 {
+		for victim != nil && (victim.busy > 0 || victim.pins > 0) {
 			victim = victim.prev
 		}
 		if victim == nil {
 			// Every session is busy; admit over cap rather than deadlock.
-			return
+			break
 		}
-		s.remove(victim)
-		delete(s.byID, victim.tenant)
-		if m.opts.Metrics != nil {
-			m.opts.Metrics.AddSessionEvicted(false)
-		}
+		m.drop(s, victim, false)
+		spare = victim
 	}
+	return spare
 }
 
 // Peek returns a tenant's accounting snapshot without admitting a
-// request (and without refreshing its LRU position). ok is false when
-// the tenant has no live session.
+// request (and without refreshing its LRU or idle position). ok is
+// false when the tenant has no live session.
 func (m *Manager) Peek(tenant string) (Info, bool) {
 	s := m.shardFor(tenant)
 	s.mu.Lock()
 	e, ok := s.byID[tenant]
 	if ok {
-		e.busy++ // pin against eviction while we read
+		e.pins++ // pin against eviction and recycling while we read
 	}
 	s.mu.Unlock()
 	if !ok {
 		return Info{}, false
 	}
 	e.mu.Lock()
-	info := Info{
-		Tenant:         e.tenant,
-		Epoch:          e.epoch,
-		SpentBits:      m.spentBits(e),
-		CumTime:        e.cumTime,
-		CumMitigations: e.cumMits,
-		Denials:        e.denials,
-	}
+	info := m.info(e)
 	e.mu.Unlock()
 	s.mu.Lock()
-	e.busy--
+	e.pins--
 	s.mu.Unlock()
 	return info, true
 }

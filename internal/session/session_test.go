@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/lattice"
 	"repro/internal/leakage"
+	"repro/internal/mitigation"
 	"repro/internal/obs"
 )
 
@@ -182,6 +183,68 @@ func TestTTLExpiryResetsAccount(t *testing.T) {
 	tk.Abort()
 	if s := met.Snapshot(); s.SessionsEvictedTTL != 1 || s.SessionsCreated != 2 {
 		t.Errorf("TTL eviction accounting: %+v", s)
+	}
+}
+
+// TestRecycledSessionStartsFresh admits a tenant, moves its
+// mitigation state away from NewState's, and then has the session
+// evicted — by LRU for another tenant, by TTL for another tenant, and
+// by TTL for the same tenant. The session object is recycled for the
+// tenant admitted next, which must see exactly the state NewState
+// would give it, for each policy, and an empty account.
+func TestRecycledSessionStartsFresh(t *testing.T) {
+	lat := lattice.TwoPoint()
+	scheme := mitigation.SlowDoubling{}
+	for _, policy := range []mitigation.Policy{mitigation.PerLevel, mitigation.PerSite, mitigation.Global} {
+		for _, how := range []string{"lru", "ttl", "ttl-same-tenant"} {
+			t.Run(fmt.Sprintf("%v/%s", policy, how), func(t *testing.T) {
+				clk := &fakeClock{t: time.Unix(0, 0)}
+				met := obs.NewMetrics()
+				opts := Options{Lat: lat, Scheme: scheme, Policy: policy, MaxSessions: 1, Shards: 1, Metrics: met, Now: clk.now}
+				if how != "lru" {
+					opts.TTL = time.Minute
+				}
+				m := newManager(t, opts)
+				tk, err := m.Begin("alice")
+				if err != nil {
+					t.Fatal(err)
+				}
+				used := tk.e
+				tk.Mit().Penalize(1, lat.Top(), 3, 1000)
+				tk.Mit().Penalize(1, lat.Bot(), 4, 10)
+				fresh := mitigation.NewState(lat, scheme, policy)
+				if tk.Mit().Equal(fresh) {
+					t.Fatal("Penalize left the state as NewState made it")
+				}
+				tk.Commit(1000, 2)
+
+				next := "bob"
+				switch how {
+				case "ttl":
+					clk.advance(2 * time.Minute)
+				case "ttl-same-tenant":
+					clk.advance(2 * time.Minute)
+					next = "alice"
+				}
+				tk, err = m.Begin(next)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer tk.Abort()
+				if tk.e != used {
+					t.Fatal("the evicted session was not recycled")
+				}
+				if s := met.Snapshot(); s.SessionsEvictedTTL+s.SessionsEvictedLRU != 1 || (s.SessionsEvictedTTL == 1) != (how != "lru") {
+					t.Fatalf("evictions ttl=%d lru=%d, want one by %s", s.SessionsEvictedTTL, s.SessionsEvictedLRU, how)
+				}
+				if !tk.Mit().Equal(fresh) {
+					t.Errorf("%s admitted with the evicted tenant's mitigation state", next)
+				}
+				if tk.Epoch() != 0 || tk.SpentBits() != 0 {
+					t.Errorf("%s admitted with epoch %d and %v bits spent, want a fresh account", next, tk.Epoch(), tk.SpentBits())
+				}
+			})
+		}
 	}
 }
 

@@ -23,7 +23,7 @@ type decoder struct {
 	scratch []byte
 	// interned maps recently seen string bytes to a single shared
 	// string, so map keys and tenant names stop allocating after the
-	// first occurrence. Bounded: reset wholesale when oversized.
+	// first occurrence. Bounded: emptied wholesale when oversized.
 	interned map[string]string
 	// depth tracks open containers, bounded at maxDepth to match
 	// encoding/json's scanner limit (and to keep skipValue's recursion
@@ -56,7 +56,7 @@ func getDecoder(data []byte, strict bool) *decoder {
 
 func putDecoder(d *decoder) {
 	if len(d.interned) > 1024 {
-		d.interned = make(map[string]string, 16)
+		clear(d.interned) // keeps the capacity: a busy decoder refills it
 	}
 	d.data = nil
 	decPool.Put(d)

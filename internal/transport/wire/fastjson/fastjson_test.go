@@ -3,6 +3,7 @@ package fastjson
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"math"
 	"os"
@@ -486,6 +487,48 @@ func TestAllocsEncode(t *testing.T) {
 		}
 	}); n != 0 {
 		t.Errorf("AppendRunRequest (single input): %v allocs/op, want 0", n)
+	}
+}
+
+// TestAllocsDecodeBatchTenants pins the bytes one 64-item batch decode
+// allocates when the items' tenants cycle through 4,096 names, more
+// than the intern table's bound of 1,024, so a pooled decoder passes
+// the bound every 17 batches. The destination is reused, so what
+// remains is the tenant strings themselves (64 allocations, about 1 KB
+// per batch). Emptying the table in place keeps its capacity;
+// replacing it with a fresh map made the decoder regrow it through
+// seven doublings each time (about 11 KB per batch).
+func TestAllocsDecodeBatchTenants(t *testing.T) {
+	if testing.Short() || raceEnabled {
+		t.Skip("alloc counting")
+	}
+	const tenants, items, budget = 4096, 64, 2 << 10
+	docs := make([][]byte, tenants/items)
+	for k := range docs {
+		req := wire.BatchRequest{SchemaVersion: wire.SchemaVersion}
+		for i := 0; i < items; i++ {
+			req.Requests = append(req.Requests, wire.RunRequest{
+				Tenant: fmt.Sprintf("tenant-%04d", k*items+i),
+				Inputs: map[string]int64{"h": int64(i)},
+			})
+		}
+		var err error
+		if docs[k], err = json.Marshal(req); err != nil {
+			t.Fatal(err)
+		}
+	}
+	res := testing.Benchmark(func(b *testing.B) {
+		var req wire.BatchRequest
+		for i := 0; i < b.N; i++ {
+			if err := DecodeBatchRequest(docs[i%len(docs)], &req, true); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	t.Logf("DecodeBatchRequest over %d tenants: %d B/op, %d allocs/op (budget %d B/op)",
+		tenants, res.AllocedBytesPerOp(), res.AllocsPerOp(), budget)
+	if got := res.AllocedBytesPerOp(); got > budget {
+		t.Errorf("decoding a %d-item batch allocates %d B, budget %d: the intern table is regrowing", items, got, budget)
 	}
 }
 
