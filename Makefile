@@ -13,19 +13,23 @@ all: ci
 # fuzz of each native fuzz target, a 1x-benchtime smoke run of
 # every benchmark so benchmark code cannot rot uncompiled or uncovered,
 # the repository benchmark's own vet and self-tests, the allocation
-# pins without the race detector, and an end-to-end drive of the HTTP
-# service through the real binary.
-ci: fmt vet build race allocs perfbench-test engines chaos certify-smoke fuzz-smoke bench-smoke smoke-serve
+# pins without the race detector, the certification harness's
+# coverage floor, and an end-to-end drive of the HTTP service through
+# the real binary.
+ci: fmt vet build race allocs perfbench-test engines chaos certify-smoke cover fuzz-smoke bench-smoke smoke-serve
 
 # engines runs the tree/VM differential tests — identical traces,
 # clocks, mitigation records, and final memories across engines on the
 # testdata corpus and generated programs — the check that both engines
 # charge the same pinned metrics for one run
-# (TestMetricsObservationalOnly), and the bytecode package's fusion
-# differential (fused vs unfused register form) and golden tests,
-# which hold the only checks of the VM's micro timing model.
+# (TestMetricsObservationalOnly), the server's engine tests (parity of
+# both engines behind the server and the pool, the step budget on
+# each, and the unknown-engine error), and the bytecode package's
+# fusion differential (fused vs unfused register form) and golden
+# tests, which hold the only checks of the VM's micro timing model.
 engines:
-	$(GO) test -run 'TestEngine|TestEngines|TestMetricsObservationalOnly' ./internal/exec ./internal/server
+	$(GO) test -run 'TestEngine|TestEngines|TestMetricsObservationalOnly' ./internal/exec
+	$(GO) test -run 'Engine' ./internal/server
 	$(GO) test -run 'TestOptDifferential|TestVMGolden' ./internal/bytecode
 
 # chaos runs the overload contract's suite under the race detector:
@@ -170,9 +174,11 @@ bench-transport:
 # certify runs the FULL adversarial leakage-certification matrix —
 # {tree, vm} × {partitioned, nopar} × {mitigated, unmitigated} ×
 # {login, rsa, sleep, progen corpus} across the engine, pool, and HTTP
-# bindings, 46 rows — fails if any mitigated row's measured
-# leakage upper bound exceeds its reported §7 bound (or if no insecure
-# baseline measurably leaks), and records the matrix into
+# bindings, 46 rows, each attacked by the five-adversary battery —
+# fails if any mitigated partitioned row's measured leakage upper
+# bound exceeds its reported §7 bound, if no insecure baseline
+# measurably leaks, or if prime+probe measures no cache channel on
+# any mitigated nopar row, and records the matrix into
 # BENCH_certify.json. Same seed ⇒ byte-identical output.
 certify:
 	$(GO) run ./internal/tools/certifybench -seed 1 > bench_certify.txt
@@ -180,8 +186,8 @@ certify:
 	@rm -f bench_certify.txt
 	@echo wrote BENCH_certify.json
 
-# certify-smoke is the ci slice of the matrix: every binding and both
-# verdict polarities, seconds not minutes.
+# certify-smoke is the ci slice of the matrix: every binding, both
+# verdict polarities and the cache control, seconds not minutes.
 certify-smoke:
 	$(GO) run ./internal/tools/certifybench -seed 1 -quick > /dev/null
 

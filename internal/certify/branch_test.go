@@ -1,6 +1,7 @@
-package attack
+package certify
 
 import (
+	"context"
 	"math/bits"
 	"testing"
 
@@ -89,5 +90,85 @@ func TestBranchPredictionChannelMitigated(t *testing.T) {
 	}
 	if a, b := timeOf(0x00000000FFFFFFFF), timeOf(0x5555555555555555); a != b {
 		t.Errorf("mitigated times differ: %d vs %d", a, b)
+	}
+}
+
+// equalWeightKeys returns two RSA keys of equal Hamming weight (32)
+// and equal bit length (63): indistinguishable to the multiply-count
+// and iteration-count channels, separable only by how their patterns
+// train the branch predictor — clustered bits predict well,
+// alternating bits mispredict every iteration.
+func equalWeightKeys() (clustered, alternating int64) {
+	return 0x7FFFFFFF80000000, 0x5555555555555555
+}
+
+// TestBranchPairAdversaryPredictorChannel isolates the predictor as
+// the channel: with the branch predictor modeled, the branch-pair
+// attacker separates the equal-weight pair; with the predictor
+// disabled (and nothing else changed) the pair is indistinguishable.
+func TestBranchPairAdversaryPredictorChannel(t *testing.T) {
+	ctx := context.Background()
+	clustered, alternating := equalWeightKeys()
+	w, err := RSAWorkload([]int64{clustered, alternating})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	tgt, err := NewEngineTarget(w, TargetConfig{Hardware: "unpartitioned", Mitigated: false})
+	if err != nil {
+		t.Fatal(err)
+	}
+	att, err := (&BranchPairAdversary{}).Mount(ctx, tgt, NewRNG(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if att.Bits != 1 {
+		t.Errorf("predictor should fully separate the equal-weight pair: %.3f bits", att.Bits)
+	}
+
+	noBP := *w
+	noBP.HW = func() hw.Config {
+		cfg := hw.Table1Config()
+		cfg.BP.Size = 0
+		return cfg
+	}
+	tgt, err = NewEngineTarget(&noBP, TargetConfig{Hardware: "unpartitioned", Mitigated: false})
+	if err != nil {
+		t.Fatal(err)
+	}
+	att, err = (&BranchPairAdversary{}).Mount(ctx, tgt, NewRNG(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if att.Bits != 0 {
+		t.Errorf("without the predictor the equal-weight pair must be indistinguishable: %.3f bits", att.Bits)
+	}
+}
+
+// TestBranchPairAdversaryMitigated: mitigation closes the predictor
+// channel along with the rest, and the configuration certifies under
+// the battery.
+func TestBranchPairAdversaryMitigated(t *testing.T) {
+	clustered, alternating := equalWeightKeys()
+	w, err := RSAWorkload([]int64{clustered, alternating})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tgt, err := NewEngineTarget(w, TargetConfig{Hardware: "partitioned", Mitigated: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := Certify(context.Background(), tgt, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Certified {
+		t.Errorf("mitigated RSA should certify against the branch attacker: upper %.3f vs reported %.3f",
+			res.UpperBits, res.ReportedBits)
+	}
+	for _, a := range res.Attacks {
+		if a.Adversary == "branch-pair" && a.Bits != 0 {
+			t.Errorf("mitigated branch channel should be silent, measured %.3f bits", a.Bits)
+		}
 	}
 }

@@ -2,6 +2,7 @@ package certify
 
 import (
 	"context"
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -21,7 +22,7 @@ func TestCertifyEngineSleep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Certify(ctx, mit, Options{Seed: 1})
+	res, err := Certify(ctx, mit, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,15 +32,17 @@ func TestCertifyEngineSleep(t *testing.T) {
 	if res.ReportedBits <= 0 {
 		t.Errorf("mitigated target should report a positive §7 bound, got %f", res.ReportedBits)
 	}
-	if len(res.Attacks) != 3 {
-		t.Errorf("default battery should mount 3 adversaries, got %d", len(res.Attacks))
+	// An engine target is coresident, so the whole battery mounts, in
+	// its fixed order.
+	if got, want := attackNames(res), "exhaustive,binary-search,mi-estimator,prime-probe,branch-pair"; got != want {
+		t.Errorf("battery = %s, want %s", got, want)
 	}
 
 	unmit, err := NewEngineTarget(w, TargetConfig{Engine: "tree", Mitigated: false})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err = Certify(ctx, unmit, Options{Seed: 1})
+	res, err = Certify(ctx, unmit, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +74,7 @@ func TestCertifyDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := Certify(ctx, tgt, Options{Seed: seed})
+		res, err := Certify(ctx, tgt, seed)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -106,7 +109,7 @@ func TestCertifyLoginEngines(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := Certify(ctx, unmit, Options{Seed: 7})
+		res, err := Certify(ctx, unmit, 7)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -128,7 +131,7 @@ func TestCertifyLoginEngines(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err = Certify(ctx, mit, Options{Seed: 7})
+		res, err = Certify(ctx, mit, 7)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -155,7 +158,7 @@ func TestCertifyPoolBinding(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer mit.Close()
-	res, err := Certify(ctx, mit, Options{Seed: 3})
+	res, err := Certify(ctx, mit, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +174,7 @@ func TestCertifyPoolBinding(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer unmit.Close()
-	res, err = Certify(ctx, unmit, Options{Seed: 3})
+	res, err = Certify(ctx, unmit, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +196,7 @@ func TestCertifyHTTPBinding(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer mit.Close()
-	res, err := Certify(ctx, mit, Options{Seed: 5})
+	res, err := Certify(ctx, mit, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,7 +229,7 @@ func TestCertifyRSAWorkload(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Certify(ctx, unmit, Options{Seed: 11})
+	res, err := Certify(ctx, unmit, 11)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,7 +241,7 @@ func TestCertifyRSAWorkload(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err = Certify(ctx, mit, Options{Seed: 11})
+	res, err = Certify(ctx, mit, 11)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,7 +264,7 @@ func TestCertifyCorpusWorkloads(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := Certify(ctx, mit, Options{Seed: 2})
+		res, err := Certify(ctx, mit, 2)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -273,7 +276,7 @@ func TestCertifyCorpusWorkloads(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err = Certify(ctx, unmit, Options{Seed: 2})
+		res, err = Certify(ctx, unmit, 2)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -313,7 +316,7 @@ func TestCertifyErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Certify(ctx, tgt, Options{}); err == nil {
+	if _, err := Certify(ctx, tgt, 0); err == nil {
 		t.Error("Certify should reject a 1-secret target")
 	}
 }
@@ -325,4 +328,61 @@ func mustSleep(t *testing.T) *Workload {
 		t.Fatal(err)
 	}
 	return w
+}
+
+// attackNames lists a result's adversaries in mount order.
+func attackNames(res *Result) string {
+	var names []string
+	for _, a := range res.Attacks {
+		names = append(names, a.Adversary)
+	}
+	return strings.Join(names, ",")
+}
+
+// TestSample: the statistical attackers' measurement loop discards
+// exactly one warm pass, records rounds passes over the probed
+// secrets, each secret once per pass, and replays from its rng.
+func TestSample(t *testing.T) {
+	ctx := context.Background()
+	run := func(secrets []int) ([]int, []uint64, int) {
+		tgt, err := NewEngineTarget(mustSleep(t), TargetConfig{Mitigated: false})
+		if err != nil {
+			t.Fatal(err)
+		}
+		xs, ys, probes, err := sample(ctx, tgt, secrets, 3, NewRNG(5), tgt.Probe)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return xs, ys, probes
+	}
+	for _, secrets := range [][]int{allSecrets(4), {0, 7}} {
+		xs, ys, probes := run(secrets)
+		n := len(secrets)
+		if len(xs) != 3*n || len(ys) != 3*n {
+			t.Fatalf("%v: want 3 rounds × %d secrets, got %d/%d pairs", secrets, n, len(xs), len(ys))
+		}
+		if probes != 4*n {
+			t.Errorf("%v: probes = %d, want %d (recorded + warm)", secrets, probes, 4*n)
+		}
+		bySecret := map[int]uint64{}
+		for r := 0; r < 3; r++ {
+			pass := map[int]bool{}
+			for _, s := range xs[r*n : (r+1)*n] {
+				pass[s] = true
+			}
+			if len(pass) != n {
+				t.Errorf("%v: pass %d probes %v, not each secret once", secrets, r, xs[r*n:(r+1)*n])
+			}
+		}
+		// The unmitigated sleep channel is exact: time determines secret.
+		for i, s := range xs {
+			if prev, ok := bySecret[s]; ok && prev != ys[i] {
+				t.Fatalf("secret %d timed inconsistently: %d vs %d", s, prev, ys[i])
+			}
+			bySecret[s] = ys[i]
+		}
+		if again, _, _ := run(secrets); fmt.Sprint(again) != fmt.Sprint(xs) {
+			t.Errorf("%v: same rng, different order: %v vs %v", secrets, again, xs)
+		}
+	}
 }

@@ -34,33 +34,8 @@ func TestCertifySweepFull(t *testing.T) {
 	}
 }
 
-// TestNewBinarySearchDefault: the default constructor draws the
-// planted secret from the rng and still isolates it on an exact
-// channel.
-func TestNewBinarySearchDefault(t *testing.T) {
-	b := NewBinarySearch()
-	if b.Planted != -1 {
-		t.Fatalf("default plant = %d, want -1 (random)", b.Planted)
-	}
-	w, err := SleepWorkload(8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tgt, err := NewEngineTarget(w, TargetConfig{Mitigated: false})
-	if err != nil {
-		t.Fatal(err)
-	}
-	att, err := b.Mount(context.Background(), tgt, NewRNG(7))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if att.Bits != 3 {
-		t.Errorf("exact 8-secret channel should yield 3 bits, got %.3f", att.Bits)
-	}
-}
-
-// TestEngineTargetCoresident pins the Coresident surface adversaries
-// in other packages type-assert: a direct engine target shares its
+// TestEngineTargetCoresident pins the Coresident surface the
+// prime+probe attacker type-asserts: a direct engine target shares its
 // environment and publishes the workload's true cache geometry.
 func TestEngineTargetCoresident(t *testing.T) {
 	w, err := SleepWorkload(4)

@@ -24,40 +24,22 @@ type MI struct {
 	N int
 }
 
-// EstimatorOptions tune EstimateMI.
-type EstimatorOptions struct {
-	// Bootstrap is the number of bootstrap resamples for the
-	// confidence bound; default 200. 0 after defaulting (i.e. negative
-	// input) disables the bootstrap, leaving Upper = Bits.
-	Bootstrap int
-	// Confidence is the one-sided level of the upper bound; default
-	// 0.975.
-	Confidence float64
-}
-
-func (o EstimatorOptions) withDefaults() EstimatorOptions {
-	if o.Bootstrap == 0 {
-		o.Bootstrap = 200
-	}
-	if o.Bootstrap < 0 {
-		o.Bootstrap = 0
-	}
-	if o.Confidence == 0 {
-		o.Confidence = 0.975
-	}
-	return o
-}
+// bootstrapResamples is the number of bootstrap resamples behind the
+// upper confidence bound, and confidence its one-sided level.
+const (
+	bootstrapResamples = 200
+	confidence         = 0.975
+)
 
 // EstimateMI estimates I(secret; observation) from paired samples.
 // The bootstrap resamples the pairs with replacement using rng, so
 // the confidence bound is a pure function of (samples, rng seed) and
 // certification runs replay bit-for-bit.
-func EstimateMI(secrets []int, obs []uint64, opts EstimatorOptions, rng *RNG) MI {
+func EstimateMI(secrets []int, obs []uint64, rng *RNG) MI {
 	n := len(secrets)
 	if n == 0 || n != len(obs) {
 		return MI{}
 	}
-	opts = opts.withDefaults()
 
 	// Relabel both margins to dense indices so counting is O(n).
 	xs := make([]int, n)
@@ -86,7 +68,7 @@ func EstimateMI(secrets []int, obs []uint64, opts EstimatorOptions, rng *RNG) MI
 		Upper:  point,
 		N:      n,
 	}
-	if opts.Bootstrap == 0 || ny == 1 {
+	if ny == 1 {
 		// A constant channel has no sampling error to bootstrap.
 		return out
 	}
@@ -95,7 +77,7 @@ func EstimateMI(secrets []int, obs []uint64, opts EstimatorOptions, rng *RNG) MI
 	// dense labels, so a resample's support can only shrink.
 	bxs := make([]int, n)
 	bys := make([]int, n)
-	boots := make([]float64, opts.Bootstrap)
+	boots := make([]float64, bootstrapResamples)
 	for b := range boots {
 		for i := 0; i < n; i++ {
 			j := rng.Intn(n)
@@ -104,13 +86,7 @@ func EstimateMI(secrets []int, obs []uint64, opts EstimatorOptions, rng *RNG) MI
 		boots[b] = miMillerMadow(bxs, bys, nx, ny, n)
 	}
 	sort.Float64s(boots)
-	q := int(math.Ceil(opts.Confidence*float64(opts.Bootstrap))) - 1
-	if q < 0 {
-		q = 0
-	}
-	if q >= opts.Bootstrap {
-		q = opts.Bootstrap - 1
-	}
+	q := int(math.Ceil(confidence*bootstrapResamples)) - 1
 	// The attack's certified value must dominate the point estimate:
 	// a percentile that lands below it (possible at small n) is not an
 	// upper bound, so take the max.

@@ -19,7 +19,7 @@ func TestEstimateMIPerfectChannel(t *testing.T) {
 			obs = append(obs, uint64(100+10*s))
 		}
 	}
-	mi := EstimateMI(secrets, obs, EstimatorOptions{}, NewRNG(1))
+	mi := EstimateMI(secrets, obs, NewRNG(1))
 	if math.Abs(mi.Plugin-3) > 1e-9 {
 		t.Errorf("plugin = %f, want 3", mi.Plugin)
 	}
@@ -43,7 +43,7 @@ func TestEstimateMIFlatChannel(t *testing.T) {
 			obs = append(obs, 42)
 		}
 	}
-	mi := EstimateMI(secrets, obs, EstimatorOptions{}, NewRNG(1))
+	mi := EstimateMI(secrets, obs, NewRNG(1))
 	if mi.Plugin != 0 || mi.Bits != 0 || mi.Upper != 0 {
 		t.Errorf("flat channel should score exactly zero: %+v", mi)
 	}
@@ -55,9 +55,9 @@ func TestEstimateMIIndependent(t *testing.T) {
 	// correction must not push it negative.
 	secrets := []int{0, 0, 1, 1, 0, 0, 1, 1}
 	obs := []uint64{5, 9, 5, 9, 9, 5, 9, 5}
-	mi := EstimateMI(secrets, obs, EstimatorOptions{}, NewRNG(1))
-	if mi.Bits != 0 {
-		t.Errorf("independent corrected MI = %f, want 0", mi.Bits)
+	mi := EstimateMI(secrets, obs, NewRNG(1))
+	if mi.Plugin != 0 || mi.Bits != 0 {
+		t.Errorf("independent MI = %+v, want 0", mi)
 	}
 }
 
@@ -71,7 +71,7 @@ func TestEstimateMICorrectionShrinksBias(t *testing.T) {
 		secrets = append(secrets, rng.Intn(8))
 		obs = append(obs, uint64(rng.Intn(8)))
 	}
-	mi := EstimateMI(secrets, obs, EstimatorOptions{}, NewRNG(1))
+	mi := EstimateMI(secrets, obs, NewRNG(1))
 	if mi.Plugin <= 0 {
 		t.Skip("sample happened to score zero plug-in MI")
 	}
@@ -83,28 +83,23 @@ func TestEstimateMICorrectionShrinksBias(t *testing.T) {
 func TestEstimateMIDeterministic(t *testing.T) {
 	secrets := []int{0, 1, 2, 3, 0, 1, 2, 3, 0, 1, 2, 3}
 	obs := []uint64{9, 9, 7, 7, 9, 7, 7, 9, 9, 9, 7, 7}
-	a := EstimateMI(secrets, obs, EstimatorOptions{}, NewRNG(99))
-	b := EstimateMI(secrets, obs, EstimatorOptions{}, NewRNG(99))
+	a := EstimateMI(secrets, obs, NewRNG(99))
+	b := EstimateMI(secrets, obs, NewRNG(99))
 	if a != b {
 		t.Errorf("same seed, different estimates: %+v vs %+v", a, b)
 	}
-	c := EstimateMI(secrets, obs, EstimatorOptions{}, NewRNG(100))
+	c := EstimateMI(secrets, obs, NewRNG(100))
 	if a.Bits != c.Bits {
 		t.Errorf("the point estimate must not depend on the bootstrap seed: %f vs %f", a.Bits, c.Bits)
 	}
 }
 
 func TestEstimateMIDegenerate(t *testing.T) {
-	if mi := EstimateMI(nil, nil, EstimatorOptions{}, NewRNG(1)); mi != (MI{}) {
+	if mi := EstimateMI(nil, nil, NewRNG(1)); mi != (MI{}) {
 		t.Errorf("empty input: %+v", mi)
 	}
-	if mi := EstimateMI([]int{1}, []uint64{1, 2}, EstimatorOptions{}, NewRNG(1)); mi != (MI{}) {
+	if mi := EstimateMI([]int{1}, []uint64{1, 2}, NewRNG(1)); mi != (MI{}) {
 		t.Errorf("length mismatch: %+v", mi)
-	}
-	// Bootstrap disabled: Upper equals the point estimate.
-	mi := EstimateMI([]int{0, 0, 1, 1}, []uint64{1, 1, 2, 2}, EstimatorOptions{Bootstrap: -1}, NewRNG(1))
-	if mi.Upper != mi.Bits {
-		t.Errorf("no-bootstrap Upper = %f, want %f", mi.Upper, mi.Bits)
 	}
 }
 

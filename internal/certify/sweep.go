@@ -13,10 +13,10 @@ type SweepOptions struct {
 	// Seed drives every row's adversaries; equal seeds replay the
 	// whole sweep bit-for-bit.
 	Seed int64
-	// Quick selects the smoke slice: every binding and both verdict
-	// polarities, a few seconds of work. The full matrix crosses
-	// {tree, vm} × {partitioned, nopar} × {mitigated, unmitigated} ×
-	// every workload.
+	// Quick selects the smoke slice: every binding, both verdict
+	// polarities and the cache control, a few seconds of work. The
+	// full matrix crosses {tree, vm} × {partitioned, nopar} ×
+	// {mitigated, unmitigated} × every workload.
 	Quick bool
 }
 
@@ -81,6 +81,7 @@ func Sweep(ctx context.Context, o SweepOptions) ([]Row, error) {
 			{"pool", sleep, engCfg("tree", "partitioned", true)},
 			{"pool", sleep, engCfg("tree", "partitioned", false)},
 			{"http", sleep, engCfg("vm", "partitioned", true)},
+			{"engine", login, engCfg("vm", "nopar", true)},
 		}
 	} else {
 		rsa, err := RSAWorkload(nil)
@@ -129,7 +130,7 @@ func Sweep(ctx context.Context, o SweepOptions) ([]Row, error) {
 		// Each row's adversaries draw from an independent stream
 		// derived from (sweep seed, row index), so reordering one row
 		// cannot perturb another.
-		res, cerr := Certify(ctx, t, Options{Seed: int64(splitmix.Mix64(uint64(o.Seed), uint64(i+1)) >> 1)})
+		res, cerr := Certify(ctx, t, int64(splitmix.Mix64(uint64(o.Seed), uint64(i+1))>>1))
 		if closeErr := t.Close(); cerr == nil {
 			cerr = closeErr
 		}
@@ -141,14 +142,18 @@ func Sweep(ctx context.Context, o SweepOptions) ([]Row, error) {
 	return rows, nil
 }
 
-// Check asserts the sweep's two acceptance claims: every mitigated
-// configuration on partitioned hardware certifies (measured upper
-// confidence bound ≤ reported §7 bound), and at least one unmitigated
-// baseline measurably leaks ≥ 1 bit — the positive control showing
-// the estimators detect real channels.
+// Check asserts the sweep's acceptance claims, one per polarity and
+// channel: every mitigated configuration on partitioned hardware
+// certifies (measured upper confidence bound ≤ reported §7 bound); at
+// least one unmitigated baseline measurably leaks ≥ 1 bit — the
+// positive control showing the estimators detect real channels; and
+// the prime+probe attacker measures ≥ 1 bit on at least one mitigated
+// row on nopar hardware — the cache control, showing the attacker
+// detects the channel the partitioned hardware closes, which
+// mitigation alone does not.
 func Check(rows []Row) error {
 	var failures []string
-	leaked := false
+	leaked, cacheLeaked := false, false
 	for _, r := range rows {
 		if r.Config.Mitigated && r.Config.Hardware == "partitioned" && !r.Result.Certified {
 			failures = append(failures,
@@ -157,9 +162,19 @@ func Check(rows []Row) error {
 		if !r.Config.Mitigated && r.Result.MeasuredBits >= 1 {
 			leaked = true
 		}
+		if r.Config.Mitigated && r.Config.Hardware == "nopar" {
+			for _, a := range r.Result.Attacks {
+				if a.Adversary == "prime-probe" && a.Bits >= 1 {
+					cacheLeaked = true
+				}
+			}
+		}
 	}
 	if !leaked {
 		failures = append(failures, "positive control failed: no unmitigated baseline measured ≥ 1 bit")
+	}
+	if !cacheLeaked {
+		failures = append(failures, "cache control failed: no mitigated nopar row's prime-probe attack measured ≥ 1 bit")
 	}
 	if len(failures) > 0 {
 		return fmt.Errorf("certification failed:\n  %s", strings.Join(failures, "\n  "))

@@ -8,17 +8,18 @@ import (
 
 // TestCertifySweepSmoke is the CI certification gate (`make
 // certify-smoke`): the quick slice of the matrix must certify every
-// mitigated+partitioned configuration and measurably leak on at least
-// one unmitigated baseline, and the bench rendering must be a pure
-// function of the seed.
+// mitigated+partitioned configuration, measurably leak on at least
+// one unmitigated baseline, and measure the cache channel on nopar
+// hardware, and the bench rendering must be a pure function of the
+// seed.
 func TestCertifySweepSmoke(t *testing.T) {
 	ctx := context.Background()
 	rows, err := Sweep(ctx, SweepOptions{Seed: 1, Quick: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 9 {
-		t.Fatalf("quick sweep has %d rows, want 9", len(rows))
+	if len(rows) != 10 {
+		t.Fatalf("quick sweep has %d rows, want 10", len(rows))
 	}
 	if err := Check(rows); err != nil {
 		t.Fatal(err)
@@ -64,8 +65,8 @@ func TestCertifySweepSmoke(t *testing.T) {
 	}
 }
 
-// TestSweepCheckFailures exercises Check's two failure directions on
-// synthetic rows.
+// TestSweepCheckFailures exercises Check's three failure directions
+// on synthetic rows.
 func TestSweepCheckFailures(t *testing.T) {
 	certified := Row{
 		Binding: "engine", Workload: "w",
@@ -77,22 +78,44 @@ func TestSweepCheckFailures(t *testing.T) {
 		Config: TargetConfig{Engine: "tree", Hardware: "partitioned", Mitigated: false},
 		Result: &Result{MeasuredBits: 2},
 	}
-	if err := Check([]Row{certified, leaky}); err != nil {
+	cache := Row{
+		Binding: "engine", Workload: "w",
+		Config: TargetConfig{Engine: "tree", Hardware: "nopar", Mitigated: true},
+		Result: &Result{Certified: true, Attacks: []Attack{{Adversary: "prime-probe", Bits: 1.5}}},
+	}
+	if err := Check([]Row{certified, leaky, cache}); err != nil {
 		t.Errorf("healthy rows should pass: %v", err)
 	}
 
 	broken := certified
 	broken.Result = &Result{Certified: false, UpperBits: 5, ReportedBits: 1}
-	if err := Check([]Row{broken, leaky}); err == nil {
+	if err := Check([]Row{broken, leaky, cache}); err == nil {
 		t.Error("uncertified mitigated row must fail Check")
 	}
 
 	quiet := leaky
 	quiet.Result = &Result{MeasuredBits: 0}
-	if err := Check([]Row{certified, quiet}); err == nil {
+	if err := Check([]Row{certified, quiet, cache}); err == nil {
 		t.Error("missing positive control must fail Check")
 	} else if !strings.Contains(err.Error(), "positive control") {
 		t.Errorf("unexpected failure message: %v", err)
+	}
+
+	// The cache control needs the prime+probe attacker itself to
+	// measure the channel: a nopar row leaking through another
+	// attacker, or a quiet prime+probe attack, does not count.
+	for _, attacks := range [][]Attack{
+		nil,
+		{{Adversary: "prime-probe", Bits: 0.5}},
+		{{Adversary: "exhaustive", Bits: 3}},
+	} {
+		quietCache := cache
+		quietCache.Result = &Result{Certified: true, Attacks: attacks}
+		if err := Check([]Row{certified, leaky, quietCache}); err == nil {
+			t.Errorf("quiet cache %+v must fail Check", attacks)
+		} else if !strings.Contains(err.Error(), "cache control") {
+			t.Errorf("unexpected failure message: %v", err)
+		}
 	}
 }
 

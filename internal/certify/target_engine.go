@@ -46,10 +46,6 @@ func (c TargetConfig) label() string {
 	return fmt.Sprintf("%s/%s/%s", c.Engine, c.Hardware, mit)
 }
 
-// defaultMaxSteps bounds one probe run; generous for every built-in
-// workload.
-const defaultMaxSteps = 10_000_000
-
 // EngineTarget binds certification directly to an exec.Engine: the
 // adversary is a local caller sharing the engine's machine
 // environment (caches stay warm across probes) and its persistent
@@ -71,13 +67,9 @@ func NewEngineTarget(w *Workload, cfg TargetConfig) (*EngineTarget, error) {
 	if err != nil {
 		return nil, err
 	}
-	maxSteps := w.MaxSteps
-	if maxSteps == 0 {
-		maxSteps = defaultMaxSteps
-	}
 	eng, err := exec.NewEngine(cfg.Engine, w.Prog, w.Res, env, exec.Options{
 		DisableMitigation: !cfg.Mitigated,
-		Limits:            exec.Limits{MaxSteps: maxSteps},
+		Limits:            exec.Limits{MaxSteps: w.maxSteps()},
 	})
 	if err != nil {
 		return nil, err

@@ -7,10 +7,6 @@ import (
 	"net/http"
 	"time"
 
-	"repro/internal/exec"
-	"repro/internal/machine/hw"
-	"repro/internal/server"
-	"repro/internal/session"
 	"repro/internal/transport"
 	"repro/internal/transport/client"
 	"repro/internal/transport/wire"
@@ -26,11 +22,9 @@ import (
 type HTTPTarget struct {
 	w        *Workload
 	cfg      TargetConfig
-	pool     *server.Pool
 	handler  *transport.Handler
 	srv      *http.Server
 	client   *client.Client
-	tenant   string
 	reported float64
 }
 
@@ -40,29 +34,8 @@ func NewHTTPTarget(w *Workload, cfg TargetConfig) (*HTTPTarget, error) {
 		return nil, fmt.Errorf("certify: workload %s has no wire inputs; it cannot bind over HTTP", w.Name)
 	}
 	cfg = cfg.withDefaults()
-	env, err := hw.NewEnv(cfg.Hardware, w.Lat, w.Config())
+	pool, mgr, err := newServedPool(w, cfg)
 	if err != nil {
-		return nil, err
-	}
-	maxSteps := w.MaxSteps
-	if maxSteps == 0 {
-		maxSteps = defaultMaxSteps
-	}
-	pool, err := server.NewPool(w.Prog, w.Res, server.PoolOptions{
-		Workers: 1,
-		Options: server.Options{
-			Env:               env,
-			Engine:            cfg.Engine,
-			DisableMitigation: !cfg.Mitigated,
-			Limits:            exec.Limits{MaxSteps: maxSteps},
-		},
-	})
-	if err != nil {
-		return nil, err
-	}
-	mgr, err := session.NewManager(session.Options{Lat: w.Lat})
-	if err != nil {
-		pool.Close()
 		return nil, err
 	}
 	h, err := transport.New(transport.Options{Pool: pool, Prog: w.Prog, Sessions: mgr})
@@ -77,16 +50,13 @@ func NewHTTPTarget(w *Workload, cfg TargetConfig) (*HTTPTarget, error) {
 	}
 	hs := &http.Server{Handler: h}
 	go hs.Serve(ln)
-	t := &HTTPTarget{
+	return &HTTPTarget{
 		w:       w,
 		cfg:     cfg,
-		pool:    pool,
 		handler: h,
 		srv:     hs,
-		tenant:  "adversary",
-	}
-	t.client = client.New("http://"+ln.Addr().String(), client.Options{Tenant: t.tenant})
-	return t, nil
+		client:  client.New("http://"+ln.Addr().String(), client.Options{Tenant: tenant}),
+	}, nil
 }
 
 // Name implements Target.

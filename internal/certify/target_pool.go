@@ -22,22 +22,31 @@ type PoolTarget struct {
 	cfg      TargetConfig
 	pool     *server.Pool
 	mgr      *session.Manager
-	tenant   string
 	reported float64
 }
 
-// NewPoolTarget builds the pool+sessions binding. The pool runs one
-// worker: a certification target is one adversary probing serially,
-// and a single shard keeps the warm-cache sequence deterministic.
+// tenant is the one tenant the pool and HTTP bindings probe as.
+const tenant = "adversary"
+
+// NewPoolTarget builds the pool+sessions binding.
 func NewPoolTarget(w *Workload, cfg TargetConfig) (*PoolTarget, error) {
 	cfg = cfg.withDefaults()
-	env, err := hw.NewEnv(cfg.Hardware, w.Lat, w.Config())
+	pool, mgr, err := newServedPool(w, cfg)
 	if err != nil {
 		return nil, err
 	}
-	maxSteps := w.MaxSteps
-	if maxSteps == 0 {
-		maxSteps = defaultMaxSteps
+	return &PoolTarget{w: w, cfg: cfg, pool: pool, mgr: mgr}, nil
+}
+
+// newServedPool builds what the pool and HTTP bindings serve from: a
+// one-worker pool on the workload's hardware, and a session manager.
+// One worker because a certification target is one adversary probing
+// serially, and a single shard keeps the warm-cache sequence
+// deterministic.
+func newServedPool(w *Workload, cfg TargetConfig) (*server.Pool, *session.Manager, error) {
+	env, err := hw.NewEnv(cfg.Hardware, w.Lat, w.Config())
+	if err != nil {
+		return nil, nil, err
 	}
 	pool, err := server.NewPool(w.Prog, w.Res, server.PoolOptions{
 		Workers: 1,
@@ -45,18 +54,18 @@ func NewPoolTarget(w *Workload, cfg TargetConfig) (*PoolTarget, error) {
 			Env:               env,
 			Engine:            cfg.Engine,
 			DisableMitigation: !cfg.Mitigated,
-			Limits:            exec.Limits{MaxSteps: maxSteps},
+			Limits:            exec.Limits{MaxSteps: w.maxSteps()},
 		},
 	})
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	mgr, err := session.NewManager(session.Options{Lat: w.Lat})
 	if err != nil {
 		pool.Close()
-		return nil, err
+		return nil, nil, err
 	}
-	return &PoolTarget{w: w, cfg: cfg, pool: pool, mgr: mgr, tenant: "adversary"}, nil
+	return pool, mgr, nil
 }
 
 // Name implements Target.
@@ -69,7 +78,7 @@ func (t *PoolTarget) Secrets() int { return t.w.N }
 
 // Probe implements Target.
 func (t *PoolTarget) Probe(ctx context.Context, secret int) (uint64, error) {
-	tk, err := t.mgr.Begin(t.tenant)
+	tk, err := t.mgr.Begin(tenant)
 	if err != nil {
 		return 0, err
 	}

@@ -49,6 +49,15 @@ func (w *Workload) Config() hw.Config {
 	return hw.Table1Config()
 }
 
+// maxSteps bounds one probe run: the workload's MaxSteps, or a
+// default generous for every built-in workload.
+func (w *Workload) maxSteps() int {
+	if w.MaxSteps == 0 {
+		return 10_000_000
+	}
+	return w.MaxSteps
+}
+
 // LoginWorkload builds the §8.3 login case study as a certification
 // workload. The secret is the position of the probed user's credential
 // in the table (the rest of the table is decoys): the unmitigated

@@ -21,6 +21,7 @@ import (
 	httppprof "net/http/pprof" // profiling handlers for serve -pprof (also registers on DefaultServeMux)
 	"os"
 	"os/signal"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"syscall"
@@ -114,7 +115,7 @@ commands:
            pipelining on /v1/stream; -pprof ADDR exposes net/http/pprof,
            sharing -listen's listener when the addresses match)
   verify   check a hardware model against the software-hardware contract
-  certify  mount the black-box attack battery and check measured leakage
+  certify  mount the five-adversary attack battery and check measured leakage
            against the reported §7 bound (no file: run the built-in sweep;
            with a file: certify that program, -var naming the secret)
 `)
@@ -869,7 +870,7 @@ func runCertify(args []string, stdout, stderr io.Writer) error {
 		if err := certify.Check(rows); err != nil {
 			return err
 		}
-		fmt.Fprintf(stdout, "certification passed: %d rows, positive control leaked as expected\n", len(rows))
+		fmt.Fprintf(stdout, "certification passed: %d rows, positive and cache controls leaked as expected\n", len(rows))
 		return nil
 	}
 
@@ -890,7 +891,7 @@ func runCertify(args []string, stdout, stderr io.Writer) error {
 		fmt.Fprintf(stderr, "warning: %s is public; its variation is not a secret\n", *secretVar)
 	}
 	w := &certify.Workload{
-		Name: strings.TrimSuffix(fs.Arg(0), ".timing"),
+		Name: strings.TrimSuffix(fs.Arg(0), filepath.Ext(fs.Arg(0))),
 		Prog: prog, Res: res, Lat: lat, N: *secretN,
 		Set: func(i int, m *mem.Memory) { m.Set(*secretVar, int64(i)) },
 	}
@@ -902,7 +903,7 @@ func runCertify(args []string, stdout, stderr io.Writer) error {
 		if err != nil {
 			return err
 		}
-		r, err := certify.Certify(ctx, tgt, certify.Options{Seed: *seed})
+		r, err := certify.Certify(ctx, tgt, *seed)
 		if err != nil {
 			return err
 		}

@@ -743,8 +743,10 @@ func TestCertifySubcommandFile(t *testing.T) {
 	for _, want := range []string{
 		"unmitigated", "LEAKS",
 		"mitigated", "CERTIFIED",
-		"exhaustive", "binary-search", "mi-estimator",
+		"exhaustive", "binary-search", "mi-estimator", "prime-probe", "branch-pair",
 		"reported §7 bound",
+		// The workload is named after the source file, extension dropped.
+		"mitigated (" + strings.TrimSuffix(testdataPath(t, "mitigated.tc"), ".tc") + ", tree engine",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("certify output missing %q:\n%s", want, out)

@@ -49,8 +49,8 @@ type CertifyData struct {
 	MaxUnmitigatedBits float64
 	// GateErr is the certification gate's failure text ("" = passed):
 	// a mitigated partitioned row whose measured upper confidence
-	// bound exceeds its reported §7 bound, or a positive control that
-	// failed to leak.
+	// bound exceeds its reported §7 bound, or a positive or cache
+	// control that failed to leak.
 	GateErr string
 	// Deterministic is true when a second sweep with the same seed
 	// reproduced every row exactly.
@@ -58,9 +58,10 @@ type CertifyData struct {
 }
 
 // Certify runs the adversarial certification sweep — black-box timing
-// attacks against every configuration of the stack — and checks that
-// measured leakage never exceeds the reported §7 bound where the
-// paper claims one, while insecure baselines measurably leak.
+// and coresident cache attacks against every configuration of the
+// stack — and checks that measured leakage never exceeds the reported
+// §7 bound where the paper claims one, while insecure baselines
+// measurably leak.
 func Certify(cfg CertifyConfig) (*CertifyData, error) {
 	if cfg.Seed == 0 {
 		cfg.Seed = 1

@@ -120,7 +120,7 @@ func vet(ctx context.Context, seed int64, secretVar string, n int) (bool, error)
 		if err != nil {
 			return false, err
 		}
-		res, err := certify.Certify(ctx, t, certify.Options{Seed: seed})
+		res, err := certify.Certify(ctx, t, seed)
 		if err != nil {
 			return false, err
 		}
