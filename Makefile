@@ -36,23 +36,27 @@ engines:
 # 100 randomized pool schedules of overload, budget, deadline,
 # cancellation and shutdown, the deadline, crosstalk and determinism
 # regressions, and, over HTTP, an open-loop overload run with a drain
-# partway through, the stream drain tests, and /v1/metrics scraped
-# while the shards serve. It also repeats the session races 20 times:
+# partway through, per-item shedding, the stream drain tests,
+# /v1/metrics scraped while the shards serve, and the serial-replay
+# oracle (concurrent run, batch and stream traffic with evictions,
+# budget denials and deadlines, each shard replayed serially through
+# the tree engine). It also repeats the session races 20 times:
 # a session evicted with no ticket is recycled for the next tenant, so
 # a ticket used after its Commit, or a worker still writing a state its
 # caller has released, would race another tenant's request, and one
 # run of each test seldom catches that.
 chaos:
 	$(GO) test -race -count 1 -run 'TestChaos|TestDeadline|TestCancelled' ./internal/server
-	$(GO) test -race -count 1 -run 'TestOverloadOutcomes|TestStreamDrain|TestMetricsScrapeUnderLoad' ./internal/transport
+	$(GO) test -race -count 1 -run 'TestOverloadOutcomes|TestShedPerItem|TestStreamDrain|TestMetricsScrapeUnderLoad|TestSerialReplay' ./internal/transport
 	$(GO) test -race -count 20 -run 'TestConcurrentTenantsRace|TestSessionRace' ./internal/session
 
 # allocs runs the allocation pins without the race detector (whose
 # sync.Pool drops a quarter of Puts on purpose, so the race run skips
 # the pins that go through pools): the pool and server hot paths with
-# recycled run buffers, admission, and the wire codec.
+# recycled run buffers, admission, an anonymous batch through the HTTP
+# handler, and the wire codec.
 allocs:
-	$(GO) test -count 1 -run 'Alloc' ./internal/server ./internal/session ./internal/transport/wire/fastjson
+	$(GO) test -count 1 -run 'Alloc' ./internal/server ./internal/session ./internal/transport ./internal/transport/wire/fastjson
 
 # fuzz-smoke runs each native fuzz target for FUZZTIME (default 30s) of
 # continuous mutation on top of the checked-in seed corpora

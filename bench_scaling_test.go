@@ -55,8 +55,9 @@ func BenchmarkPoolScaling(b *testing.B) {
 	for _, engine := range []string{"tree", "vm"} {
 		for _, workers := range scalingWorkers {
 			// Batch mode: one submitter drives whole bursts through
-			// HandleAll — the amortized path, measuring shard-side
-			// scaling with minimal submission overhead.
+			// HandleAll, which submits every request before it waits
+			// for the first — shard-side scaling with one uncontended
+			// submitter.
 			b.Run(fmt.Sprintf("mode=batch/engine=%s/workers=%d", engine, workers),
 				func(b *testing.B) {
 					pool := newPool(b, engine, workers)

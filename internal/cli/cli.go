@@ -554,8 +554,6 @@ func runServe(args []string, stdout, stderr io.Writer) error {
 		"serve the HTTP/JSON API on this address (e.g. 127.0.0.1:8080) until interrupted, instead of driving -requests locally")
 	maxInflight := fs.Int("max-inflight", 0,
 		"with -listen, shed (503) beyond this many concurrent requests (0 = unbounded)")
-	streamWindow := fs.Int("stream-window", 0,
-		"with -listen, max in-flight requests pipelined per /v1/stream connection (0 = default 256)")
 	sessionBudget := fs.Float64("session-budget", 0,
 		"with -listen, per-tenant leakage budget in bits before requests are refused with 429 (0 = unlimited)")
 	sessionTTL := fs.Duration("session-ttl", 0,
@@ -647,7 +645,7 @@ func runServe(args []string, stdout, stderr io.Writer) error {
 		return err
 	}
 	if *listen != "" {
-		return serveHTTP(pool, prog, sessions, *listen, *pprofAddr == *listen, *maxInflight, *streamWindow, stdout, stderr)
+		return serveHTTP(pool, prog, sessions, *listen, *pprofAddr == *listen, *maxInflight, stdout, stderr)
 	}
 	reqs := make([]server.Request, *requests)
 	for i := range reqs {
@@ -659,32 +657,24 @@ func runServe(args []string, stdout, stderr io.Writer) error {
 			}
 		}
 	}
+	// Drive the requests one at a time. Deadlines and shedding fail
+	// single requests, not the run, so those typed failures are tallied.
 	var resps []*server.Response
 	failed := 0
-	if *timeout > 0 || *shed {
-		// Deadlines and shedding fail single requests, not the run:
-		// drive the requests one at a time and tally the typed failures.
-		for _, req := range reqs {
-			resp, err := pool.Handle(context.Background(), req)
-			if err != nil {
-				if errors.Is(err, server.ErrOverloaded) || errors.Is(err, context.DeadlineExceeded) ||
-					errors.Is(err, server.ErrBudgetExceeded) {
-					failed++
-					continue
-				}
-				pool.Close()
-				return err
-			}
-			resps = append(resps, resp)
-		}
-		pool.Close()
-	} else {
-		resps, err = pool.HandleAll(context.Background(), reqs)
-		pool.Close()
+	for _, req := range reqs {
+		resp, err := pool.Handle(context.Background(), req)
 		if err != nil {
+			if errors.Is(err, server.ErrOverloaded) || errors.Is(err, context.DeadlineExceeded) ||
+				errors.Is(err, server.ErrBudgetExceeded) {
+				failed++
+				continue
+			}
+			pool.Close()
 			return err
 		}
+		resps = append(resps, resp)
 	}
+	pool.Close()
 	distinct := map[uint64]bool{}
 	byShard := make([][]*server.Response, pool.Workers())
 	for _, r := range resps {
@@ -715,10 +705,9 @@ var serveListenHook func(addr string, stop func())
 // serveHTTP runs the pool behind the HTTP/JSON transport until
 // interrupted, then drains gracefully: stop admitting, finish in-flight
 // requests, close the pool, print the final snapshot.
-func serveHTTP(pool *server.Pool, prog *ast.Program, sessions *session.Manager, addr string, sharePprof bool, maxInflight, streamWindow int, stdout, stderr io.Writer) error {
+func serveHTTP(pool *server.Pool, prog *ast.Program, sessions *session.Manager, addr string, sharePprof bool, maxInflight int, stdout, stderr io.Writer) error {
 	h, err := transport.New(transport.Options{
 		Pool: pool, Prog: prog, MaxInFlight: maxInflight, Sessions: sessions,
-		StreamWindow: streamWindow,
 	})
 	if err != nil {
 		pool.Close()

@@ -515,12 +515,14 @@ func TestServeBadHardware(t *testing.T) {
 }
 
 func TestServeRemovedFlagsRejected(t *testing.T) {
-	// The pool no longer retries, ejects shards or injects faults, so
-	// serve must refuse the flags that configured them.
+	// The pool no longer retries, ejects shards or injects faults, and
+	// the stream window is a constant, so serve must refuse the flags
+	// that configured them.
 	for _, args := range [][]string{
 		{"-retries", "3"}, {"-retry-backoff", "1ms"},
 		{"-breaker-threshold", "3"}, {"-breaker-cooldown", "10ms"},
 		{"-fault", "engine-error=0.5"}, {"-fault-seed", "7"},
+		{"-stream-window", "8"},
 	} {
 		code, _, errOut := run(append(append([]string{"serve"}, args...), testdataPath(t, "mitigated.tc"))...)
 		if code == 0 || !strings.Contains(errOut, "flag provided but not defined: "+args[0]) {

@@ -13,12 +13,12 @@ import (
 
 // Allocation budgets for the vm-engine hot path, in allocations per
 // request. These pin the zero-copy and pooling work (recycled result
-// channels, batch structs, Response values and run buffers, and the
-// Future that Handle waits on without allocating): a change that
-// silently adds per-request allocations fails here rather than
-// rotting until the next benchmark run. The measured steady state is
-// 0 for Handle and Server.Handle, and one allocation per burst (the
-// returned slice, 1/32 per request) for HandleAll. testing.AllocsPerRun
+// channels, Response values and run buffers, and the Future that
+// Submit returns by value): a change that silently adds per-request
+// allocations fails here rather than rotting until the next benchmark
+// run. The measured steady state is 0 for Handle and Server.Handle,
+// and two allocations per burst (the returned responses and the
+// futures, 2/32 per request) for HandleAll. testing.AllocsPerRun
 // averages in whole allocations per run, so the handful a sync.Pool
 // emptied by a GC costs to refill still reads 0; the HandleAll budget
 // allows 3 per burst. Under the race detector, whose sync.Pool drops
@@ -105,12 +105,12 @@ func TestPoolHandleAllAllocBudget(t *testing.T) {
 		}
 	}
 	for i := 0; i < 8; i++ {
-		burst() // warm batch/scratch pools
+		burst() // warm the result channels and responses
 	}
 	avg := testing.AllocsPerRun(50, burst) / nreq
 	t.Logf("HandleAll: %.3f allocs/request (budget %.3f)", avg, handleAllAllocBudget)
 	if avg > handleAllAllocBudget {
-		t.Errorf("HandleAll allocates %.3f per request, budget %.3f — batch pooling regressed",
+		t.Errorf("HandleAll allocates %.3f per request, budget %.3f — per-request pooling regressed",
 			avg, handleAllAllocBudget)
 	}
 }

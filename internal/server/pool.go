@@ -17,7 +17,8 @@ import (
 // PoolOptions configure a Pool. The embedded Options configure every
 // worker; Options.Env is a prototype that is cloned once per worker,
 // so each shard owns its own partitioned hardware state and the
-// prototype itself is never mutated.
+// prototype itself is never mutated. Submission i runs on worker
+// i % Workers, so Workers alone fixes which requests each shard serves.
 type PoolOptions struct {
 	Options
 	// Workers is the number of shards; default GOMAXPROCS.
@@ -26,13 +27,6 @@ type PoolOptions struct {
 	// blocks (backpressure) once a shard has QueueDepth pending
 	// requests. Default 2.
 	QueueDepth int
-	// Shard maps a submission index to a worker. The default is
-	// round-robin (index % Workers). The result is reduced modulo
-	// Workers, so any total function is safe. For a FIXED shard
-	// function the pool is deterministic: shard i's responses are
-	// identical, trace for trace, to a serial Server over shard i's
-	// subsequence on a clone of the same environment.
-	Shard func(index int) int
 
 	// ShedOnSaturation turns backpressure into load shedding: a
 	// submission that finds its shard queue full fails immediately with
@@ -47,10 +41,6 @@ func (o PoolOptions) withDefaults() PoolOptions {
 	}
 	if o.QueueDepth == 0 {
 		o.QueueDepth = 2
-	}
-	if o.Shard == nil {
-		workers := o.Workers
-		o.Shard = func(index int) int { return index % workers }
 	}
 	if o.Metrics == nil {
 		o.Metrics = obs.NewMetrics()
@@ -71,109 +61,18 @@ func (o PoolOptions) validate() error {
 	return nil
 }
 
-// job is one queue entry: either a single request or a batch of
-// same-shard requests (when batch is non-nil, the other fields are
-// unused).
+// job is one queue entry: a request, its global submission index and
+// the channel its result is sent on.
 type job struct {
 	ctx   context.Context
 	req   Request
 	index int
 	out   chan result
-	batch *batch
 	// mit, when non-nil, overrides the shard's persistent mitigation
 	// state for this request (per-tenant session state; see
 	// Server.HandleWith). The submitter owns mit and must serialize
 	// access to it across its own requests.
 	mit *mitigation.State
-}
-
-// batch is a run of same-shard requests processed as one queue entry.
-// HandleAll groups a burst by shard so queue sends, channel receives,
-// and atomic operations amortize over the run instead of costing one
-// round-trip per request; within a shard the requests still run
-// serially in submission order, so per-shard determinism is untouched.
-// Batches are recycled through batchPool; the done channel (buffered 1,
-// provably empty after the receive in HandleAll) is reused with them.
-type batch struct {
-	ctx   context.Context
-	reqs  []Request
-	idxs  []int       // global submission indices, parallel to reqs
-	resps []*Response // filled by the worker, parallel to reqs
-	errs  []error     // parallel to reqs
-	done  chan *batch // buffered (1); self-sent when the run finishes
-}
-
-// reset prepares a recycled batch for n requests, clearing any stale
-// pointers from its previous burst.
-func (b *batch) reset(ctx context.Context, n int) {
-	b.ctx = ctx
-	b.reqs = b.reqs[:0]
-	b.idxs = b.idxs[:0]
-	if cap(b.resps) < n {
-		b.resps = make([]*Response, n)
-		b.errs = make([]error, n)
-	} else {
-		b.resps = b.resps[:n]
-		b.errs = b.errs[:n]
-		clear(b.resps)
-		clear(b.errs)
-	}
-}
-
-var batchPool = sync.Pool{
-	New: func() any { return &batch{done: make(chan *batch, 1)} },
-}
-
-// releaseBatch returns a drained batch to the pool, dropping references
-// so recycled batches never pin request closures or responses.
-func releaseBatch(b *batch) {
-	b.ctx = nil
-	clear(b.reqs)
-	b.reqs = b.reqs[:0]
-	b.idxs = b.idxs[:0]
-	clear(b.resps)
-	b.resps = b.resps[:0]
-	clear(b.errs)
-	b.errs = b.errs[:0]
-	batchPool.Put(b)
-}
-
-// burstScratch holds HandleAll's per-call bookkeeping slices so a
-// steady stream of bursts allocates nothing but the returned responses.
-type burstScratch struct {
-	batches []*batch
-	shards  []int
-	counts  []int
-	errs    []error
-}
-
-var burstPool = sync.Pool{New: func() any { return new(burstScratch) }}
-
-// grow resizes the scratch for a burst of n requests over w workers.
-func (s *burstScratch) grow(n, w int) {
-	if cap(s.batches) < w {
-		s.batches = make([]*batch, w)
-		s.counts = make([]int, w)
-	} else {
-		s.batches = s.batches[:w]
-		s.counts = s.counts[:w]
-		clear(s.batches)
-		clear(s.counts)
-	}
-	if cap(s.shards) < n {
-		s.shards = make([]int, n)
-		s.errs = make([]error, n)
-	} else {
-		s.shards = s.shards[:n]
-		s.errs = s.errs[:n]
-		clear(s.errs)
-	}
-}
-
-func releaseScratch(s *burstScratch) {
-	clear(s.batches)
-	clear(s.errs)
-	burstPool.Put(s)
 }
 
 type result struct {
@@ -208,12 +107,15 @@ func (w *worker) publish() {
 // in-flight submitters.
 const poolClosed = int64(1) << 62
 
-// Pool shards requests across workers. Each worker owns its own
-// machine environment and persistent mitigation state, so the
-// per-shard leakage bound is exactly the serial Server's bound — the
-// per-domain state partitioning that makes concurrent sharing safe.
-// Submission is bounded (backpressure via QueueDepth) and shutdown is
-// graceful: Close drains accepted work before returning.
+// Pool shards requests across workers round-robin: submission i runs
+// on shard i % Workers. Each worker owns its own machine environment
+// and persistent mitigation state, so the per-shard leakage bound is
+// exactly the serial Server's bound — the per-domain state
+// partitioning that makes concurrent sharing safe — and the pool is
+// deterministic: shard i's responses are identical, trace for trace,
+// to a serial Server over shard i's subsequence on a clone of the same
+// environment. Submission is bounded (backpressure via QueueDepth) and
+// shutdown is graceful: Close drains accepted work before returning.
 //
 // Submit/Handle/HandleAll are safe for concurrent use. The submit path
 // is lock-free: the global submission index is an atomic counter and
@@ -302,41 +204,20 @@ func (p *Pool) release() {
 func (p *Pool) run(w *worker) {
 	defer p.wg.Done()
 	for j := range w.jobs {
-		if b := j.batch; b != nil {
-			// A failed request does not stop the rest of the batch:
-			// same behavior as independent single-request jobs.
-			for i, req := range b.reqs {
-				b.resps[i], b.errs[i] = p.serve(w, b.ctx, req, b.idxs[i], nil)
-			}
-			w.publish()
-			b.done <- b
-			continue
+		resp, err := w.srv.HandleWith(j.ctx, j.req, j.mit)
+		// Rewrite the shard-local index and shard to the pool-global view.
+		if resp != nil {
+			resp.ShardIndex = resp.Index
+			resp.Index = j.index
+			resp.Shard = w.shard
 		}
-		resp, err := p.serve(w, j.ctx, j.req, j.index, j.mit)
+		if re, ok := err.(*RequestError); ok {
+			re.Index = j.index
+			re.Shard = w.shard
+		}
 		w.publish()
 		j.out <- result{resp, err}
 	}
-}
-
-// serve runs one request on a worker's shard server and rewrites the
-// shard-local index/shard fields to the pool-global view.
-func (p *Pool) serve(w *worker, ctx context.Context, req Request, index int, mit *mitigation.State) (*Response, error) {
-	resp, err := w.srv.HandleWith(ctx, req, mit)
-	if resp != nil {
-		resp.ShardIndex = resp.Index
-		resp.Index = index
-		resp.Shard = w.shard
-	}
-	if re, ok := err.(*RequestError); ok {
-		re.Index = index
-		re.Shard = w.shard
-	}
-	return resp, err
-}
-
-// pickShard maps a submission index to a worker index.
-func (p *Pool) pickShard(index int) int {
-	return mod(p.opts.Shard(index), len(p.workers))
 }
 
 // resultChans recycles the one-shot response channels: every request
@@ -349,25 +230,26 @@ var resultChans = sync.Pool{
 	New: func() any { return make(chan result, 1) },
 }
 
-// Future is a pending response.
+// Future is a pending response. Submit returns it by value; call Wait
+// on one copy only, because Wait recycles the response channel.
 type Future struct {
 	out  chan result
 	done result
 	got  bool
 	// owned marks a request that runs against the caller's mitigation
-	// state (SubmitWith): the worker reads and writes that state until
+	// state (HandleWith): the worker reads and writes that state until
 	// it sends the result.
 	owned bool
 }
 
 // Wait blocks until the response is ready or the context is done.
 //
-// A request submitted with a mitigation state is the exception: its
-// Wait ignores ctx and returns only once the worker is done with the
+// A request run with a mitigation state (HandleWith) is the exception:
+// its Wait ignores ctx and returns only once the worker is done with the
 // state, because the caller may hand the state to another request as
 // soon as Wait returns (a tenant session evicted after an Abort is
 // recycled, state and all, for another tenant). The context given to
-// SubmitWith bounds the wait instead: once it is done the worker skips
+// HandleWith bounds the wait instead: once it is done the worker skips
 // the request when it reaches it, or stops a started run within 1,024
 // steps.
 func (f *Future) Wait(ctx context.Context) (*Response, error) {
@@ -419,29 +301,16 @@ func (f *Future) take(r result) (*Response, error) {
 
 // Submit enqueues a request on its shard's bounded queue, blocking for
 // backpressure when the shard is saturated (or until ctx is done, or
-// the pool is closed). The request's context is ctx as well: it bounds
-// both queue wait and execution.
-func (p *Pool) Submit(ctx context.Context, req Request) (*Future, error) {
-	return p.SubmitWith(ctx, req, nil)
+// the pool is closed), and failing at once with ErrOverloaded instead
+// under ShedOnSaturation. The request's context is ctx as well: it
+// bounds both queue wait and execution. The pending response is
+// returned by value, so holding it allocates nothing.
+func (p *Pool) Submit(ctx context.Context, req Request) (Future, error) {
+	return p.submit(ctx, req, nil)
 }
 
-// SubmitWith is Submit with an explicit mitigation state: when mit is
-// non-nil the served request uses it in place of the shard's
-// persistent state (per-tenant session state; see Server.HandleWith).
-// The caller owns mit and must not submit two requests sharing one mit
-// concurrently — a session lock upstream provides that serialization.
-// The worker uses mit until it has sent the result, so the Future's
-// Wait returns only then, even after its context is done.
-func (p *Pool) SubmitWith(ctx context.Context, req Request, mit *mitigation.State) (*Future, error) {
-	f, err := p.submit(ctx, req, mit)
-	if err != nil {
-		return nil, err
-	}
-	return &f, nil
-}
-
-// submit enqueues one request and returns its pending response by
-// value, so HandleWith can wait on it without a heap-allocated Future.
+// submit enqueues one request, with the caller's mitigation state when
+// mit is non-nil (see HandleWith).
 func (p *Pool) submit(ctx context.Context, req Request, mit *mitigation.State) (Future, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -451,7 +320,7 @@ func (p *Pool) submit(ctx context.Context, req Request, mit *mitigation.State) (
 	}
 	defer p.release()
 	index := int(p.n.Add(1) - 1)
-	w := p.workers[p.pickShard(index)]
+	w := p.workers[index%len(p.workers)]
 	j := job{ctx: ctx, req: req, index: index, out: resultChans.Get().(chan result), mit: mit}
 	f := Future{out: j.out, owned: mit != nil}
 	// Fast path: queue has room, skip the select.
@@ -488,11 +357,15 @@ func (p *Pool) Handle(ctx context.Context, req Request) (*Response, error) {
 	return p.HandleWith(ctx, req, nil)
 }
 
-// HandleWith is Handle with an explicit mitigation state (see
-// SubmitWith). When mit is non-nil it returns only once the worker is
-// done with mit: a done ctx makes the worker skip or stop the request,
-// and HandleWith then returns its outcome — an error, or a response
-// if the run had already finished.
+// HandleWith is Handle with an explicit mitigation state: when mit is
+// non-nil the served request uses it in place of the shard's
+// persistent state (per-tenant session state; see Server.HandleWith).
+// The caller owns mit and must not submit two requests sharing one mit
+// concurrently — a session lock upstream provides that serialization.
+// When mit is non-nil HandleWith returns only once the worker is done
+// with mit: a done ctx makes the worker skip or stop the request, and
+// HandleWith then returns its outcome — an error, or a response if the
+// run had already finished.
 func (p *Pool) HandleWith(ctx context.Context, req Request, mit *mitigation.State) (*Response, error) {
 	f, err := p.submit(ctx, req, mit)
 	if err != nil {
@@ -505,129 +378,28 @@ func (p *Pool) HandleWith(ctx context.Context, req Request, mit *mitigation.Stat
 // returned in submission order. The first error (by submission order)
 // is returned; entries whose requests failed are nil. Unlike the
 // serial Server, later requests still run — both across shards and
-// within one, mirroring independent Submit calls.
-//
-// The burst is grouped into one batch per shard (each a single queue
-// entry), so the per-request queue/channel round-trip of Submit+Wait
-// amortizes over the burst. Request execution order within each shard
-// is still submission order, so responses are identical to the
-// Submit-per-request path.
+// within one — exactly as independent Submit calls, which is what they
+// are: every request is submitted before the first is waited for.
 func (p *Pool) HandleAll(ctx context.Context, reqs []Request) ([]*Response, error) {
-	return p.handleAll(ctx, reqs, nil)
-}
-
-// HandleAllErrs is HandleAll with per-request error reporting: errs[i]
-// is the outcome of reqs[i] (nil on success), so callers that must
-// account for every item — the batch endpoint of internal/transport —
-// see exactly which requests failed and why, not just the first
-// failure.
-func (p *Pool) HandleAllErrs(ctx context.Context, reqs []Request) ([]*Response, []error) {
-	errs := make([]error, len(reqs))
-	out, _ := p.handleAll(ctx, reqs, errs)
-	return out, errs
-}
-
-// handleAll is the shared burst path; when errsOut is non-nil it is
-// filled with per-request outcomes (it must have len(reqs) entries).
-func (p *Pool) handleAll(ctx context.Context, reqs []Request, errsOut []error) ([]*Response, error) {
 	out := make([]*Response, len(reqs))
-	if len(reqs) == 0 {
-		return out, nil
-	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if !p.acquire() {
-		for i := range errsOut {
-			errsOut[i] = ErrPoolClosed
-		}
-		return out, ErrPoolClosed
-	}
-	// Reserve a contiguous index block for the burst.
-	base := int(p.n.Add(int64(len(reqs)))) - len(reqs)
-	// Group into per-shard batches, preserving submission order. Two
-	// passes: shard sizes first, so every batch slice is sized exactly
-	// once at its final length.
-	sc := burstPool.Get().(*burstScratch)
-	sc.grow(len(reqs), len(p.workers))
-	batches, shards, counts, errs := sc.batches, sc.shards, sc.counts, sc.errs
-	for i := range reqs {
-		shard := p.pickShard(base + i)
-		shards[i] = shard
-		counts[shard]++
-	}
-	for shard, n := range counts {
-		if n > 0 {
-			b := batchPool.Get().(*batch)
-			b.reset(ctx, n)
-			batches[shard] = b
-		}
-	}
-	for i, r := range reqs {
-		b := batches[shards[i]]
-		b.reqs = append(b.reqs, r)
-		b.idxs = append(b.idxs, base+i)
-	}
-	for shard, b := range batches {
-		if b == nil {
-			continue
-		}
-		w := p.workers[shard]
-		if p.opts.ShedOnSaturation {
-			select {
-			case w.jobs <- job{batch: b}:
-			default:
-				for _, index := range b.idxs {
-					errs[index-base] = &RequestError{Index: index, Shard: shard, Err: ErrOverloaded}
-					p.opts.Metrics.Add(obs.Sheds, 1)
-				}
-				releaseBatch(b)
-				batches[shard] = nil
-			}
-			continue
-		}
-		select {
-		case w.jobs <- job{batch: b}:
-		case <-ctx.Done():
-			// This shard's run never reached its worker.
-			for _, index := range b.idxs {
-				errs[index-base] = &RequestError{Index: index, Shard: shard, Err: ctx.Err()}
-			}
-			releaseBatch(b)
-			batches[shard] = nil
-		case <-p.stopc:
-			for _, index := range b.idxs {
-				errs[index-base] = &RequestError{Index: index, Shard: shard, Err: ErrPoolClosed}
-			}
-			releaseBatch(b)
-			batches[shard] = nil
-		}
-	}
-	// Accepted batches are queued; drop the in-flight registration so a
-	// concurrent Close can proceed to drain them.
-	p.release()
-	for shard, b := range batches {
-		if b == nil {
-			continue
-		}
-		<-b.done
-		for i, index := range b.idxs {
-			out[index-base] = b.resps[i]
-			errs[index-base] = b.errs[i]
-		}
-		releaseBatch(b)
-		batches[shard] = nil
-	}
-	var firstErr error
-	for _, err := range errs {
+	futs := make([]Future, len(reqs))
+	for i, req := range reqs {
+		f, err := p.submit(ctx, req, nil)
 		if err != nil {
-			firstErr = err
-			break
+			// A request that was never queued resolves to its error.
+			f = Future{done: result{err: err}, got: true}
+		}
+		futs[i] = f
+	}
+	var first error
+	for i := range futs {
+		resp, err := futs[i].Wait(ctx)
+		out[i] = resp
+		if err != nil && first == nil {
+			first = err
 		}
 	}
-	copy(errsOut, errs)
-	releaseScratch(sc)
-	return out, firstErr
+	return out, first
 }
 
 // Workers returns the number of shards.
@@ -694,13 +466,4 @@ func (p *Pool) Close() {
 		close(p.donec)
 	})
 	<-p.donec
-}
-
-// mod reduces i into [0, n), tolerating negative shard results.
-func mod(i, n int) int {
-	m := i % n
-	if m < 0 {
-		m += n
-	}
-	return m
 }

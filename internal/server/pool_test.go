@@ -261,7 +261,7 @@ while (i < 200000) {
 	}
 	defer pool.Close()
 	// Fill the worker: one in flight, one queued.
-	var futures []*Future
+	var futures []Future
 	for i := 0; i < 2; i++ {
 		f, err := pool.Submit(ctxb(), nil)
 		if err != nil {
@@ -324,7 +324,7 @@ while (i < 50000) {
 		t.Fatal(err)
 	}
 	// Fill the shard: one in flight, one queued.
-	var futures []*Future
+	var futures []Future
 	for i := 0; i < 2; i++ {
 		f, err := pool.Submit(ctxb(), nil)
 		if err != nil {
@@ -334,7 +334,7 @@ while (i < 50000) {
 	}
 	// Park a submitter on backpressure.
 	type res struct {
-		f   *Future
+		f   Future
 		err error
 	}
 	parked := make(chan res, 1)
@@ -425,7 +425,7 @@ func TestPoolConcurrentSubmitters(t *testing.T) {
 	// must not race (run under -race) or lose accepted work.
 	pool := poolProg(t)
 	var wg sync.WaitGroup
-	accepted := make(chan *Future, 256)
+	accepted := make(chan Future, 256)
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
 		go func(g int) {
@@ -457,34 +457,6 @@ func TestPoolConcurrentSubmitters(t *testing.T) {
 	pool.Close()
 	if pool.Served() == 0 {
 		t.Error("no requests served")
-	}
-}
-
-func TestPoolCustomShardFunction(t *testing.T) {
-	p, r := buildProg(t, echoSrc)
-	lat := r.Lat
-	pool, err := NewPool(p, r, PoolOptions{
-		Workers: 2,
-		// Everything to shard 1 — including via a negative result,
-		// which must be reduced safely.
-		Shard:   func(index int) int { return -1 },
-		Options: Options{Env: hw.MustEnv("partitioned", lat, hw.Table1Config())},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	resps, err := pool.HandleAll(ctxb(), []Request{setH(1), setH(2), setH(3)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pool.Close()
-	for _, resp := range resps {
-		if resp.Shard != 1 {
-			t.Errorf("request %d on shard %d, want 1", resp.Index, resp.Shard)
-		}
-	}
-	if pool.Shard(0).Served() != 0 || pool.Shard(1).Served() != 3 {
-		t.Errorf("shard loads = %d/%d, want 0/3", pool.Shard(0).Served(), pool.Shard(1).Served())
 	}
 }
 

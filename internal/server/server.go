@@ -13,11 +13,11 @@
 //
 //   - Server processes requests strictly sequentially — the reference
 //     semantics, and the per-shard engine.
-//   - Pool shards requests across workers, each owning its own
-//     partitioned machine environment and persistent mitigation state,
-//     so per-shard leakage bounds still hold and a fixed shard
-//     assignment reproduces the serial per-request traces shard by
-//     shard (see pool.go).
+//   - Pool shards requests across workers round-robin, each worker
+//     owning its own partitioned machine environment and persistent
+//     mitigation state, so per-shard leakage bounds still hold and each
+//     shard reproduces the serial per-request traces of its
+//     subsequence (see pool.go).
 //
 // Both take a context.Context: cancellation and deadlines abort the
 // in-flight request cleanly with a *RequestError wrapping ctx.Err(),

@@ -78,7 +78,7 @@ func TestHandleWithStatesAreIndependent(t *testing.T) {
 	}
 }
 
-// The pool's SubmitWith/HandleWith must deliver the override to
+// The pool's HandleWith must deliver the override to
 // whichever shard serves the request.
 func TestPoolHandleWithThreadsState(t *testing.T) {
 	p, r := buildProg(t, echoSrc)

@@ -19,10 +19,10 @@ import (
 // when nothing crashes.
 func TestErrorPaths(t *testing.T) {
 	mgr := newSessions(t, session.Options{})
-	_, ts := newService(t, server.PoolOptions{}, Options{Sessions: mgr, MaxBatch: 4})
+	_, ts := newService(t, server.PoolOptions{}, Options{Sessions: mgr})
 
 	okRun := func() wire.RunRequest { return wire.RunRequest{Inputs: map[string]int64{"h": 1}} }
-	overBatch := wire.BatchRequest{Requests: make([]wire.RunRequest, 5)}
+	overBatch := wire.BatchRequest{Requests: make([]wire.RunRequest, DefaultMaxBatch+1)}
 	for i := range overBatch.Requests {
 		overBatch.Requests[i] = okRun()
 	}
@@ -125,7 +125,7 @@ func TestErrorPaths(t *testing.T) {
 			body:       mustJSON(t, overBatch),
 			wantStatus: http.StatusBadRequest,
 			wantCode:   wire.CodeInvalidRequest,
-			wantMsg:    "at most 4",
+			wantMsg:    fmt.Sprintf("at most %d", DefaultMaxBatch),
 		},
 	}
 
@@ -202,38 +202,34 @@ func TestTenantAgreementAccepted(t *testing.T) {
 	}
 }
 
-// TestBatchBoundConfig: the default bound applies at 0, a negative
-// value disables the check, and an in-bounds batch is served whole.
+// TestBatchBoundConfig: a batch of DefaultMaxBatch anonymous items on
+// the default depth-2 queue is served whole and in order. Its items
+// are submitted one by one, so most of them wait on the queue's
+// backpressure before they are accepted.
 func TestBatchBoundConfig(t *testing.T) {
-	_, ts := newService(t, server.PoolOptions{}, Options{MaxBatch: -1})
-	batch := wire.BatchRequest{Requests: make([]wire.RunRequest, DefaultMaxBatch+1)}
+	_, ts := newService(t, server.PoolOptions{}, Options{})
+	batch := wire.BatchRequest{Requests: make([]wire.RunRequest, DefaultMaxBatch)}
 	for i := range batch.Requests {
 		batch.Requests[i] = wire.RunRequest{Inputs: map[string]int64{"h": int64(i % 8)}}
 	}
 	resp, body := postJSON(t, ts.URL+"/v1/batch", batch)
 	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("disabled bound must admit any batch: %d %s", resp.StatusCode, body[:min(120, len(body))])
+		t.Fatalf("a batch at the bound must be admitted: %d %s", resp.StatusCode, body[:min(120, len(body))])
 	}
 	var out wire.BatchResponse
 	if err := json.Unmarshal(body, &out); err != nil {
 		t.Fatal(err)
 	}
-	if len(out.Results) != DefaultMaxBatch+1 {
-		t.Errorf("%d results", len(out.Results))
+	if len(out.Results) != DefaultMaxBatch {
+		t.Fatalf("%d results", len(out.Results))
 	}
 	for i, r := range out.Results {
 		if r.Error != nil {
 			t.Fatalf("item %d failed: %+v", i, r.Error)
 		}
-	}
-
-	h := &Handler{opts: Options{}}
-	if got := h.maxBatch(); got != DefaultMaxBatch {
-		t.Errorf("default maxBatch = %d", got)
-	}
-	h.opts.MaxBatch = 7
-	if got := h.maxBatch(); got != 7 {
-		t.Errorf("explicit maxBatch = %d", got)
+		if i > 0 && r.Response.Index <= out.Results[i-1].Response.Index {
+			t.Fatalf("item %d has index %d after %d: out of order", i, r.Response.Index, out.Results[i-1].Response.Index)
+		}
 	}
 }
 

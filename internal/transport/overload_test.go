@@ -8,6 +8,7 @@ import (
 	"io"
 	"math/rand"
 	"net/http"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -275,4 +276,78 @@ func TestOverloadOutcomes(t *testing.T) {
 		t.Fatal("requests still outstanding 30s after the last send")
 	}
 	t.Logf("outcomes: %v", tally)
+}
+
+// TestShedPerItem pins the shedding rule: under ShedOnSaturation an
+// anonymous item that finds its shard queue full gets overloaded in its
+// own slot, and the rest of the request still runs. A batch is shed
+// item by item exactly as a stream is. The one worker is held and its
+// one queue entry is free, so the first of four items is queued and
+// the other three are shed; the worker is released once they have
+// been.
+func TestShedPerItem(t *testing.T) {
+	items := make([]wire.RunRequest, 4)
+	for i := range items {
+		items[i] = wire.RunRequest{Inputs: map[string]int64{"h": int64(i)}}
+	}
+	want := []string{"ok", wire.CodeOverloaded, wire.CodeOverloaded, wire.CodeOverloaded}
+	outcomes := func(results []wire.BatchResult) []string {
+		out := make([]string, len(results))
+		for i, res := range results {
+			out[i] = "ok"
+			if res.Error != nil {
+				out[i] = res.Error.Code
+			}
+		}
+		return out
+	}
+	for _, endpoint := range []string{"batch", "stream"} {
+		t.Run(endpoint, func(t *testing.T) {
+			h, ts := newService(t, heldPool(), Options{})
+			release := holdWorker(t, h.opts.Pool, false)
+			go func() {
+				// Give up after a while, so that a batch queued whole
+				// fails this test instead of hanging it.
+				for end := time.Now().Add(2 * time.Second); h.opts.Pool.Snapshot().Sheds < 3 && time.Now().Before(end); {
+					time.Sleep(100 * time.Microsecond)
+				}
+				release()
+			}()
+			var results []wire.BatchResult
+			if endpoint == "batch" {
+				resp, body := postJSON(t, ts.URL+"/v1/batch", wire.BatchRequest{Requests: items})
+				var br wire.BatchResponse
+				if resp.StatusCode != http.StatusOK || json.Unmarshal(body, &br) != nil {
+					t.Fatalf("status %d: %s", resp.StatusCode, body)
+				}
+				results = br.Results
+			} else {
+				var body bytes.Buffer
+				for _, it := range items {
+					raw, _ := json.Marshal(it)
+					body.Write(raw)
+					body.WriteByte('\n')
+				}
+				resp, err := http.Post(ts.URL+"/v1/stream", "application/x-ndjson", &body)
+				if err != nil {
+					t.Fatal(err)
+				}
+				out, err := io.ReadAll(resp.Body)
+				resp.Body.Close()
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, line := range nonEmptyLines(out) {
+					var res wire.BatchResult
+					if err := json.Unmarshal(line, &res); err != nil {
+						t.Fatalf("%v: %s", err, line)
+					}
+					results = append(results, res)
+				}
+			}
+			if got := outcomes(results); !reflect.DeepEqual(got, want) {
+				t.Errorf("outcomes %v, want %v", got, want)
+			}
+		})
+	}
 }

@@ -4,26 +4,13 @@ import (
 	"bufio"
 	"bytes"
 	"context"
-	"errors"
 	"net/http"
 	"time"
 
 	"repro/internal/obs"
-	"repro/internal/server"
 	"repro/internal/transport/wire"
 	"repro/internal/transport/wire/fastjson"
 )
-
-// streamItem is one unit of work handed from the decode loop to the
-// write loop, in submission order. Either fut is a pending anonymous
-// submission (resolved against req), or res is an already-resolved
-// result: a tenanted run, a per-item error, or the stream's final
-// error line.
-type streamItem struct {
-	fut *server.Future
-	req wire.RunRequest
-	res wire.BatchResult
-}
 
 // handleStream serves POST /v1/stream: NDJSON request/response
 // pipelining over one connection. Each input line is a wire.RunRequest;
@@ -31,11 +18,11 @@ type streamItem struct {
 // {"error":{...}}), in submission order. The protocol is the batch
 // endpoint unrolled over time, and the handler is two loops:
 //
-//   - the decode loop reads lines and submits anonymous items to the
-//     pool without waiting, so one connection keeps every shard busy
-//     with no per-request HTTP round trip; tenanted items run inline,
-//     exactly like a tenanted batch item, so a tenant's epochs advance
-//     in submission order and a budget denial surfaces as a per-item
+//   - the decode loop reads lines, admits each, and starts it: an
+//     anonymous item is submitted to the pool without waiting, so one
+//     connection keeps every shard busy with no per-request HTTP round
+//     trip; a tenanted item runs inline, so a tenant's epochs advance in
+//     submission order and a budget denial surfaces as a per-item
 //     leakage_budget_exceeded error line (the 429 analogue) while the
 //     stream continues;
 //   - the write loop resolves items in FIFO order and streams results
@@ -44,7 +31,7 @@ type streamItem struct {
 //     never deadlocks against server-side buffering.
 //
 // The channel between them bounds the in-flight window at
-// Options.StreamWindow. A line the decoder rejects terminates the stream
+// DefaultStreamWindow. A line the decoder rejects terminates the stream
 // after a final error line (NDJSON framing cannot be trusted past a
 // decode failure). Shutdown is two-phase: the stream holds one
 // admission slot for its whole life, and the decode loop checks
@@ -111,7 +98,7 @@ func (h *Handler) handleStream(w http.ResponseWriter, r *http.Request) {
 	}()
 	defer func() { close(stopWatch); <-watchDone }()
 
-	items := make(chan streamItem, h.opts.StreamWindow)
+	items := make(chan item, DefaultStreamWindow)
 	// dead closes when the write loop hits a write error (the client
 	// went away); the decode loop then stops reading. The write loop
 	// keeps draining items until the channel closes either way, so
@@ -123,7 +110,7 @@ func (h *Handler) handleStream(w http.ResponseWriter, r *http.Request) {
 
 	// send hands one item to the write loop; false when the client is
 	// gone and reading more input is pointless.
-	send := func(it streamItem) bool {
+	send := func(it item) bool {
 		items <- it
 		select {
 		case <-dead:
@@ -134,7 +121,7 @@ func (h *Handler) handleStream(w http.ResponseWriter, r *http.Request) {
 	}
 	// fail sends the stream's final line; the caller then returns.
 	fail := func(werr *wire.Error) {
-		send(streamItem{res: wire.BatchResult{Error: werr}})
+		send(item{res: wire.BatchResult{Error: werr}})
 	}
 
 	for sc.Scan() {
@@ -157,35 +144,17 @@ func (h *Handler) handleStream(w http.ResponseWriter, r *http.Request) {
 			fail(invalidRequest(err))
 			return
 		}
-		sreq, tenant, werr := h.admit(req, r)
+		it, werr := h.admit(req, r)
 		if werr != nil {
 			fail(werr)
 			return
 		}
 		h.metrics.Add(obs.StreamItems, 1)
-
-		if tenant == "" {
-			fut, err := h.opts.Pool.Submit(ctx, sreq)
-			if err != nil {
-				// Admission failures are per-item outcomes; a closed
-				// pool additionally ends the stream.
-				closed := errors.Is(err, server.ErrPoolClosed)
-				if !send(streamItem{res: wire.BatchResult{Error: h.toWireError(err)}}) || closed {
-					return
-				}
-				continue
-			}
-			if !send(streamItem{fut: fut, req: req}) {
-				return
-			}
-			continue
-		}
-
-		// Tenanted: run inline so this tenant's admissions observe the
-		// leakage account in submission order. A denial (leakage budget,
-		// pool errors) is a per-item error line and the stream
-		// continues, mirroring a failed item inside a batch.
-		if !send(streamItem{res: h.runItem(ctx, req, sreq, tenant)}) {
+		// A failed item is an error line and the stream continues,
+		// mirroring a failed item inside a batch; a closed pool
+		// additionally ends the stream.
+		h.start(ctx, &it)
+		if !send(it) || (it.res.Error != nil && it.res.Error.Code == wire.CodeShuttingDown) {
 			return
 		}
 	}
@@ -201,7 +170,7 @@ func (h *Handler) handleStream(w http.ResponseWriter, r *http.Request) {
 // exactly when the next item is not already available, so bytes never
 // sit unflushed while the loop blocks and back-to-back results still
 // coalesce into large writes.
-func (h *Handler) streamWriteLoop(ctx context.Context, w http.ResponseWriter, rc *http.ResponseController, items <-chan streamItem, dead chan<- struct{}, done chan<- struct{}) {
+func (h *Handler) streamWriteLoop(ctx context.Context, w http.ResponseWriter, rc *http.ResponseController, items <-chan item, dead chan<- struct{}, done chan<- struct{}) {
 	defer close(done)
 	bw := bufio.NewWriterSize(w, 32<<10)
 	failed := false
@@ -232,7 +201,7 @@ func (h *Handler) streamWriteLoop(ctx context.Context, w http.ResponseWriter, rc
 	}
 
 	for {
-		var it streamItem
+		var it item
 		var ok bool
 		select {
 		case it, ok = <-items:
@@ -251,12 +220,9 @@ func (h *Handler) streamWriteLoop(ctx context.Context, w http.ResponseWriter, rc
 		if !ok {
 			break
 		}
-		if it.fut != nil {
-			resp, err := it.fut.Wait(ctx)
-			it.res = h.result(resp, err, it.req)
-		}
+		res := h.resolve(ctx, &it)
 		if !failed {
-			writeResult(&it.res)
+			writeResult(&res)
 		}
 	}
 	if !failed {

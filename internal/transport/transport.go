@@ -3,15 +3,17 @@
 // sharded server.Pool.
 //
 //	POST /v1/run      — one request: scalar inputs in, timing result out
-//	POST /v1/batch    — a burst, served via the pool's batched path
+//	POST /v1/batch    — a finite stream: a request list, one result per item
 //	POST /v1/stream   — NDJSON pipelining, one result line per request line
 //	GET  /v1/metrics  — obs.Export as Prometheus text (or JSON)
 //	GET  /v1/healthz  — liveness and drain state
 //
-// The three POST endpoints differ in framing and in how they submit to
-// the pool, not in how they treat an item: each item is admitted by
-// admit, an item run inline goes through runItem, and every pool
-// outcome becomes a wire result in result.
+// The three POST endpoints differ in framing only. Every item takes one
+// path: admit validates it, start begins it (an anonymous item is
+// submitted to the pool without waiting, a tenanted one runs inline in
+// its session), and resolve turns it into its wire result, in
+// submission order. A batch is a stream whose lines all arrived at
+// once.
 //
 // The transport owns admission control (queue saturation and drain map
 // to 503 + Retry-After, reusing the pool's load-shedding sentinels) and
@@ -51,11 +53,18 @@ const TenantHeader = "X-Timing-Tenant"
 // by the service.
 const statusClientClosedRequest = 499
 
-// DefaultMaxBatch is the batch-size bound when Options.MaxBatch is 0.
-// A batch is held in memory whole (decoded, validated, results
-// buffered), so an unbounded batch is an amplification lever: one
-// request body that pins a worker pool for minutes.
+// DefaultMaxBatch bounds the number of requests in one /v1/batch body;
+// a larger batch is rejected whole with 400 invalid_request before any
+// item runs. A batch is held in memory whole (decoded, validated,
+// results buffered), so an unbounded batch is an amplification lever:
+// one request body that pins a worker pool for minutes.
 const DefaultMaxBatch = 1024
+
+// DefaultStreamWindow bounds how many items one /v1/stream connection
+// may have started and not yet answered before its decode loop blocks
+// on the oldest result — deep enough to keep every shard busy, shallow
+// enough that one stream cannot queue unbounded work.
+const DefaultStreamWindow = 256
 
 // Options configure a Handler.
 type Options struct {
@@ -74,11 +83,6 @@ type Options struct {
 	// RetryAfter is the delay advertised on 503 responses (Retry-After
 	// header and retry_after_ms body field). Default 1s.
 	RetryAfter time.Duration
-	// MaxBatch bounds the number of requests in one /v1/batch body;
-	// oversized batches are rejected whole with 400 invalid_request
-	// before any item runs. 0 takes DefaultMaxBatch; negative disables
-	// the bound.
-	MaxBatch int
 	// Sessions, when non-nil, enables per-tenant mitigation sessions:
 	// requests naming a tenant (body field or X-Timing-Tenant header)
 	// run against that tenant's persistent mitigation state and leakage
@@ -86,16 +90,7 @@ type Options struct {
 	// account reaches the manager's budget. Nil ignores tenant names —
 	// every request is anonymous, the schema-v1 behavior.
 	Sessions *session.Manager
-	// StreamWindow bounds how many anonymous /v1/stream items may be in
-	// flight in the pool per connection before the decode loop blocks on
-	// the oldest result. 0 takes DefaultStreamWindow.
-	StreamWindow int
 }
-
-// DefaultStreamWindow is the per-stream pipelining depth when
-// Options.StreamWindow is 0 — deep enough to keep every shard busy,
-// shallow enough that one stream cannot queue unbounded work.
-const DefaultStreamWindow = 256
 
 // Handler is the HTTP front-end. Create with New; it implements
 // http.Handler and is safe for concurrent use.
@@ -126,9 +121,6 @@ func New(opts Options) (*Handler, error) {
 	}
 	if opts.RetryAfter <= 0 {
 		opts.RetryAfter = time.Second
-	}
-	if opts.StreamWindow <= 0 {
-		opts.StreamWindow = DefaultStreamWindow
 	}
 	h := &Handler{
 		opts:    opts,
@@ -250,12 +242,13 @@ func (h *Handler) handleRun(w http.ResponseWriter, r *http.Request) {
 		h.writeError(w, invalidRequest(err))
 		return
 	}
-	sreq, tenant, werr := h.admit(req, r)
+	it, werr := h.admit(req, r)
 	if werr != nil {
 		h.writeError(w, werr)
 		return
 	}
-	res := h.runItem(r.Context(), req, sreq, tenant)
+	h.start(r.Context(), &it)
+	res := h.resolve(r.Context(), &it)
 	if res.Error != nil {
 		h.writeError(w, res.Error)
 		return
@@ -312,58 +305,81 @@ func (h *Handler) tenantOf(req wire.RunRequest, r *http.Request) (string, *wire.
 	return hdr, nil
 }
 
-// maxBatch resolves the configured batch bound (0 disabled).
-func (h *Handler) maxBatch() int {
-	switch {
-	case h.opts.MaxBatch < 0:
-		return 0
-	case h.opts.MaxBatch == 0:
-		return DefaultMaxBatch
-	default:
-		return h.opts.MaxBatch
-	}
+// item is one request on the shared item path, from admission to its
+// wire result.
+type item struct {
+	req    wire.RunRequest
+	sreq   server.Request
+	tenant string
+	// queued marks an anonymous item submitted to the pool: fut holds
+	// its pending response. Otherwise a started item's result is res.
+	queued bool
+	fut    server.Future
+	res    wire.BatchResult
 }
 
 // admit validates one wire request for serving: its schema version,
 // its input names against the served program, and the tenant it runs
 // under. Every endpoint admits each item here, so a request is judged
 // the same whether it arrives alone, inside a batch, or on a stream.
-func (h *Handler) admit(req wire.RunRequest, r *http.Request) (server.Request, string, *wire.Error) {
+func (h *Handler) admit(req wire.RunRequest, r *http.Request) (item, *wire.Error) {
 	if werr := checkVersion(req.SchemaVersion); werr != nil {
-		return nil, "", werr
+		return item{}, werr
 	}
 	sreq, werr := h.toRequest(req)
 	if werr != nil {
-		return nil, "", werr
+		return item{}, werr
 	}
 	tenant, werr := h.tenantOf(req, r)
 	if werr != nil {
-		return nil, "", werr
+		return item{}, werr
 	}
-	return sreq, tenant, nil
+	return item{req: req, sreq: sreq, tenant: tenant}, nil
 }
 
-// runItem runs one admitted item and waits for its result. Anonymous
-// items go through Pool.Handle. A tenanted item runs
-// inside the tenant's session: admission against the leakage budget,
-// the tenant's own mitigation state spliced through the pool, and the
-// account advanced on success only.
-func (h *Handler) runItem(ctx context.Context, req wire.RunRequest, sreq server.Request, tenant string) wire.BatchResult {
-	if tenant == "" {
-		resp, err := h.opts.Pool.Handle(ctx, sreq)
-		return h.result(resp, err, req)
+// start begins an admitted item. An anonymous item is submitted to the
+// pool without waiting; a submission the pool refuses (shed, closed,
+// canceled) is the item's result. A tenanted item runs inline in its
+// session. Every endpoint starts its items in submission order, so a
+// tenant's epochs advance in that order and a budget denial is seen by
+// the tenant's later items.
+func (h *Handler) start(ctx context.Context, it *item) {
+	if it.tenant != "" {
+		it.res = h.runItem(ctx, it)
+		return
 	}
-	tk, err := h.opts.Sessions.Begin(tenant)
+	fut, err := h.opts.Pool.Submit(ctx, it.sreq)
+	if err != nil {
+		it.res = wire.BatchResult{Error: h.toWireError(err)}
+		return
+	}
+	it.fut, it.queued = fut, true
+}
+
+// resolve waits for a started item and returns its wire result.
+func (h *Handler) resolve(ctx context.Context, it *item) wire.BatchResult {
+	if !it.queued {
+		return it.res
+	}
+	resp, err := it.fut.Wait(ctx)
+	return h.result(resp, err, it.req)
+}
+
+// runItem runs a tenanted item inside the tenant's session: admission
+// against the leakage budget, the tenant's own mitigation state
+// spliced through the pool, and the account advanced on success only.
+func (h *Handler) runItem(ctx context.Context, it *item) wire.BatchResult {
+	tk, err := h.opts.Sessions.Begin(it.tenant)
 	if err != nil {
 		return wire.BatchResult{Error: h.toWireError(err)}
 	}
-	resp, err := h.opts.Pool.HandleWith(ctx, sreq, tk.Mit())
+	resp, err := h.opts.Pool.HandleWith(ctx, it.sreq, tk.Mit())
 	if err != nil {
 		tk.Abort()
 		return wire.BatchResult{Error: h.toWireError(err)}
 	}
 	info := tk.Commit(resp.Time, len(resp.Mitigations))
-	res := h.result(resp, nil, req)
+	res := h.result(resp, nil, it.req)
 	res.Response.Tenant = info.Tenant
 	res.Response.Epoch = info.Epoch
 	res.Response.LeakageBits = info.SpentBits
@@ -404,49 +420,37 @@ func (h *Handler) handleBatch(w http.ResponseWriter, r *http.Request) {
 		h.writeError(w, werr)
 		return
 	}
-	if max := h.maxBatch(); max > 0 && len(req.Requests) > max {
+	if len(req.Requests) > DefaultMaxBatch {
 		h.writeError(w, &wire.Error{
 			Code:    wire.CodeInvalidRequest,
-			Message: fmt.Sprintf("batch has %d requests; this server accepts at most %d", len(req.Requests), max),
+			Message: fmt.Sprintf("batch has %d requests; this server accepts at most %d", len(req.Requests), DefaultMaxBatch),
 		})
 		return
 	}
-	// Validate every item before submitting any: a batch with a typo'd
+	// Validate every item before starting any: a batch with a typo'd
 	// input name or a conflicting tenant fails fast as one invalid
 	// request, not as a half-run burst.
-	sreqs := make([]server.Request, len(req.Requests))
-	tenants := make([]string, len(req.Requests))
-	tenanted := false
-	for i, item := range req.Requests {
-		sreq, tenant, werr := h.admit(item, r)
+	items := make([]item, len(req.Requests))
+	for i := range req.Requests {
+		it, werr := h.admit(req.Requests[i], r)
 		if werr != nil {
 			werr.Message = fmt.Sprintf("request %d: %s", i, werr.Message)
 			h.writeError(w, werr)
 			return
 		}
-		sreqs[i], tenants[i] = sreq, tenant
-		tenanted = tenanted || tenant != ""
+		items[i] = it
 	}
-	resultsBuf := getResults(len(sreqs))
+	resultsBuf := getResults(len(items))
 	defer putResults(resultsBuf)
 	out := wire.BatchResponse{
 		SchemaVersion: wire.SchemaVersion,
 		Results:       *resultsBuf,
 	}
-	if tenanted {
-		// Session batches run item by item in submission order: each
-		// item's admission must see the account its predecessors left
-		// (a budget can run out mid-batch), and a tenant's epochs must
-		// advance in order. This trades the pool's batched fast path for
-		// the session semantics; anonymous batches keep the fast path.
-		for i := range sreqs {
-			out.Results[i] = h.runItem(r.Context(), req.Requests[i], sreqs[i], tenants[i])
-		}
-	} else {
-		resps, errs := h.opts.Pool.HandleAllErrs(r.Context(), sreqs)
-		for i := range sreqs {
-			out.Results[i] = h.result(resps[i], errs[i], req.Requests[i])
-		}
+	for i := range items {
+		h.start(r.Context(), &items[i])
+	}
+	for i := range items {
+		out.Results[i] = h.resolve(r.Context(), &items[i])
 	}
 	h.writeBatchResponse(w, &out)
 }

@@ -263,7 +263,7 @@ func holdWorker(t *testing.T, pool *server.Pool, fill bool) (release func()) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	held := []*server.Future{f}
+	held := []server.Future{f}
 	<-entered
 	if fill {
 		f, err := pool.Submit(context.Background(), func(*mem.Memory) {})
@@ -640,35 +640,6 @@ func parseProm(t *testing.T, text string) map[string]uint64 {
 		out[line[:sp]] = v
 	}
 	return out
-}
-
-func TestPoolHandleAllErrsReportsPerItem(t *testing.T) {
-	p, r := buildProg(t, echoSrc)
-	pool, err := server.NewPool(p, r, server.PoolOptions{
-		Workers: 2,
-		Options: server.Options{Env: hw.NewPartitioned(r.Lat, hw.Table1Config())},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer pool.Close()
-	reqs := make([]server.Request, 6)
-	for i := range reqs {
-		h := int64(i)
-		reqs[i] = func(m *mem.Memory) { m.Set("h", h) }
-	}
-	resps, errs := pool.HandleAllErrs(context.Background(), reqs)
-	if len(resps) != len(reqs) || len(errs) != len(reqs) {
-		t.Fatalf("lengths: %d resps, %d errs", len(resps), len(errs))
-	}
-	for i := range reqs {
-		if errs[i] != nil {
-			t.Errorf("request %d failed: %v", i, errs[i])
-		}
-		if resps[i] == nil {
-			t.Errorf("request %d: nil response without error", i)
-		}
-	}
 }
 
 func TestHandlerRequiresPoolAndProg(t *testing.T) {

@@ -104,7 +104,8 @@ type MitRecord struct {
 }
 
 // BatchRequest is the body of POST /v1/batch: a request sequence
-// submitted as one burst (the HTTP form of Pool.HandleAll).
+// served as a finite stream, each item submitted and answered in
+// order.
 type BatchRequest struct {
 	SchemaVersion int          `json:"schema_version,omitempty"`
 	Requests      []RunRequest `json:"requests"`
