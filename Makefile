@@ -37,24 +37,27 @@ engines:
 # cancellation and shutdown, the deadline, crosstalk and determinism
 # regressions, and, over HTTP, an open-loop overload run with a drain
 # partway through, per-item shedding, the stream drain tests,
-# /v1/metrics scraped while the shards serve, and the serial-replay
+# /v1/metrics scraped while the shards serve, the serial-replay
 # oracle (concurrent run, batch and stream traffic with evictions,
 # budget denials and deadlines, each shard replayed serially through
-# the tree engine). It also repeats the session races 20 times:
+# the tree engine), tenants named in opposite orders by concurrent
+# batches and streams, which must not deadlock, and a stream whose
+# client stops reading, which must hold no tenant's session. It also
+# repeats the session races 20 times:
 # a session evicted with no ticket is recycled for the next tenant, so
 # a ticket used after its Commit, or a worker still writing a state its
 # caller has released, would race another tenant's request, and one
 # run of each test seldom catches that.
 chaos:
 	$(GO) test -race -count 1 -run 'TestChaos|TestDeadline|TestCancelled' ./internal/server
-	$(GO) test -race -count 1 -run 'TestOverloadOutcomes|TestShedPerItem|TestStreamDrain|TestMetricsScrapeUnderLoad|TestSerialReplay' ./internal/transport
+	$(GO) test -race -count 1 -run 'TestOverloadOutcomes|TestShedPerItem|TestStreamDrain|TestMetricsScrapeUnderLoad|TestSerialReplay|TestTenantOrdersNoDeadlock|TestStalledStreamHoldsNoSession' ./internal/transport
 	$(GO) test -race -count 20 -run 'TestConcurrentTenantsRace|TestSessionRace' ./internal/session
 
 # allocs runs the allocation pins without the race detector (whose
 # sync.Pool drops a quarter of Puts on purpose, so the race run skips
 # the pins that go through pools): the pool and server hot paths with
-# recycled run buffers, admission, an anonymous batch through the HTTP
-# handler, and the wire codec.
+# recycled run buffers, admission, anonymous and tenanted batches
+# through the HTTP handler, and the wire codec with both input sinks.
 allocs:
 	$(GO) test -count 1 -run 'Alloc' ./internal/server ./internal/session ./internal/transport ./internal/transport/wire/fastjson
 
@@ -66,6 +69,7 @@ fuzz-smoke:
 	$(GO) test -fuzz FuzzDecode -fuzztime $(FUZZTIME) ./internal/bytecode
 	$(GO) test -fuzz FuzzOptTraceIdentity -fuzztime $(FUZZTIME) ./internal/bytecode
 	$(GO) test -fuzz FuzzWireCodecIdentity -fuzztime $(FUZZTIME) ./internal/transport/wire/fastjson
+	$(GO) test -fuzz FuzzSlotDecode -fuzztime $(FUZZTIME) ./internal/transport/wire/fastjson
 
 # smoke-serve builds the real timingc binary, serves the HTTP/JSON API
 # on an ephemeral port, drives it through the client SDK (health, a

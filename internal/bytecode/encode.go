@@ -32,6 +32,9 @@ import (
 const (
 	encodeMagic   = "TCBC"
 	encodeVersion = 2
+	// maxArrayElems bounds a decoded image's array elements in total
+	// (the largest program in the repository declares 1,280).
+	maxArrayElems = 1 << 20
 )
 
 // Encode writes the program to w.
@@ -182,6 +185,7 @@ func Decode(r io.Reader, lat lattice.Lattice) (*Program, error) {
 	if nArrays > 1<<20 {
 		return nil, fmt.Errorf("bytecode: array count %d too large", nArrays)
 	}
+	var elems uint64
 	for i := uint64(0); i < nArrays; i++ {
 		s, err := readString()
 		if err != nil {
@@ -193,6 +197,10 @@ func Decode(r io.Reader, lat lattice.Lattice) (*Program, error) {
 		}
 		if size == 0 || size > 1<<30 {
 			return nil, fmt.Errorf("bytecode: array %q size %d out of range", s, size)
+		}
+		// Linking allocates per element, so bound the image's total.
+		if elems += size; elems > maxArrayElems {
+			return nil, fmt.Errorf("bytecode: arrays total more than %d elements", maxArrayElems)
 		}
 		p.ArrayNames = append(p.ArrayNames, s)
 		p.ArraySizes = append(p.ArraySizes, int64(size))

@@ -119,3 +119,43 @@ func TestDecodeAcceptsV1(t *testing.T) {
 		t.Errorf("v1 code mismatch: %v", p.Code)
 	}
 }
+
+// TestDecodeRejectsHugeArrays: an image whose arrays total more than
+// 2^20 elements is rejected before linking, which builds per-element
+// storage and event names, can run; an image at the bound still links,
+// with each element's event name.
+func TestDecodeRejectsHugeArrays(t *testing.T) {
+	lat := lattice.TwoPoint()
+	prog, err := parser.Parse(v2TestSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := types.Check(prog, lat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bc, err := Compile(prog, res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		size int64
+		ok   bool
+	}{{1 << 20, true}, {1 << 21, false}} {
+		bc.ArraySizes[0] = c.size
+		var buf bytes.Buffer
+		if err := bc.Encode(&buf); err != nil {
+			t.Fatal(err)
+		}
+		back, err := Decode(bytes.NewReader(buf.Bytes()), lat)
+		if (err == nil) != c.ok {
+			t.Fatalf("array of %d elements: Decode error %v, want accepted=%v", c.size, err, c.ok)
+		}
+		if c.ok {
+			names := back.Opt.IdxNames[0]
+			if len(names) != int(c.size) || names[0] != "tab[0]" || names[c.size-1] != "tab[1048575]" {
+				t.Errorf("element names: %d, first %q, last %q", len(names), names[0], names[len(names)-1])
+			}
+		}
+	}
+}

@@ -2,6 +2,7 @@ package bytecode
 
 import (
 	"fmt"
+	"strconv"
 
 	"repro/internal/lang/token"
 	"repro/internal/lattice"
@@ -160,12 +161,24 @@ func lower(p *Program) (*OptProgram, error) {
 
 	// Precompute per-element event names so STOREIDX commits events
 	// without a per-event format allocation; each is "name[idx]", the
-	// element name sem/full's array assignments record.
+	// element name sem/full's array assignments record. An array's
+	// names are slices of one string built in one buffer.
 	out.IdxNames = make([][]string, len(p.ArrayNames))
+	var buf []byte
+	var ends []int
 	for i, name := range p.ArrayNames {
-		names := make([]string, p.ArraySizes[i])
-		for j := range names {
-			names[j] = fmt.Sprintf("%s[%d]", name, j)
+		buf, ends = buf[:0], ends[:0]
+		for j := int64(0); j < p.ArraySizes[i]; j++ {
+			buf = append(buf, name...)
+			buf = append(buf, '[')
+			buf = strconv.AppendInt(buf, j, 10)
+			buf = append(buf, ']')
+			ends = append(ends, len(buf))
+		}
+		names := make([]string, len(ends))
+		all, start := string(buf), 0
+		for j, end := range ends {
+			names[j], start = all[start:end], end
 		}
 		out.IdxNames[i] = names
 	}

@@ -78,6 +78,10 @@ func (m *Memory) ScalarSlot(name string) int {
 	return i
 }
 
+// SetSlot assigns the scalar in dense slot i (see ScalarSlot), with no
+// name lookup.
+func (m *Memory) SetSlot(i int, v int64) { m.vals[i] = v }
+
 // AliasScalars rebinds the scalar value storage to the caller's backing
 // slice (declaration-order slots), so scalar writes through this memory
 // land directly in the caller's storage. The backing must have exactly

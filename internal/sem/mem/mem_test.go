@@ -30,6 +30,19 @@ func TestScalarGetSet(t *testing.T) {
 	}
 }
 
+// TestSetSlot: setting a scalar by its slot is setting it by name.
+func TestSetSlot(t *testing.T) {
+	m := prog(t, "var x : L; array a[3] : L; var y : H; skip;")
+	byName := m.Clone()
+	m.SetSlot(m.ScalarSlot("y"), 7)
+	m.SetSlot(m.ScalarSlot("x"), -3)
+	byName.Set("y", 7)
+	byName.Set("x", -3)
+	if !m.Equal(byName) || m.ScalarSlot("a") != -1 {
+		t.Errorf("SetSlot: x=%d y=%d, slot of array a %d", m.Get("x"), m.Get("y"), m.ScalarSlot("a"))
+	}
+}
+
 func TestUndeclaredPanics(t *testing.T) {
 	m := prog(t, "var x : L; skip;")
 	for _, f := range []func(){

@@ -116,7 +116,7 @@ type Options struct {
 	// counters.
 	Metrics *obs.Metrics
 	// Now is the clock, injectable for deterministic TTL tests; default
-	// time.Now.
+	// time.Now. It is read only when TTL is positive.
 	Now func() time.Time
 }
 
@@ -405,7 +405,9 @@ func (t *Ticket) Abort() {
 func (m *Manager) checkIn(s *shard, e *session) {
 	s.mu.Lock()
 	e.busy--
-	e.lastSeen = m.opts.Now()
+	if m.opts.TTL > 0 {
+		e.lastSeen = m.opts.Now()
+	}
 	if e.busy == 0 {
 		s.idlePush(e)
 	}
@@ -427,7 +429,10 @@ func (m *Manager) Begin(tenant string) (*Ticket, error) {
 		return nil, fmt.Errorf("session: empty tenant ID")
 	}
 	s := m.shardFor(tenant)
-	now := m.opts.Now()
+	var now time.Time // read only with a TTL: nothing else reads a session's clock
+	if m.opts.TTL > 0 {
+		now = m.opts.Now()
+	}
 
 	s.mu.Lock()
 	e, ok := s.byID[tenant]

@@ -388,3 +388,21 @@ func TestEpochSequenceMatchesSerialReference(t *testing.T) {
 		t.Errorf("interleaved account %+v != serial reference %+v", got, want)
 	}
 }
+
+// TestNoClockWithoutTTL: without a TTL no session's idle clock is ever
+// read, so admission and check-in do not read the clock at all.
+func TestNoClockWithoutTTL(t *testing.T) {
+	calls := 0
+	now := func() time.Time { calls++; return time.Unix(0, 0) }
+	m := newManager(t, Options{MaxSessions: 64, Now: now})
+	for i := 0; i < 1000; i++ {
+		tk, err := m.Begin(fmt.Sprintf("t%d", i%200))
+		if err != nil {
+			t.Fatal(err)
+		}
+		tk.Commit(10, 1)
+	}
+	if calls != 0 {
+		t.Errorf("1,000 Begin/Commit pairs at TTL 0 read the clock %d times, want 0", calls)
+	}
+}

@@ -11,48 +11,72 @@ import (
 
 	"repro/internal/server"
 	"repro/internal/transport/wire"
+	"repro/internal/transport/wire/fastjson"
 )
 
-// TestPutResultsClearsReferences: a recycled batch-result slice must
-// neither pin the previous batch's responses in memory nor leak a
-// stale result into a future response that under-fills the slice.
+// TestPutResultsClearsReferences: a recycled batch must neither pin the
+// previous batch's results nor leak a stale request or result into a
+// future batch that under-fills it.
 func TestPutResultsClearsReferences(t *testing.T) {
-	sp := getResults(3)
-	s := *sp
-	for i := range s {
-		s[i] = wire.BatchResult{
-			Response: &wire.RunResponse{Time: uint64(i + 1)},
-			Error:    &wire.Error{Code: wire.CodeInternal},
-		}
+	b := getBatch()
+	for i := 0; i < 3; i++ {
+		req := b.elem(i)
+		req.Tenant = "stale"
+		req.Slots = append(req.Slots, fastjson.SlotInput{Slot: 0, Value: 1})
+		it := b.items[i]
+		it.resp.Time = uint64(i + 1)
+		it.res = wire.BatchResult{Response: &it.resp, Error: &wire.Error{Code: wire.CodeInternal}}
+		b.results = append(b.results, it.res)
 	}
-	putResults(sp)
-	// The pooled backing array must hold no references now.
-	full := s[:cap(s)]
+	items, results := b.items[:3], b.results
+	putBatch(b)
+	// The pooled results must hold no references now.
+	full := results[:cap(results)]
 	for i := range full {
 		if full[i].Response != nil || full[i].Error != nil {
-			t.Fatalf("putResults left element %d referenced: %+v", i, full[i])
+			t.Fatalf("putBatch left result %d referenced: %+v", i, full[i])
 		}
 	}
-	// And a fresh get of any size must come back zeroed.
-	sp2 := getResults(2)
-	for i, r := range *sp2 {
-		if r.Response != nil || r.Error != nil {
-			t.Fatalf("getResults returned stale element %d: %+v", i, r)
+	// And its items must come back empty.
+	for i, it := range items {
+		if it.req.Tenant != "" || len(it.req.Slots) != 0 || it.res.Response != nil || it.res.Error != nil || it.resp.Time != 0 {
+			t.Fatalf("putBatch left item %d stale: %+v", i, it)
 		}
 	}
-	putResults(sp2)
+	b2 := getBatch()
+	if len(b2.results) != 0 || b2.used != 0 {
+		t.Fatalf("getBatch returned a used batch: %d results, %d items", len(b2.results), b2.used)
+	}
+	putBatch(b2)
 }
 
 // TestPutBufDropsOversized: pathological bodies must not pin megabytes
-// in the pool.
+// in the pools.
 func TestPutBufDropsOversized(t *testing.T) {
 	big := make([]byte, 0, wire.MaxPooledBuf+1)
 	wire.PutBuf(&big) // must be dropped, not pooled
-	huge := make([]wire.BatchResult, 0, maxPooledResults+1)
-	putResults(&huge)
-	// No direct observation of the pool internals; the property under
-	// test is just that neither call panics or retains — exercised for
-	// the race detector and as documentation of the cap contract.
+	// Requests past DefaultMaxBatch decode into one scratch destination,
+	// so a pooled batch never holds more than DefaultMaxBatch items.
+	b := getBatch()
+	for i := 0; i < DefaultMaxBatch+100; i++ {
+		b.elem(i).Slots = append(b.elem(i).Slots, fastjson.SlotInput{Slot: 0, Value: int64(i)})
+	}
+	if len(b.items) > DefaultMaxBatch {
+		t.Errorf("an oversized batch holds %d items, want at most %d", len(b.items), DefaultMaxBatch)
+	}
+	putBatch(b)
+	if len(b.overflow.Slots) != 0 || cap(b.overflow.Slots) != 0 {
+		t.Errorf("putBatch kept the oversized batch's scratch inputs (cap %d)", cap(b.overflow.Slots))
+	}
+	// An item drops record storage past maxItemRecords and keeps its
+	// setup function.
+	it := getItem()
+	it.resp.Trace = make([]wire.Event, 0, maxItemRecords+1)
+	it.reset()
+	if cap(it.resp.Trace) != 0 || it.setup == nil {
+		t.Errorf("reset kept a trace of capacity %d (setup bound: %v)", cap(it.resp.Trace), it.setup != nil)
+	}
+	putItem(it)
 }
 
 // TestPooledBuffersNotAliasedUnderLoad is the leak-safety acceptance

@@ -12,6 +12,7 @@ import (
 	"os"
 	"reflect"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -44,6 +45,36 @@ const (
 	replayFloor = 150
 )
 
+// slowSrc is testdata/mitigated.tc with a public loop after the
+// mitigated sleep, whose body evaluates a 200-term sum. The late runs
+// of the slow case set the loop bound n to slowLoops; the other items
+// leave it at 0.
+var slowSrc = `
+var h : H;
+var n : L;
+var i : L;
+var x : L;
+var done : L;
+
+mitigate (64, H) [L,L] {
+    sleep(h) [H,H];
+}
+i := 0;
+while (i < n) {
+    x := ` + strings.Repeat("(i * 3 + 1) % 7 + ", 199) + `i;
+    i := i + 1;
+}
+done := 1;
+`
+
+// slowLoops is the late runs' loop bound in the slow case. On the tree
+// engine, which counts a statement as one step however large its
+// expression, such a run takes about 300 steps, too few to reach the
+// engine's first context poll at 1,024, and about 3 ms without the race
+// detector: a client deadline of 50 us-2 ms ends its request while the
+// worker still runs it against the tenant's state.
+const slowLoops = 100
+
 // replayRecord is one delivered response with the item it answered.
 type replayRecord struct {
 	item wire.RunRequest
@@ -57,21 +88,28 @@ type replayRecord struct {
 // denies some items; and a few runs of fresh tenants carry deadlines
 // short enough to cancel them in flight. After Shutdown every
 // delivered response must equal a serial replay of its shard (see
-// replaySerially).
+// replaySerially). The slow case serves slowSrc on the tree engine:
+// its late runs belong to regular tenants and outlast their client
+// deadlines, and each is followed at once by the tenant's next run, so
+// a wait that returned before the worker let go of the tenant's state
+// would hand that state to the next run while the worker still used
+// it.
 func TestSerialReplay(t *testing.T) {
-	for _, model := range []string{"partitioned", "nopar"} {
-		t.Run("hw="+model, func(t *testing.T) { replayTraffic(t, model) })
-	}
-}
-
-// replayTraffic serves the oracle's traffic on the named hardware model
-// and replays every response it delivered.
-func replayTraffic(t *testing.T, model string) {
 	src, err := os.ReadFile("../../testdata/mitigated.tc")
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, r := buildProg(t, string(src))
+	for _, model := range []string{"partitioned", "nopar"} {
+		t.Run("hw="+model, func(t *testing.T) { replayTraffic(t, model, "vm", string(src), 0) })
+	}
+	t.Run("prog=slow", func(t *testing.T) { replayTraffic(t, "partitioned", "tree", slowSrc, slowLoops) })
+}
+
+// replayTraffic serves the oracle's traffic for the program src on the
+// named hardware model and engine, and replays every response it
+// delivered. A positive lateLoops is the loop bound n of the late runs.
+func replayTraffic(t *testing.T, model, engine, src string, lateLoops int64) {
+	p, r := buildProg(t, src)
 	proto, err := hw.NewEnv(model, r.Lat, hw.Table1Config())
 	if err != nil {
 		t.Fatal(err)
@@ -80,9 +118,9 @@ func replayTraffic(t *testing.T, model string) {
 	mgr := newSessions(t, session.Options{
 		Lat: r.Lat, BudgetBits: replayBudget, MaxSessions: replaySessions, Shards: 1, Metrics: met,
 	})
-	h, ts := newServiceFor(t, string(src), server.PoolOptions{
+	h, ts := newServiceFor(t, src, server.PoolOptions{
 		Workers: replayWorkers,
-		Options: server.Options{Env: proto, Engine: "vm", Metrics: met},
+		Options: server.Options{Env: proto, Engine: engine, Metrics: met},
 	}, Options{Sessions: mgr})
 
 	var (
@@ -156,7 +194,15 @@ func replayTraffic(t *testing.T, model string) {
 					// but before its response arrived. A run that
 					// committed unseen leaves a gap that ends its shard's
 					// comparison, so these come last in each schedule.
+					// In the slow case the run is long and its tenant is
+					// a regular one, whose next run follows at once: it
+					// must find the tenant's state exactly as the
+					// cancelled run's worker left it.
 					items[0].Tenant = fmt.Sprintf("late-%d-%d", c, k)
+					if lateLoops > 0 {
+						items[0].Tenant = fmt.Sprintf("t%d", rng.Intn(replayTenants))
+						items[0].Inputs["n"] = lateLoops
+					}
 					ctx, cancel := context.WithTimeout(context.Background(), time.Duration(50+rng.Intn(2000))*time.Microsecond)
 					body, _ := json.Marshal(items[0])
 					status, out, err = post(ctx, "/v1/run", body)
@@ -165,6 +211,15 @@ func replayTraffic(t *testing.T, model string) {
 						mu.Lock()
 						tally["late lost"]++
 						mu.Unlock()
+						if lateLoops > 0 {
+							next := wire.RunRequest{Tenant: items[0].Tenant, Inputs: map[string]int64{"h": int64(rng.Intn(200))}, Mitigations: true}
+							body, _ := json.Marshal(next)
+							if status, out, err = post(context.Background(), "/v1/run", body); err != nil {
+								t.Error(err)
+								continue
+							}
+							deliver(next, replayResult(t, status, out))
+						}
 						continue
 					}
 					deliver(items[0], replayResult(t, status, out))
@@ -346,8 +401,12 @@ func replaySerially(t *testing.T, p *ast.Program, r *types.Result, proto hw.Env,
 				if acct != nil {
 					mit = acct.mit
 				}
-				hv := rec.item.Inputs["h"]
-				resp, err := srvs[s].HandleWith(context.Background(), func(m *mem.Memory) { m.Set("h", hv) }, mit)
+				inputs := rec.item.Inputs
+				resp, err := srvs[s].HandleWith(context.Background(), func(m *mem.Memory) {
+					for name, v := range inputs {
+						m.Set(name, v)
+					}
+				}, mit)
 				if err != nil {
 					t.Fatalf("replay of request %d: %v", rec.resp.Index, err)
 				}
@@ -355,8 +414,8 @@ func replaySerially(t *testing.T, p *ast.Program, r *types.Result, proto hw.Env,
 				got := rec.resp
 				if got.Time != resp.Time || got.Mispredictions != resp.Mispredictions || !reflect.DeepEqual(got.Mitigations, mits) {
 					bad++
-					t.Errorf("request %d (shard %d #%d, tenant %q epoch %d, h=%d): served time %d, %d mispredictions, mitigations %v; serial replay %d, %d, %v",
-						got.Index, s, got.ShardIndex, got.Tenant, got.Epoch, hv, got.Time, got.Mispredictions, got.Mitigations,
+					t.Errorf("request %d (shard %d #%d, tenant %q epoch %d, inputs %v): served time %d, %d mispredictions, mitigations %v; serial replay %d, %d, %v",
+						got.Index, s, got.ShardIndex, got.Tenant, got.Epoch, inputs, got.Time, got.Mispredictions, got.Mitigations,
 						resp.Time, resp.Mispredictions, mits)
 				}
 				if acct != nil {

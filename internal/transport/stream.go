@@ -18,17 +18,19 @@ import (
 // {"error":{...}}), in submission order. The protocol is the batch
 // endpoint unrolled over time, and the handler is two loops:
 //
-//   - the decode loop reads lines, admits each, and starts it: an
-//     anonymous item is submitted to the pool without waiting, so one
-//     connection keeps every shard busy with no per-request HTTP round
-//     trip; a tenanted item runs inline, so a tenant's epochs advance in
-//     submission order and a budget denial surfaces as a per-item
-//     leakage_budget_exceeded error line (the 429 analogue) while the
-//     stream continues;
-//   - the write loop resolves items in FIFO order and streams results
-//     back, flushing whenever the next item is not already waiting —
-//     a client that pipelines N requests and then blocks on results
-//     never deadlocks against server-side buffering.
+//   - the decode loop reads lines into pooled items, admits each, and
+//     starts it: an anonymous item is submitted to the pool without
+//     waiting, so one connection keeps every shard busy with no
+//     per-request HTTP round trip; a tenanted item runs inline, so a
+//     tenant's epochs advance in submission order, a budget denial
+//     surfaces as a per-item leakage_budget_exceeded error line (the
+//     429 analogue) while the stream continues, and a client that stops
+//     reading holds no session;
+//   - the write loop resolves items in FIFO order, streams results back
+//     and returns each item to the pool after its line, flushing
+//     whenever the next item is not already waiting — a client that
+//     pipelines N requests and then blocks on results never deadlocks
+//     against server-side buffering.
 //
 // The channel between them bounds the in-flight window at
 // DefaultStreamWindow. A line the decoder rejects terminates the stream
@@ -98,7 +100,7 @@ func (h *Handler) handleStream(w http.ResponseWriter, r *http.Request) {
 	}()
 	defer func() { close(stopWatch); <-watchDone }()
 
-	items := make(chan item, DefaultStreamWindow)
+	items := make(chan *item, DefaultStreamWindow)
 	// dead closes when the write loop hits a write error (the client
 	// went away); the decode loop then stops reading. The write loop
 	// keeps draining items until the channel closes either way, so
@@ -110,7 +112,7 @@ func (h *Handler) handleStream(w http.ResponseWriter, r *http.Request) {
 
 	// send hands one item to the write loop; false when the client is
 	// gone and reading more input is pointless.
-	send := func(it item) bool {
+	send := func(it *item) bool {
 		items <- it
 		select {
 		case <-dead:
@@ -119,10 +121,16 @@ func (h *Handler) handleStream(w http.ResponseWriter, r *http.Request) {
 			return true
 		}
 	}
-	// fail sends the stream's final line; the caller then returns.
-	fail := func(werr *wire.Error) {
-		send(item{res: wire.BatchResult{Error: werr}})
+	// fail sends the stream's final line, on it or on a new item; the
+	// caller then returns.
+	fail := func(it *item, werr *wire.Error) {
+		if it == nil {
+			it = getItem()
+		}
+		it.fail(werr)
+		send(it)
 	}
+	hdr := r.Header.Get(TenantHeader)
 
 	for sc.Scan() {
 		line := sc.Bytes()
@@ -136,41 +144,41 @@ func (h *Handler) handleStream(w http.ResponseWriter, r *http.Request) {
 		default:
 		}
 		if h.Draining() {
-			fail(h.drainError())
+			fail(nil, h.drainError())
 			return
 		}
-		var req wire.RunRequest
-		if err := fastjson.DecodeRunRequest(line, &req, true); err != nil {
-			fail(invalidRequest(err))
+		it := getItem()
+		if err := fastjson.DecodeSlotRequest(line, &it.req, true, h.slot); err != nil {
+			fail(it, invalidRequest(err))
 			return
 		}
-		it, werr := h.admit(req, r)
-		if werr != nil {
-			fail(werr)
+		if werr := h.admit(it, hdr); werr != nil {
+			fail(it, werr)
 			return
 		}
 		h.metrics.Add(obs.StreamItems, 1)
 		// A failed item is an error line and the stream continues,
 		// mirroring a failed item inside a batch; a closed pool
 		// additionally ends the stream.
-		h.start(ctx, &it)
-		if !send(it) || (it.res.Error != nil && it.res.Error.Code == wire.CodeShuttingDown) {
+		h.start(ctx, it)
+		closed := !it.queued && it.res.Error != nil && it.res.Error.Code == wire.CodeShuttingDown
+		if !send(it) || closed {
 			return
 		}
 	}
 	// The body ended, failed, or hit the drain's read deadline. A
 	// draining stream still owes its client the terminal line.
 	if h.Draining() {
-		fail(h.drainError())
+		fail(nil, h.drainError())
 	}
 }
 
-// streamWriteLoop resolves items in FIFO order and writes one NDJSON
-// result line per item. Output is buffered; the buffer is flushed
-// exactly when the next item is not already available, so bytes never
-// sit unflushed while the loop blocks and back-to-back results still
-// coalesce into large writes.
-func (h *Handler) streamWriteLoop(ctx context.Context, w http.ResponseWriter, rc *http.ResponseController, items <-chan item, dead chan<- struct{}, done chan<- struct{}) {
+// streamWriteLoop resolves items in FIFO order, writes one NDJSON
+// result line per item and returns the item to the pool. Output is
+// buffered; the buffer is flushed exactly when the next item is not
+// already available, so bytes never sit unflushed while the loop
+// blocks and back-to-back results still coalesce into large writes.
+func (h *Handler) streamWriteLoop(ctx context.Context, w http.ResponseWriter, rc *http.ResponseController, items <-chan *item, dead chan<- struct{}, done chan<- struct{}) {
 	defer close(done)
 	bw := bufio.NewWriterSize(w, 32<<10)
 	failed := false
@@ -201,7 +209,7 @@ func (h *Handler) streamWriteLoop(ctx context.Context, w http.ResponseWriter, rc
 	}
 
 	for {
-		var it item
+		var it *item
 		var ok bool
 		select {
 		case it, ok = <-items:
@@ -220,10 +228,11 @@ func (h *Handler) streamWriteLoop(ctx context.Context, w http.ResponseWriter, rc
 		if !ok {
 			break
 		}
-		res := h.resolve(ctx, &it)
+		res := h.resolve(ctx, it)
 		if !failed {
-			writeResult(&res)
+			writeResult(res)
 		}
+		putItem(it)
 	}
 	if !failed {
 		if err := bw.Flush(); err == nil {

@@ -9,11 +9,16 @@
 //	GET  /v1/healthz  — liveness and drain state
 //
 // The three POST endpoints differ in framing only. Every item takes one
-// path: admit validates it, start begins it (an anonymous item is
-// submitted to the pool without waiting, a tenanted one runs inline in
-// its session), and resolve turns it into its wire result, in
-// submission order. A batch is a stream whose lines all arrived at
-// once.
+// path: it is decoded into a pooled item whose inputs are already
+// (slot, value) pairs of the served program, admit validates it, start
+// begins it (an anonymous item is submitted to the pool without
+// waiting, a tenanted one runs inline in its session), and resolve
+// fills the item's wire result, in submission order. A batch is a
+// stream whose lines all arrived at once.
+//
+// A tenanted item's run is settled before the handler starts its next
+// item, so no handler waits for a session while it holds one, and a
+// stream whose client stops reading holds no session.
 //
 // The transport owns admission control (queue saturation and drain map
 // to 503 + Retry-After, reusing the pool's load-shedding sentinels) and
@@ -97,9 +102,9 @@ type Options struct {
 type Handler struct {
 	opts Options
 	mux  *http.ServeMux
-	// names is a template memory over the served program, used only for
-	// declaration lookups (never written).
-	names *mem.Memory
+	// slot resolves an input name to its scalar slot in the served
+	// program, or -1, for the decoder.
+	slot func(name []byte) int
 	// metrics is the pool's accumulator, for the transport-level byte
 	// and stream counters.
 	metrics *obs.Metrics
@@ -124,10 +129,11 @@ func New(opts Options) (*Handler, error) {
 	}
 	h := &Handler{
 		opts:    opts,
-		names:   mem.New(opts.Prog),
 		metrics: opts.Pool.Metrics(),
 		drainc:  make(chan struct{}),
 	}
+	names := mem.New(opts.Prog) // declaration lookups only, never written
+	h.slot = func(name []byte) int { return names.ScalarSlot(string(name)) }
 	h.mux = http.NewServeMux()
 	h.mux.HandleFunc("POST /v1/run", h.handleRun)
 	h.mux.HandleFunc("POST /v1/batch", h.handleBatch)
@@ -235,20 +241,20 @@ func (h *Handler) handleRun(w http.ResponseWriter, r *http.Request) {
 		h.writeError(w, werr)
 		return
 	}
-	var req wire.RunRequest
-	err := fastjson.DecodeRunRequest(*body, &req, true)
+	it := getItem()
+	defer putItem(it)
+	err := fastjson.DecodeSlotRequest(*body, &it.req, true, h.slot)
 	wire.PutBuf(body)
 	if err != nil {
 		h.writeError(w, invalidRequest(err))
 		return
 	}
-	it, werr := h.admit(req, r)
-	if werr != nil {
+	if werr := h.admit(it, r.Header.Get(TenantHeader)); werr != nil {
 		h.writeError(w, werr)
 		return
 	}
-	h.start(r.Context(), &it)
-	res := h.resolve(r.Context(), &it)
+	h.start(r.Context(), it)
+	res := h.resolve(r.Context(), it)
 	if res.Error != nil {
 		h.writeError(w, res.Error)
 		return
@@ -282,119 +288,102 @@ func (h *Handler) writeBody(w http.ResponseWriter, status int, b []byte) {
 	h.metrics.Add(obs.BytesOut, uint64(n))
 }
 
-// tenantOf resolves a request's tenant: the body field, then the
-// header fallback. Naming DIFFERENT tenants in body and header is
-// rejected — silently picking one would bill probes (and leakage
-// budget) to a session the caller may not have meant. Sessions being
-// disabled makes every request anonymous regardless.
-func (h *Handler) tenantOf(req wire.RunRequest, r *http.Request) (string, *wire.Error) {
+// tenantOf resolves an item's tenant: the body field, then the header
+// fallback. Naming DIFFERENT tenants in body and header is rejected —
+// silently picking one would bill probes (and leakage budget) to a
+// session the caller may not have meant. Sessions being disabled makes
+// every request anonymous regardless.
+func (h *Handler) tenantOf(body, hdr string) (string, *wire.Error) {
 	if h.opts.Sessions == nil {
 		return "", nil
 	}
-	hdr := r.Header.Get(TenantHeader)
-	if req.Tenant != "" && hdr != "" && req.Tenant != hdr {
+	if body != "" && hdr != "" && body != hdr {
 		return "", &wire.Error{
 			Code: wire.CodeInvalidRequest,
 			Message: fmt.Sprintf("tenant mismatch: body names %q but %s header names %q",
-				req.Tenant, TenantHeader, hdr),
+				body, TenantHeader, hdr),
 		}
 	}
-	if req.Tenant != "" {
-		return req.Tenant, nil
+	if body != "" {
+		return body, nil
 	}
 	return hdr, nil
 }
 
-// item is one request on the shared item path, from admission to its
-// wire result.
-type item struct {
-	req    wire.RunRequest
-	sreq   server.Request
-	tenant string
-	// queued marks an anonymous item submitted to the pool: fut holds
-	// its pending response. Otherwise a started item's result is res.
-	queued bool
-	fut    server.Future
-	res    wire.BatchResult
-}
-
-// admit validates one wire request for serving: its schema version,
-// its input names against the served program, and the tenant it runs
-// under. Every endpoint admits each item here, so a request is judged
-// the same whether it arrives alone, inside a batch, or on a stream.
-func (h *Handler) admit(req wire.RunRequest, r *http.Request) (item, *wire.Error) {
-	if werr := checkVersion(req.SchemaVersion); werr != nil {
-		return item{}, werr
+// admit validates one decoded item for serving: its schema version,
+// its input names against the served program (the decoder resolved
+// them and kept the first it could not), and the tenant it runs under,
+// with hdr the request's tenant header. Every endpoint admits each item
+// here, so a request is judged the same whether it arrives alone,
+// inside a batch, or on a stream.
+func (h *Handler) admit(it *item, hdr string) *wire.Error {
+	if werr := checkVersion(it.req.SchemaVersion); werr != nil {
+		return werr
 	}
-	sreq, werr := h.toRequest(req)
-	if werr != nil {
-		return item{}, werr
+	if it.req.HasUnknown {
+		return &wire.Error{
+			Code:    wire.CodeUnknownInput,
+			Message: fmt.Sprintf("input %q is not a declared scalar of the served program", it.req.Unknown),
+		}
 	}
-	tenant, werr := h.tenantOf(req, r)
-	if werr != nil {
-		return item{}, werr
-	}
-	return item{req: req, sreq: sreq, tenant: tenant}, nil
+	tenant, werr := h.tenantOf(it.req.Tenant, hdr)
+	it.tenant = tenant
+	return werr
 }
 
 // start begins an admitted item. An anonymous item is submitted to the
 // pool without waiting; a submission the pool refuses (shed, closed,
 // canceled) is the item's result. A tenanted item runs inline in its
-// session. Every endpoint starts its items in submission order, so a
-// tenant's epochs advance in that order and a budget denial is seen by
-// the tenant's later items.
+// session: admission against the leakage budget, the tenant's own
+// mitigation state spliced through the pool, and the account advanced
+// on success only. Every endpoint starts its items in submission order,
+// so a tenant's epochs advance in that order and a budget denial is
+// seen by the tenant's later items.
 func (h *Handler) start(ctx context.Context, it *item) {
-	if it.tenant != "" {
-		it.res = h.runItem(ctx, it)
+	if it.tenant == "" {
+		fut, err := h.opts.Pool.Submit(ctx, it.setup)
+		if err != nil {
+			it.fail(h.toWireError(err))
+			return
+		}
+		it.fut, it.queued = fut, true
 		return
 	}
-	fut, err := h.opts.Pool.Submit(ctx, it.sreq)
-	if err != nil {
-		it.res = wire.BatchResult{Error: h.toWireError(err)}
-		return
-	}
-	it.fut, it.queued = fut, true
-}
-
-// resolve waits for a started item and returns its wire result.
-func (h *Handler) resolve(ctx context.Context, it *item) wire.BatchResult {
-	if !it.queued {
-		return it.res
-	}
-	resp, err := it.fut.Wait(ctx)
-	return h.result(resp, err, it.req)
-}
-
-// runItem runs a tenanted item inside the tenant's session: admission
-// against the leakage budget, the tenant's own mitigation state
-// spliced through the pool, and the account advanced on success only.
-func (h *Handler) runItem(ctx context.Context, it *item) wire.BatchResult {
 	tk, err := h.opts.Sessions.Begin(it.tenant)
 	if err != nil {
-		return wire.BatchResult{Error: h.toWireError(err)}
+		it.fail(h.toWireError(err))
+		return
 	}
-	resp, err := h.opts.Pool.HandleWith(ctx, it.sreq, tk.Mit())
+	resp, err := h.opts.Pool.HandleWith(ctx, it.setup, tk.Mit())
 	if err != nil {
 		tk.Abort()
-		return wire.BatchResult{Error: h.toWireError(err)}
+		it.fail(h.toWireError(err))
+		return
 	}
 	info := tk.Commit(resp.Time, len(resp.Mitigations))
-	res := h.result(resp, nil, it.req)
-	res.Response.Tenant = info.Tenant
-	res.Response.Epoch = info.Epoch
-	res.Response.LeakageBits = info.SpentBits
-	return res
+	it.resp.Tenant, it.resp.Epoch, it.resp.LeakageBits = info.Tenant, info.Epoch, info.SpentBits
+	it.succeed(resp)
 }
 
-// result converts one pool outcome into its wire form and releases the
-// pooled response.
-func (h *Handler) result(resp *server.Response, err error, req wire.RunRequest) wire.BatchResult {
-	if err != nil {
-		return wire.BatchResult{Error: h.toWireError(err)}
+// resolve waits for a started item and returns its wire result, which
+// points into the item.
+func (h *Handler) resolve(ctx context.Context, it *item) *wire.BatchResult {
+	if !it.queued {
+		return &it.res
 	}
-	rr := toRunResponse(resp, req)
-	server.ReleaseResponse(resp)
-	return wire.BatchResult{Response: &rr}
+	it.queued = false
+	resp, err := it.fut.Wait(ctx)
+	if err != nil {
+		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
+			// The wait gave up on a run the worker may not have reached
+			// yet; it would still call the item's setup.
+			it.lost = true
+		}
+		it.fail(h.toWireError(err))
+		return &it.res
+	}
+	it.succeed(resp)
+	return &it.res
 }
 
 func (h *Handler) handleBatch(w http.ResponseWriter, r *http.Request) {
@@ -409,50 +398,44 @@ func (h *Handler) handleBatch(w http.ResponseWriter, r *http.Request) {
 		h.writeError(w, werr)
 		return
 	}
-	var req wire.BatchRequest
-	err := fastjson.DecodeBatchRequest(*body, &req, true)
+	b := getBatch()
+	defer putBatch(b)
+	version, n, err := fastjson.DecodeSlotBatch(*body, true, h.slot, b.elemFn)
 	wire.PutBuf(body)
 	if err != nil {
 		h.writeError(w, invalidRequest(err))
 		return
 	}
-	if werr := checkVersion(req.SchemaVersion); werr != nil {
+	if werr := checkVersion(version); werr != nil {
 		h.writeError(w, werr)
 		return
 	}
-	if len(req.Requests) > DefaultMaxBatch {
+	if n > DefaultMaxBatch {
 		h.writeError(w, &wire.Error{
 			Code:    wire.CodeInvalidRequest,
-			Message: fmt.Sprintf("batch has %d requests; this server accepts at most %d", len(req.Requests), DefaultMaxBatch),
+			Message: fmt.Sprintf("batch has %d requests; this server accepts at most %d", n, DefaultMaxBatch),
 		})
 		return
 	}
 	// Validate every item before starting any: a batch with a typo'd
 	// input name or a conflicting tenant fails fast as one invalid
 	// request, not as a half-run burst.
-	items := make([]item, len(req.Requests))
-	for i := range req.Requests {
-		it, werr := h.admit(req.Requests[i], r)
-		if werr != nil {
+	items := b.items[:n]
+	hdr := r.Header.Get(TenantHeader) // once for all items
+	for i, it := range items {
+		if werr := h.admit(it, hdr); werr != nil {
 			werr.Message = fmt.Sprintf("request %d: %s", i, werr.Message)
 			h.writeError(w, werr)
 			return
 		}
-		items[i] = it
 	}
-	resultsBuf := getResults(len(items))
-	defer putResults(resultsBuf)
-	out := wire.BatchResponse{
-		SchemaVersion: wire.SchemaVersion,
-		Results:       *resultsBuf,
+	for _, it := range items {
+		h.start(r.Context(), it)
 	}
-	for i := range items {
-		h.start(r.Context(), &items[i])
+	for _, it := range items {
+		b.results = append(b.results, *h.resolve(r.Context(), it))
 	}
-	for i := range items {
-		out.Results[i] = h.resolve(r.Context(), &items[i])
-	}
-	h.writeBatchResponse(w, &out)
+	h.writeBatchResponse(w, &wire.BatchResponse{SchemaVersion: wire.SchemaVersion, Results: b.results})
 }
 
 // writeBatchResponse encodes a batch response into a pooled buffer.
@@ -544,54 +527,28 @@ func checkVersion(v int) *wire.Error {
 	return nil
 }
 
-// toRequest validates a wire request's input names against the served
-// program and builds the memory-setup closure. Validation happens here,
-// at admission, because mem.Set panics on undeclared names — a malformed
-// request must be a 400, not a worker crash.
-func (h *Handler) toRequest(req wire.RunRequest) (server.Request, *wire.Error) {
-	for name := range req.Inputs {
-		if !h.names.HasScalar(name) {
-			return nil, &wire.Error{
-				Code:    wire.CodeUnknownInput,
-				Message: fmt.Sprintf("input %q is not a declared scalar of the served program", name),
-			}
+// fillRunResponse writes a pool response's public fields into out,
+// with the trace and mitigation records only when the request opted
+// in. The records reuse out's storage; the session fields are left as
+// they are.
+func fillRunResponse(out *wire.RunResponse, resp *server.Response, trace, mitigations bool) {
+	out.SchemaVersion = wire.SchemaVersion
+	out.Index, out.Shard, out.ShardIndex = resp.Index, resp.Shard, resp.ShardIndex
+	out.Time, out.Mispredictions = resp.Time, resp.Mispredictions
+	out.Trace, out.Mitigations = out.Trace[:0], out.Mitigations[:0]
+	if trace {
+		for _, e := range resp.Trace {
+			out.Trace = append(out.Trace, wire.Event{Var: e.Var, Value: e.Value, Time: e.Time})
 		}
 	}
-	inputs := req.Inputs
-	return func(m *mem.Memory) {
-		for name, v := range inputs {
-			m.Set(name, v)
-		}
-	}, nil
-}
-
-// toRunResponse converts a pool response, including the trace and
-// mitigation records only when the request opted in.
-func toRunResponse(resp *server.Response, req wire.RunRequest) wire.RunResponse {
-	out := wire.RunResponse{
-		SchemaVersion:  wire.SchemaVersion,
-		Index:          resp.Index,
-		Shard:          resp.Shard,
-		ShardIndex:     resp.ShardIndex,
-		Time:           resp.Time,
-		Mispredictions: resp.Mispredictions,
-	}
-	if req.Trace {
-		out.Trace = make([]wire.Event, len(resp.Trace))
-		for i, e := range resp.Trace {
-			out.Trace[i] = wire.Event{Var: e.Var, Value: e.Value, Time: e.Time}
-		}
-	}
-	if req.Mitigations {
-		out.Mitigations = make([]wire.MitRecord, len(resp.Mitigations))
-		for i, m := range resp.Mitigations {
-			out.Mitigations[i] = wire.MitRecord{
+	if mitigations {
+		for _, m := range resp.Mitigations {
+			out.Mitigations = append(out.Mitigations, wire.MitRecord{
 				ID: m.ID, Duration: m.Duration, Elapsed: m.Elapsed,
 				Start: m.Start, Mispredicted: m.Mispredicted,
-			}
+			})
 		}
 	}
-	return out
 }
 
 // toWireError maps a pool error onto the stable wire vocabulary. The

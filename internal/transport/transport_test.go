@@ -662,3 +662,11 @@ func TestHandlerRequiresPoolAndProg(t *testing.T) {
 		t.Errorf("New with both = %v", err)
 	}
 }
+
+// toRunResponse converts a pool response into the wire response the
+// handler sends for req.
+func toRunResponse(resp *server.Response, req wire.RunRequest) wire.RunResponse {
+	var out wire.RunResponse
+	fillRunResponse(&out, resp, req.Trace, req.Mitigations)
+	return out
+}

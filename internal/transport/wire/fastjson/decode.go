@@ -29,6 +29,9 @@ type decoder struct {
 	// encoding/json's scanner limit (and to keep skipValue's recursion
 	// on deeply nested unknown values from exhausting the stack).
 	depth int
+	// resolve maps an input name to its scalar slot, or -1, for the
+	// slot sink (DecodeSlotRequest, DecodeSlotBatch).
+	resolve func(name []byte) int
 }
 
 // maxDepth mirrors encoding/json's maxNestingDepth: documents nested
@@ -58,7 +61,7 @@ func putDecoder(d *decoder) {
 	if len(d.interned) > 1024 {
 		clear(d.interned) // keeps the capacity: a busy decoder refills it
 	}
-	d.data = nil
+	d.data, d.resolve = nil, nil
 	decPool.Put(d)
 }
 
@@ -694,10 +697,11 @@ func (d *decoder) fieldString(dst *string) error {
 	return nil
 }
 
-// fieldInputs decodes the map[string]int64 inputs field: null sets the
-// map nil, an object allocates on demand and merges entries (last
-// occurrence of a duplicate key wins), exactly as json.Unmarshal.
-func (d *decoder) fieldInputs(dst *map[string]int64) error {
+// fieldInputs decodes the inputs field into the map[string]int64 of a
+// wire.RunRequest (sr nil) — null sets the map nil, an object allocates
+// on demand and merges entries (the last duplicate key wins), exactly
+// as json.Unmarshal — or, when sr is non-nil, into sr's slot sink.
+func (d *decoder) fieldInputs(dst *map[string]int64, sr *SlotRequest) error {
 	c, err := d.peek()
 	if err != nil {
 		return err
@@ -707,7 +711,11 @@ func (d *decoder) fieldInputs(dst *map[string]int64) error {
 		if err := d.literal("ull"); err != nil {
 			return err
 		}
-		*dst = nil
+		if sr != nil {
+			sr.Slots, sr.Unknown, sr.HasUnknown = sr.Slots[:0], "", false
+		} else {
+			*dst = nil
+		}
 		return nil
 	}
 	if c != '{' {
@@ -717,7 +725,7 @@ func (d *decoder) fieldInputs(dst *map[string]int64) error {
 	if err := d.push(); err != nil {
 		return err
 	}
-	if *dst == nil {
+	if sr == nil && *dst == nil {
 		*dst = make(map[string]int64, 4)
 	}
 	m := *dst
@@ -742,7 +750,13 @@ func (d *decoder) fieldInputs(dst *map[string]int64) error {
 		if err != nil {
 			return err
 		}
-		name := d.intern(key)
+		var name string
+		slot := -1
+		if sr == nil {
+			name = d.intern(key)
+		} else if slot = d.resolve(key); slot < 0 && !sr.HasUnknown {
+			sr.Unknown, sr.HasUnknown = string(key), true
+		}
 		if err := d.expect(':'); err != nil {
 			return err
 		}
@@ -756,7 +770,12 @@ func (d *decoder) fieldInputs(dst *map[string]int64) error {
 				return err
 			}
 		}
-		m[name] = v
+		switch {
+		case sr == nil:
+			m[name] = v
+		case slot >= 0:
+			sr.Slots = append(sr.Slots, SlotInput{Slot: slot, Value: v})
+		}
 	}
 }
 
@@ -836,7 +855,14 @@ func keyIs(key []byte, name string) bool {
 	return strings.EqualFold(string(key), name)
 }
 
-func (d *decoder) runRequest(v *wire.RunRequest) error {
+func (d *decoder) runRequest(v *wire.RunRequest) error { return d.request(v, nil) }
+
+func (d *decoder) slotRequest(v *SlotRequest) error { return d.request(&v.RunRequest, v) }
+
+// request is the one RunRequest field walker. Its inputs go to the map
+// sink, v.Inputs, or, when sr is non-nil, to sr's slot sink (v is then
+// &sr.RunRequest).
+func (d *decoder) request(v *wire.RunRequest, sr *SlotRequest) error {
 	return d.object("RunRequest", func(key []byte) (bool, error) {
 		switch {
 		case keyIs(key, "schema_version"):
@@ -844,7 +870,7 @@ func (d *decoder) runRequest(v *wire.RunRequest) error {
 		case keyIs(key, "tenant"):
 			return true, d.fieldString(&v.Tenant)
 		case keyIs(key, "inputs"):
-			return true, d.fieldInputs(&v.Inputs)
+			return true, d.fieldInputs(&v.Inputs, sr)
 		case keyIs(key, "trace"):
 			return true, d.fieldBool(&v.Trace)
 		case keyIs(key, "mitigations"):
@@ -966,11 +992,9 @@ func (d *decoder) batchResponse(v *wire.BatchResponse) error {
 	})
 }
 
-// decodeSlice decodes a JSON array into *dst with json.Unmarshal's
-// reuse semantics: null sets the slice nil, elements within capacity
-// are decoded in place (merging into stale values exactly as the
-// stdlib does), and the final length equals the array's.
-func decodeSlice[T any](d *decoder, dst *[]T, elem func(*decoder, *T) error) error {
+// array walks one JSON array value, calling elem for its elements in
+// order; a null array calls null instead.
+func (d *decoder) array(null func(), elem func(i int) error) error {
 	c, err := d.peek()
 	if err != nil {
 		return err
@@ -980,7 +1004,7 @@ func decodeSlice[T any](d *decoder, dst *[]T, elem func(*decoder, *T) error) err
 		if err := d.literal("ull"); err != nil {
 			return err
 		}
-		*dst = nil
+		null()
 		return nil
 	}
 	if c != '[' {
@@ -990,9 +1014,7 @@ func decodeSlice[T any](d *decoder, dst *[]T, elem func(*decoder, *T) error) err
 	if err := d.push(); err != nil {
 		return err
 	}
-	s := (*dst)[:0]
-	first := true
-	for {
+	for i := 0; ; i++ {
 		b, err := d.peek()
 		if err != nil {
 			return err
@@ -1000,29 +1022,42 @@ func decodeSlice[T any](d *decoder, dst *[]T, elem func(*decoder, *T) error) err
 		if b == ']' {
 			d.off++
 			d.depth--
-			if s == nil {
-				s = make([]T, 0)
-			}
-			*dst = s
 			return nil
 		}
-		if !first {
+		if i > 0 {
 			if err := d.expect(','); err != nil {
 				return err
 			}
 		}
-		first = false
+		if err := elem(i); err != nil {
+			return err
+		}
+	}
+}
+
+// decodeSlice decodes a JSON array into *dst with json.Unmarshal's
+// reuse semantics: null sets the slice nil, elements within capacity
+// are decoded in place (merging into stale values exactly as the
+// stdlib does), and the final length equals the array's.
+func decodeSlice[T any](d *decoder, dst *[]T, elem func(*decoder, *T) error) error {
+	s, null := (*dst)[:0], false
+	err := d.array(func() { null = true }, func(int) error {
 		if len(s) < cap(s) {
 			s = s[:len(s)+1]
 		} else {
 			var zero T
 			s = append(s, zero)
 		}
-		if err := elem(d, &s[len(s)-1]); err != nil {
-			*dst = s
-			return err
-		}
+		return elem(d, &s[len(s)-1])
+	})
+	switch {
+	case null:
+		s = nil
+	case s == nil:
+		s = make([]T, 0)
 	}
+	*dst = s
+	return err
 }
 
 // decodePtr decodes into a pointer field: null sets it nil, an object
@@ -1094,6 +1129,84 @@ func DecodeBatchResult(data []byte, v *wire.BatchResult, strict bool) error {
 // DecodeError parses a bare wire error object into v.
 func DecodeError(data []byte, v *wire.Error, strict bool) error {
 	return decodeTop(data, v, strict, (*decoder).wireError)
+}
+
+// SlotInput is one request input resolved to a scalar slot of the
+// served program (see mem.Memory.ScalarSlot).
+type SlotInput struct {
+	Slot  int
+	Value int64
+}
+
+// SlotRequest is a RunRequest decoded for serving, by the same field
+// walker as DecodeRunRequest, with its inputs resolved at decode to
+// (slot, value) pairs in document order (its Inputs map stays nil).
+// Setting the pairs in order gives the memory the map's declared names
+// would: the last duplicate wins, null is 0, "inputs": null clears
+// them. HasUnknown is set, and Unknown is the first name the resolver
+// rejected, exactly when the map would hold an undeclared name.
+type SlotRequest struct {
+	wire.RunRequest
+	Slots      []SlotInput
+	Unknown    string
+	HasUnknown bool
+}
+
+// Reset empties r for a fresh decode, keeping the capacity of Slots.
+func (r *SlotRequest) Reset() { *r = SlotRequest{Slots: r.Slots[:0]} }
+
+// DecodeSlotRequest parses a RunRequest document into v with the slot
+// sink: resolve maps an input name to its scalar slot, or -1 for a
+// name the program does not declare. Like DecodeRunRequest it merges
+// into v; Reset it for a fresh decode.
+func DecodeSlotRequest(data []byte, v *SlotRequest, strict bool, resolve func(name []byte) int) error {
+	return decodeTop(data, v, strict, func(d *decoder, v *SlotRequest) error {
+		d.resolve = resolve
+		return d.slotRequest(v)
+	})
+}
+
+// DecodeSlotBatch parses a BatchRequest document with the slot sink.
+// Request i is decoded into elem(i), which is Reset before its first
+// use in the document; a repeated "requests" key merges into the
+// requests an earlier one decoded, and "requests": null forgets them,
+// as DecodeBatchRequest does. It returns the batch's schema_version and
+// the length of its (last) requests array.
+func DecodeSlotBatch(data []byte, strict bool, resolve func(name []byte) int, elem func(i int) *SlotRequest) (version, n int, err error) {
+	d := getDecoder(data, strict)
+	d.resolve = resolve
+	high := 0
+	err = d.object("BatchRequest", func(key []byte) (bool, error) {
+		switch {
+		case keyIs(key, "schema_version"):
+			return true, d.fieldInt(&version)
+		case keyIs(key, "requests"):
+			return true, d.slotRequests(elem, &n, &high)
+		}
+		return false, nil
+	})
+	if err == nil {
+		err = d.trailing()
+	}
+	putDecoder(d)
+	return version, n, err
+}
+
+// slotRequests decodes a requests array into elem(0), elem(1), ... with
+// decodeSlice's reuse semantics: an element below *high, decoded by an
+// earlier "requests" key of the document, is merged into; a higher one
+// is Reset first; null forgets them all. *n is the array's length.
+func (d *decoder) slotRequests(elem func(int) *SlotRequest, n, high *int) error {
+	*n = 0
+	return d.array(func() { *high = 0 }, func(i int) error {
+		v := elem(i)
+		if i >= *high {
+			v.Reset()
+			*high = i + 1
+		}
+		*n = i + 1
+		return d.slotRequest(v)
+	})
 }
 
 // errorEnvelope parses the top-level {"error":{...}} failure body.
