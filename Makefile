@@ -24,13 +24,20 @@ ci: fmt vet build race allocs perfbench-test engines chaos certify-smoke cover f
 # charge the same pinned metrics for one run
 # (TestMetricsObservationalOnly), the server's engine tests (parity of
 # both engines behind the server and the pool, the step budget on
-# each, and the unknown-engine error), and the bytecode package's
-# fusion differential (fused vs unfused register form) and golden
-# tests, which hold the only checks of the VM's micro timing model.
+# each, and the unknown-engine error), the bytecode package's fusion
+# differential (fused vs unfused register form) and golden tests,
+# which hold the only checks of the VM's micro timing model, and the
+# simulated hierarchy's equivalence tests: the memoized site path the
+# VM charges through against plain Access (TestAccessSite*,
+# TestSiteMemo*, and the VM on an environment hidden behind a
+# wrapper, TestOptPlainEnvMatchesSites), and both against the two-pass
+# reference lookup (TestWalkMatchesReference), so the VM and the tree
+# engine, which charges through Access, see the same hardware.
 engines:
 	$(GO) test -run 'TestEngine|TestEngines|TestMetricsObservationalOnly' ./internal/exec
 	$(GO) test -run 'Engine' ./internal/server
-	$(GO) test -run 'TestOptDifferential|TestVMGolden' ./internal/bytecode
+	$(GO) test -run 'TestOptDifferential|TestVMGolden|TestOptPlainEnvMatchesSites' ./internal/bytecode
+	$(GO) test -run 'TestAccessSite|TestSiteMemo|TestWalkMatchesReference' ./internal/machine/hw
 
 # chaos runs the overload contract's suite under the race detector:
 # 100 randomized pool schedules of overload, budget, deadline,
@@ -39,8 +46,8 @@ engines:
 # partway through, per-item shedding, the stream drain tests,
 # /v1/metrics scraped while the shards serve, the serial-replay
 # oracle (concurrent run, batch and stream traffic with evictions,
-# budget denials and deadlines, each shard replayed serially through
-# the tree engine), tenants named in opposite orders by concurrent
+# budget denials and deadlines, runs cut off mid-run among them, each
+# shard replayed serially through the tree engine), tenants named in opposite orders by concurrent
 # batches and streams, which must not deadlock, and a stream whose
 # client stops reading, which must hold no tenant's session. It also
 # repeats the session races 20 times:

@@ -148,8 +148,8 @@ type VM struct {
 
 	// regs is the fixed register file (one slot per evaluation-stack
 	// slot of the stack ISA), and senv/fetchSites/dataSites the
-	// per-original-instruction hardware-access memos when the
-	// environment supports the memoized fast path (see vm_opt.go).
+	// environment's memoized access path and the per-original-instruction
+	// hardware-access memos (see vm_opt.go).
 	regs       []int64
 	senv       hw.SiteEnv
 	fetchSites []hw.Site
@@ -207,21 +207,31 @@ func NewVM(prog *Program, env hw.Env, opts VMOptions) *VM {
 		nr = 1
 	}
 	vm.regs = make([]int64, nr)
-	if senv, ok := env.(hw.SiteEnv); ok {
-		vm.senv = senv
-		// One memo per original instruction: dataSites for data
-		// accesses (and the tree model's per-command fetch, which
-		// SETLBL owns), fetchSites for the micro model's
-		// per-instruction fetches. Sites deliberately survive Reset:
-		// their validity is guarded by the environment's membership
-		// generations, and a service keeps the environment warm across
-		// requests.
-		vm.dataSites = make([]hw.Site, opt.OrigLen)
-		if opts.Timing == TimingMicro {
-			vm.fetchSites = make([]hw.Site, opt.OrigLen)
-		}
+	senv, ok := env.(hw.SiteEnv)
+	if !ok {
+		senv = plainSites{env}
+	}
+	vm.senv = senv
+	// One memo per original instruction: dataSites for data accesses
+	// (and the tree model's per-command fetch, which SETLBL owns),
+	// fetchSites for the micro model's per-instruction fetches. Sites
+	// deliberately survive Reset: their validity is guarded by the
+	// environment's membership generations, and a service keeps the
+	// environment warm across requests.
+	vm.dataSites = make([]hw.Site, opt.OrigLen)
+	if opts.Timing == TimingMicro {
+		vm.fetchSites = make([]hw.Site, opt.OrigLen)
 	}
 	return vm
+}
+
+// plainSites gives an environment without memos the VM's access path:
+// AccessSite is Access, and a Site stays empty, so Replay always
+// declines.
+type plainSites struct{ hw.Env }
+
+func (p plainSites) AccessSite(_ *hw.Site, kind hw.AccessKind, addr uint64, er, ew lattice.Label) uint64 {
+	return p.Access(kind, addr, er, ew)
 }
 
 // Reset rewinds the VM to its initial state — program counter,

@@ -22,8 +22,9 @@ import (
 // semantics event for event.
 // Operands are predecoded, the evaluation stack is a fixed register
 // file, fused superinstructions cut dispatches, and steady-state
-// hardware accesses replay per-site memos (hw.Site) instead of
-// re-walking the cache hierarchy; none of that is observable.
+// hardware accesses replay per-site memos (hw.Site.Replay, a direct
+// call) instead of re-walking the cache hierarchy, calling the
+// environment only when a memo declines; none of that is observable.
 //
 // Costs accumulate into a local across each (possibly fused) group and
 // commit to the clock at the group boundary. Summing per group rather
@@ -36,7 +37,6 @@ func (vm *VM) runLoopOpt(ctx context.Context, b budget.Budget) error {
 	o := vm.prog.Opt
 	code := o.Code
 	regs := vm.regs
-	env := vm.env
 	senv := vm.senv
 	scalars := vm.scalars
 	arrays := vm.arrays
@@ -104,14 +104,13 @@ loop:
 			// the group executes (fused groups never contain SETLBL, and
 			// SETLBL itself fetches before updating the register).
 			org := uint64(ins.OrigPC)
-			if senv != nil {
-				for k := uint64(0); k < uint64(ins.Len); k++ {
-					cost += base + senv.AccessSite(&vm.fetchSites[org+k], hw.Fetch, codeBase+(org+k)*isize, er, ew)
+			for k := uint64(0); k < uint64(ins.Len); k++ {
+				site, addr := &vm.fetchSites[org+k], codeBase+(org+k)*isize
+				c, ok := site.Replay(addr, er, ew)
+				if !ok {
+					c = senv.AccessSite(site, hw.Fetch, addr, er, ew)
 				}
-			} else {
-				for k := uint64(0); k < uint64(ins.Len); k++ {
-					cost += base + env.Access(hw.Fetch, codeBase+(org+k)*isize, er, ew)
-				}
+				cost += base + c
 			}
 		}
 
@@ -134,41 +133,45 @@ loop:
 				// The command's single fetch, at the AST node's code
 				// address, under the command's own labels.
 				addr := codeBase + stride*uint64(curNode)
-				if senv != nil {
-					cost = base + senv.AccessSite(&vm.dataSites[ins.OrigPC], hw.Fetch, addr, er, ew)
-				} else {
-					cost = base + env.Access(hw.Fetch, addr, er, ew)
+				site := &vm.dataSites[ins.OrigPC]
+				c, ok := site.Replay(addr, er, ew)
+				if !ok {
+					c = senv.AccessSite(site, hw.Fetch, addr, er, ew)
 				}
+				cost = base + c
 			}
 
 		case OImm:
 			regs[ins.Dst] = ins.Val
 
 		case OLoad:
-			if senv != nil {
-				cost += senv.AccessSite(&vm.dataSites[ins.OrigPC], hw.Read, scalarAddr[ins.A], er, ew)
-			} else {
-				cost += env.Access(hw.Read, scalarAddr[ins.A], er, ew)
+			site := &vm.dataSites[ins.OrigPC]
+			c, ok := site.Replay(scalarAddr[ins.A], er, ew)
+			if !ok {
+				c = senv.AccessSite(site, hw.Read, scalarAddr[ins.A], er, ew)
 			}
+			cost += c
 			regs[ins.Dst] = scalars[ins.A]
 
 		case OLoadIdx:
 			idx := wrap(regs[ins.S1], len(arrays[ins.A]))
 			addr := arrayBase[ins.A] + 8*uint64(idx)
-			if senv != nil {
-				cost += senv.AccessSite(&vm.dataSites[ins.OrigPC], hw.Read, addr, er, ew)
-			} else {
-				cost += env.Access(hw.Read, addr, er, ew)
+			site := &vm.dataSites[ins.OrigPC]
+			c, ok := site.Replay(addr, er, ew)
+			if !ok {
+				c = senv.AccessSite(site, hw.Read, addr, er, ew)
 			}
+			cost += c
 			regs[ins.Dst] = arrays[ins.A][idx]
 
 		case OStore:
 			v := regs[ins.S1]
-			if senv != nil {
-				cost += senv.AccessSite(&vm.dataSites[ins.OrigPC], hw.Write, scalarAddr[ins.A], er, ew)
-			} else {
-				cost += env.Access(hw.Write, scalarAddr[ins.A], er, ew)
+			site := &vm.dataSites[ins.OrigPC]
+			c, ok := site.Replay(scalarAddr[ins.A], er, ew)
+			if !ok {
+				c = senv.AccessSite(site, hw.Write, scalarAddr[ins.A], er, ew)
 			}
+			cost += c
 			scalars[ins.A] = v
 			clock += cost
 			vm.trace = append(vm.trace, events.Event{
@@ -179,11 +182,12 @@ loop:
 			v := regs[ins.S2]
 			idx := wrap(regs[ins.S1], len(arrays[ins.A]))
 			addr := arrayBase[ins.A] + 8*uint64(idx)
-			if senv != nil {
-				cost += senv.AccessSite(&vm.dataSites[ins.OrigPC], hw.Write, addr, er, ew)
-			} else {
-				cost += env.Access(hw.Write, addr, er, ew)
+			site := &vm.dataSites[ins.OrigPC]
+			c, ok := site.Replay(addr, er, ew)
+			if !ok {
+				c = senv.AccessSite(site, hw.Write, addr, er, ew)
 			}
+			cost += c
 			arrays[ins.A][idx] = v
 			clock += cost
 			vm.trace = append(vm.trace, events.Event{
@@ -324,33 +328,36 @@ loop:
 			}
 
 		case OLoadBinop: // LOAD B; BINOP — the load is original pc OrigPC.
-			if senv != nil {
-				cost += senv.AccessSite(&vm.dataSites[ins.OrigPC], hw.Read, scalarAddr[ins.B], er, ew)
-			} else {
-				cost += env.Access(hw.Read, scalarAddr[ins.B], er, ew)
+			site := &vm.dataSites[ins.OrigPC]
+			c, ok := site.Replay(scalarAddr[ins.B], er, ew)
+			if !ok {
+				c = senv.AccessSite(site, hw.Read, scalarAddr[ins.B], er, ew)
 			}
+			cost += c
 			regs[ins.Dst] = binop(ins.Kind, regs[ins.S1], scalars[ins.B])
 			if tree {
 				cost += opCost
 			}
 
 		case OImmLoadBinop: // PUSH Val; LOAD B; BINOP — the load is OrigPC+1.
-			if senv != nil {
-				cost += senv.AccessSite(&vm.dataSites[ins.OrigPC+1], hw.Read, scalarAddr[ins.B], er, ew)
-			} else {
-				cost += env.Access(hw.Read, scalarAddr[ins.B], er, ew)
+			site := &vm.dataSites[ins.OrigPC+1]
+			c, ok := site.Replay(scalarAddr[ins.B], er, ew)
+			if !ok {
+				c = senv.AccessSite(site, hw.Read, scalarAddr[ins.B], er, ew)
 			}
+			cost += c
 			regs[ins.Dst] = binop(ins.Kind, ins.Val, scalars[ins.B])
 			if tree {
 				cost += opCost
 			}
 
 		case OLoadJz: // LOAD B; JZ — the load is OrigPC.
-			if senv != nil {
-				cost += senv.AccessSite(&vm.dataSites[ins.OrigPC], hw.Read, scalarAddr[ins.B], er, ew)
-			} else {
-				cost += env.Access(hw.Read, scalarAddr[ins.B], er, ew)
+			site := &vm.dataSites[ins.OrigPC]
+			c, ok := site.Replay(scalarAddr[ins.B], er, ew)
+			if !ok {
+				c = senv.AccessSite(site, hw.Read, scalarAddr[ins.B], er, ew)
 			}
+			cost += c
 			taken := scalars[ins.B] == 0
 			cost += vm.optBranch(tree, taken, curNode, ins, codeBase, isize, stride, er, ew)
 			if taken {
@@ -378,11 +385,12 @@ loop:
 			}
 
 		case OLoadCmpJz: // LOAD B; BINOP; JZ — the load is OrigPC.
-			if senv != nil {
-				cost += senv.AccessSite(&vm.dataSites[ins.OrigPC], hw.Read, scalarAddr[ins.B], er, ew)
-			} else {
-				cost += env.Access(hw.Read, scalarAddr[ins.B], er, ew)
+			site := &vm.dataSites[ins.OrigPC]
+			c, ok := site.Replay(scalarAddr[ins.B], er, ew)
+			if !ok {
+				c = senv.AccessSite(site, hw.Read, scalarAddr[ins.B], er, ew)
 			}
+			cost += c
 			taken := binop(ins.Kind, regs[ins.S1], scalars[ins.B]) == 0
 			if tree {
 				cost += opCost
@@ -393,11 +401,12 @@ loop:
 			}
 
 		case OImmStore: // PUSH Val; STORE A — the store is OrigPC+1.
-			if senv != nil {
-				cost += senv.AccessSite(&vm.dataSites[ins.OrigPC+1], hw.Write, scalarAddr[ins.A], er, ew)
-			} else {
-				cost += env.Access(hw.Write, scalarAddr[ins.A], er, ew)
+			site := &vm.dataSites[ins.OrigPC+1]
+			c, ok := site.Replay(scalarAddr[ins.A], er, ew)
+			if !ok {
+				c = senv.AccessSite(site, hw.Write, scalarAddr[ins.A], er, ew)
 			}
+			cost += c
 			scalars[ins.A] = ins.Val
 			clock += cost
 			vm.trace = append(vm.trace, events.Event{
@@ -405,17 +414,19 @@ loop:
 			continue
 
 		case OLoadStore: // LOAD B; STORE A — load at OrigPC, store at OrigPC+1.
-			if senv != nil {
-				cost += senv.AccessSite(&vm.dataSites[ins.OrigPC], hw.Read, scalarAddr[ins.B], er, ew)
-			} else {
-				cost += env.Access(hw.Read, scalarAddr[ins.B], er, ew)
+			site := &vm.dataSites[ins.OrigPC]
+			c, ok := site.Replay(scalarAddr[ins.B], er, ew)
+			if !ok {
+				c = senv.AccessSite(site, hw.Read, scalarAddr[ins.B], er, ew)
 			}
+			cost += c
 			v := scalars[ins.B]
-			if senv != nil {
-				cost += senv.AccessSite(&vm.dataSites[ins.OrigPC+1], hw.Write, scalarAddr[ins.A], er, ew)
-			} else {
-				cost += env.Access(hw.Write, scalarAddr[ins.A], er, ew)
+			site = &vm.dataSites[ins.OrigPC+1]
+			c, ok = site.Replay(scalarAddr[ins.A], er, ew)
+			if !ok {
+				c = senv.AccessSite(site, hw.Write, scalarAddr[ins.A], er, ew)
 			}
+			cost += c
 			scalars[ins.A] = v
 			clock += cost
 			vm.trace = append(vm.trace, events.Event{
@@ -425,17 +436,19 @@ loop:
 		case OLoadIdxStore: // LOADIDX B; STORE A — load at OrigPC, store at OrigPC+1.
 			idx := wrap(regs[ins.S1], len(arrays[ins.B]))
 			addr := arrayBase[ins.B] + 8*uint64(idx)
-			if senv != nil {
-				cost += senv.AccessSite(&vm.dataSites[ins.OrigPC], hw.Read, addr, er, ew)
-			} else {
-				cost += env.Access(hw.Read, addr, er, ew)
+			site := &vm.dataSites[ins.OrigPC]
+			c, ok := site.Replay(addr, er, ew)
+			if !ok {
+				c = senv.AccessSite(site, hw.Read, addr, er, ew)
 			}
+			cost += c
 			v := arrays[ins.B][idx]
-			if senv != nil {
-				cost += senv.AccessSite(&vm.dataSites[ins.OrigPC+1], hw.Write, scalarAddr[ins.A], er, ew)
-			} else {
-				cost += env.Access(hw.Write, scalarAddr[ins.A], er, ew)
+			site = &vm.dataSites[ins.OrigPC+1]
+			c, ok = site.Replay(scalarAddr[ins.A], er, ew)
+			if !ok {
+				c = senv.AccessSite(site, hw.Write, scalarAddr[ins.A], er, ew)
 			}
+			cost += c
 			scalars[ins.A] = v
 			clock += cost
 			vm.trace = append(vm.trace, events.Event{

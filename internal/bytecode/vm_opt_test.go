@@ -263,6 +263,30 @@ func TestOptDifferentialProgen(t *testing.T) {
 	}
 }
 
+// TestOptPlainEnvMatchesSites runs every optTestSources program on each
+// environment twice: once as the environment itself, whose site memos
+// the VM replays, and once behind a wrapper that hides AccessSite, as
+// an Env defined outside package hw is, so the VM charges every access
+// through Access. Every observable must agree (diffSnaps names the
+// Access run "unfused" and the memoized one "fused").
+func TestOptPlainEnvMatchesSites(t *testing.T) {
+	lat := lattice.TwoPoint()
+	type plainEnv struct{ hw.Env }
+	for _, tc := range optTestSources {
+		bc := compileOpt(t, tc.src, lat)
+		for envName, mkEnv := range optEnvs(lat) {
+			for _, timing := range []bytecode.TimingModel{bytecode.TimingMicro, bytecode.TimingTree} {
+				t.Run(fmt.Sprintf("%s/%s/timing%d", tc.name, envName, timing), func(t *testing.T) {
+					opts := bytecode.VMOptions{Timing: timing}
+					plain := runSnap(t, bc, plainEnv{mkEnv()}, opts, goldenBudget)
+					plain.env = plain.env.(plainEnv).Env
+					diffSnaps(t, lat, plain, runSnap(t, bc, mkEnv(), opts, goldenBudget))
+				})
+			}
+		}
+	}
+}
+
 // TestOptZeroAllocPerInstruction pins the VM's loop at zero
 // allocations per instruction: per-run allocations (Reset's right-sized
 // trace buffer, mitigation bookkeeping) are constant, so a 20×-longer

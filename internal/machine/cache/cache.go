@@ -1,6 +1,7 @@
 // Package cache implements deterministic set-associative caches with
 // LRU replacement, used as building blocks of the simulated machine
-// environment.
+// environment. A cache keeps no hit or miss counts: the machine
+// environments count those events in hw.Stats, once per access.
 //
 // Following §4.1 of the paper, the model is the coarse-grained
 // abstraction of cache state: a cache holds only (tag, valid) pairs —
@@ -79,16 +80,12 @@ type Cache struct {
 	// hw.Site access) stays valid while every one of their generations
 	// is unchanged.
 	gens []uint64
-
-	// Statistics (not part of the machine-environment state: they do
-	// not affect timing and are excluded from equivalence checks).
-	hits, misses uint64
 }
 
 // TouchRef is a stable reference to one cache line, captured by LineRef
 // while the line holds a known block. Refresh replays exactly the state
-// change of a refreshing hit on that block — LRU timestamp bump plus the
-// hit counter — without re-scanning the set. A TouchRef is valid only
+// change of a refreshing hit on that block — the LRU timestamp bump —
+// without re-scanning the set. A TouchRef is valid only
 // while its set's generation (returned by the same LineRef) is
 // unchanged: an installing fill, invalidation or flush of that set may
 // repurpose the line.
@@ -102,7 +99,6 @@ type TouchRef struct {
 func (r TouchRef) Refresh() {
 	r.c.clock++
 	r.ln.used = r.c.clock
-	r.c.hits++
 }
 
 // LineRef probes addr's set without modifying any state (a pure probe,
@@ -183,20 +179,17 @@ func (c *Cache) Access(addr uint64) bool {
 		if ln.valid && ln.tag == tag {
 			c.clock++
 			ln.used = c.clock
-			c.hits++
 			return true
 		}
 	}
-	c.misses++
 	return false
 }
 
 // Probe is a fused Contains+Access for lookup paths that decide on the
 // refresh separately from the hit test: one scan reports whether addr's
 // block is cached and, when refresh is set, touches it exactly as
-// Access would (LRU refresh, hit counted). With refresh false it is a
-// pure probe like Contains, and a miss never counts against statistics
-// (callers probing many partitions would otherwise skew miss counts).
+// Access would (LRU refresh). With refresh false it is a pure probe
+// like Contains.
 func (c *Cache) Probe(addr uint64, refresh bool) bool {
 	set, tag := c.index(addr)
 	ws := c.sets[set]
@@ -206,7 +199,6 @@ func (c *Cache) Probe(addr uint64, refresh bool) bool {
 			if refresh {
 				c.clock++
 				ln.used = c.clock
-				c.hits++
 			}
 			return true
 		}
@@ -334,7 +326,7 @@ func (c *Cache) Invalidate(addr uint64) bool {
 	return false
 }
 
-// Flush empties the cache; statistics are preserved.
+// Flush empties the cache.
 func (c *Cache) Flush() {
 	for s := range c.sets {
 		c.gens[s]++
@@ -345,7 +337,7 @@ func (c *Cache) Flush() {
 }
 
 // Clone returns a deep copy, including LRU state (so timing-relevant
-// state is reproduced exactly) but with statistics reset.
+// state is reproduced exactly).
 func (c *Cache) Clone() *Cache {
 	n := New(c.cfg)
 	for s := range c.sets {
@@ -421,10 +413,6 @@ func validByAge(set []line) []uint64 {
 	}
 	return tags
 }
-
-// Stats returns hit and miss counts accumulated since construction (or
-// Clone, which resets them).
-func (c *Cache) Stats() (hits, misses uint64) { return c.hits, c.misses }
 
 // Occupancy returns the number of valid lines.
 func (c *Cache) Occupancy() int {

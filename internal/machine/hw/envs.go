@@ -44,19 +44,18 @@ func mustValidate(cfg Config) {
 }
 
 func (u *Unpartitioned) Access(kind AccessKind, addr uint64, er, ew lattice.Label) uint64 {
-	h, hcfg := u.data, u.cfg.Data
-	if kind == Fetch {
-		h, hcfg = u.instr, u.cfg.Instr
-	}
-	return normalAccess(h, hcfg, addr, u.statsFor(kind))
+	return u.access(nil, kind, addr, er, ew)
 }
 
-// statsFor returns the counter slots for the hierarchy kind touches.
-func (u *Unpartitioned) statsFor(kind AccessKind) *hierStats {
+// access is the walk behind Access (s nil) and AccessSite.
+func (u *Unpartitioned) access(s *Site, kind AccessKind, addr uint64, er, ew lattice.Label) uint64 {
+	h, hcfg := u.data, &u.cfg.Data
 	if kind == Fetch {
-		return &hierStats{&u.stats.L1IHits, &u.stats.L1IMisses, &u.stats.L2IHits, &u.stats.L2IMisses, &u.stats.ITLBHits, &u.stats.ITLBMisses}
+		h, hcfg = u.instr, &u.cfg.Instr
 	}
-	return &hierStats{&u.stats.L1DHits, &u.stats.L1DMisses, &u.stats.L2DHits, &u.stats.L2DMisses, &u.stats.DTLBHits, &u.stats.DTLBMisses}
+	m := s.begin(addr, er, ew)
+	st := u.stats.counters(kind)
+	return normalAccess(&m, h, hcfg, addr, &st)
 }
 
 // Branch implements Env: the single shared predictor is always
@@ -106,25 +105,24 @@ func (u *Unpartitioned) Lattice() lattice.Lattice { return u.lat }
 func (u *Unpartitioned) Name() string             { return "unpartitioned" }
 func (u *Unpartitioned) Stats() Stats             { return u.stats }
 
-// hierStats points at the six counters an access updates.
-type hierStats struct {
-	l1h, l1m, l2h, l2m, tlbh, tlbm *uint64
-}
-
 // normalAccess performs a conventional TLB + L1 + L2 + memory access
-// with fills and LRU updates, returning its cost.
-func normalAccess(h *hier, cfg HierarchyConfig, addr uint64, st *hierStats) uint64 {
+// with fills and LRU updates, returning its cost. It looks the TLB and
+// L1 up once each, refreshing a hit, and records the access in m as it
+// goes: a TLB hit and an L1 hit seal m's memo, and any miss clears it.
+func normalAccess(m *memo, h *hier, cfg *HierarchyConfig, addr uint64, st *hierStats) uint64 {
 	var cost uint64
-	if h.tlb.Access(addr) {
-		*st.tlbh++
+	if m.probe(h.tlb, addr, true) {
+		m.count(st.tlbh)
 	} else {
 		*st.tlbm++
+		m.drop()
 		cost += cfg.TLBMissPenalty
 		h.tlb.Fill(addr)
 	}
 	cost += cfg.L1.HitLatency
-	if h.l1.Access(addr) {
-		*st.l1h++
+	if m.probe(h.l1, addr, true) {
+		m.count(st.l1h)
+		m.seal(h.unit, cost)
 		return cost
 	}
 	*st.l1m++
@@ -185,49 +183,52 @@ func NewNoFill(lat lattice.Lattice, cfg Config) *NoFill {
 }
 
 func (n *NoFill) Access(kind AccessKind, addr uint64, er, ew lattice.Label) uint64 {
-	h, hcfg := n.data, n.cfg.Data
-	st := n.statsFor(kind)
-	if kind == Fetch {
-		h, hcfg = n.instr, n.cfg.Instr
-	}
-	if ew == n.lat.Bot() {
-		return normalAccess(h, hcfg, addr, st)
-	}
-	return noFillAccess(h, hcfg, addr, st)
+	return n.access(nil, kind, addr, er, ew)
 }
 
-func (n *NoFill) statsFor(kind AccessKind) *hierStats {
+// access is the walk behind Access (s nil) and AccessSite.
+func (n *NoFill) access(s *Site, kind AccessKind, addr uint64, er, ew lattice.Label) uint64 {
+	h, hcfg := n.data, &n.cfg.Data
 	if kind == Fetch {
-		return &hierStats{&n.stats.L1IHits, &n.stats.L1IMisses, &n.stats.L2IHits, &n.stats.L2IMisses, &n.stats.ITLBHits, &n.stats.ITLBMisses}
+		h, hcfg = n.instr, &n.cfg.Instr
 	}
-	return &hierStats{&n.stats.L1DHits, &n.stats.L1DMisses, &n.stats.L2DHits, &n.stats.L2DMisses, &n.stats.DTLBHits, &n.stats.DTLBMisses}
+	m := s.begin(addr, er, ew)
+	st := n.stats.counters(kind)
+	if ew == n.lat.Bot() {
+		return normalAccess(&m, h, hcfg, addr, &st)
+	}
+	return noFillAccess(&m, h, hcfg, addr, &st)
 }
 
 // noFillAccess computes the access cost without modifying any state:
-// hits are probed with Contains (no LRU update); misses charge the full
-// path with no fills. This is what makes Property 5 hold for commands
-// with non-public write labels.
-func noFillAccess(h *hier, cfg HierarchyConfig, addr uint64, st *hierStats) uint64 {
+// hits are probed without an LRU update; misses charge the full path
+// with no fills. This is what makes Property 5 hold for commands with
+// non-public write labels. Since it changes nothing, every outcome, hit
+// or miss, seals m's memo: the cost and the counters of the path it
+// took, guarded by every set it consulted.
+func noFillAccess(m *memo, h *hier, cfg *HierarchyConfig, addr uint64, st *hierStats) uint64 {
 	var cost uint64
-	if h.tlb.Contains(addr) {
-		*st.tlbh++
+	if m.probe(h.tlb, addr, false) {
+		m.count(st.tlbh)
 	} else {
-		*st.tlbm++
+		m.count(st.tlbm)
 		cost += cfg.TLBMissPenalty
 	}
 	cost += cfg.L1.HitLatency
-	if h.l1.Contains(addr) {
-		*st.l1h++
+	if m.probe(h.l1, addr, false) {
+		m.count(st.l1h)
+		m.seal(h.unit, cost)
 		return cost
 	}
-	*st.l1m++
+	m.count(st.l1m)
 	cost += cfg.L2.HitLatency
-	if h.l2.Contains(addr) {
-		*st.l2h++
-		return cost
+	if m.probe(h.l2, addr, false) {
+		m.count(st.l2h)
+	} else {
+		m.count(st.l2m)
+		cost += cfg.MemLatency
 	}
-	*st.l2m++
-	cost += cfg.MemLatency
+	m.seal(h.l2Unit, cost)
 	return cost
 }
 
@@ -304,16 +305,38 @@ type Partitioned struct {
 	instr []*hier // indexed by label ID
 	bps   []*predictor
 	stats Stats
-	// istats/dstats point at the instruction/data counters in stats;
-	// precomputed so the per-access statsFor lookup allocates nothing.
-	istats, dstats hierStats
+	// dside/iside are the data and instruction hierarchies as a walk
+	// reads them; wire builds them after construction and Clone.
+	dside, iside side
 	// plans precomputes, for every (er, ew) label pair, which
-	// partitions a lookup searches (and whether a hit refreshes LRU)
-	// and which partitions a fill invalidates. The lattice is immutable,
-	// so this turns the per-access Levels/Leq iteration into a tight
-	// walk over a prebuilt list. Indexed by er.ID()*lat.Size()+ew.ID();
-	// shared (read-only) between clones.
+	// partitions a lookup searches (and whether a hit refreshes LRU),
+	// which partitions a fill invalidates, and whether a branch may
+	// consult its predictor. The lattice is immutable, so this turns
+	// the per-access Levels/Leq iteration into a tight walk over a
+	// prebuilt list. Indexed by er.ID()*lat.Size()+ew.ID(); shared
+	// (read-only) between clones.
 	plans []accessPlan
+}
+
+// side is one hierarchy, data or instruction, of a Partitioned
+// environment as its walk reads it: each structure's partitions
+// indexed by label ID, the per-partition geometry, the counters its
+// accesses update, and its memo unit (see hier.unit).
+type side struct {
+	tlb, l1, l2 []*cache.Cache
+	cfg         *HierarchyConfig
+	st          hierStats
+	unit        uint8
+}
+
+func newSide(parts []*hier, cfg *HierarchyConfig, st hierStats) side {
+	sd := side{cfg: cfg, st: st, unit: parts[0].unit}
+	for _, h := range parts {
+		sd.tlb = append(sd.tlb, h.tlb)
+		sd.l1 = append(sd.l1, h.l1)
+		sd.l2 = append(sd.l2, h.l2)
+	}
+	return sd
 }
 
 // probeStep is one partition to search during a lookup.
@@ -323,12 +346,14 @@ type probeStep struct {
 }
 
 // accessPlan is the precomputed partition schedule for one (er, ew)
-// label pair: the lookup probes and the fill-time invalidations
+// label pair: the lookup probes, the fill-time invalidations
 // (partitions ≠ ew with ew ⊑ p', in the same deterministic level order
-// the dynamic loops used).
+// the dynamic loops used), and whether ew ⊑ er (a branch may consult
+// the predictor).
 type accessPlan struct {
-	probe []probeStep
-	inval []int
+	probe   []probeStep
+	inval   []int
+	predict bool
 }
 
 // buildPlans computes the per-(er, ew) access plans for a lattice.
@@ -338,6 +363,7 @@ func buildPlans(lat lattice.Lattice) []accessPlan {
 	for _, er := range lat.Levels() {
 		for _, ew := range lat.Levels() {
 			pl := &plans[er.ID()*n+ew.ID()]
+			pl.predict = lat.Leq(ew, er)
 			for _, lv := range lat.Levels() {
 				if lat.Leq(lv, er) {
 					pl.probe = append(pl.probe, probeStep{id: lv.ID(), refresh: lat.Leq(ew, lv)})
@@ -377,7 +403,7 @@ func NewPartitioned(lat lattice.Lattice, cfg Config) *Partitioned {
 		p.instr[i] = newHier(p.pcfg.Instr, "ITLB")
 		p.bps[i] = newPredictor(bpSize)
 	}
-	p.wireStats()
+	p.wire()
 	return p
 }
 
@@ -392,7 +418,7 @@ func (p *Partitioned) Branch(addr uint64, taken bool, er, ew lattice.Label) uint
 	if p.cfg.BP.Size <= 0 {
 		return 0
 	}
-	if !p.lat.Leq(ew, er) {
+	if !p.plan(er, ew).predict {
 		p.stats.BPMisses++
 		return p.pcfg.BP.MissPenalty
 	}
@@ -410,85 +436,83 @@ func (p *Partitioned) Branch(addr uint64, taken bool, er, ew lattice.Label) uint
 func (p *Partitioned) PartitionConfig() Config { return p.pcfg }
 
 func (p *Partitioned) Access(kind AccessKind, addr uint64, er, ew lattice.Label) uint64 {
-	parts, hcfg := p.data, p.pcfg.Data
+	return p.access(nil, kind, addr, er, ew)
+}
+
+// plan returns the precomputed schedule of the label pair (er, ew).
+func (p *Partitioned) plan(er, ew lattice.Label) *accessPlan {
+	return &p.plans[er.ID()*len(p.data)+ew.ID()]
+}
+
+// access is the one walk behind Access (s nil) and AccessSite. The TLB
+// lookup and then the L1 lookup search the plan's partitions once
+// each: a hit refreshes the line where the plan says so, and the walk
+// records in s's memo every set it consulted, every refresh and every
+// counter it bumped. A TLB hit and an L1 hit seal the memo; any miss
+// clears it, and the walk goes on to L2 and the fills.
+func (p *Partitioned) access(s *Site, kind AccessKind, addr uint64, er, ew lattice.Label) uint64 {
+	sd := &p.dside
 	if kind == Fetch {
-		parts, hcfg = p.instr, p.pcfg.Instr
+		sd = &p.iside
 	}
-	plan := &p.plans[er.ID()*p.lat.Size()+ew.ID()]
+	plan := p.plan(er, ew)
 	ewID := ew.ID()
-	st := p.statsFor(kind)
+	m := s.begin(addr, er, ew)
 	var cost uint64
 	// TLB.
-	if hit := p.partLookup(parts, plan, addr, tlbSel); hit {
-		*st.tlbh++
+	if m.lookup(sd.tlb, plan, addr) {
+		m.count(sd.st.tlbh)
 	} else {
-		*st.tlbm++
-		cost += hcfg.TLBMissPenalty
-		p.partFill(parts, plan, ewID, addr, tlbSel)
+		*sd.st.tlbm++
+		m.drop()
+		cost += sd.cfg.TLBMissPenalty
+		partFill(sd.tlb, plan, ewID, addr)
 	}
 	// L1.
-	cost += hcfg.L1.HitLatency
-	if p.partLookup(parts, plan, addr, l1Sel) {
-		*st.l1h++
+	cost += sd.cfg.L1.HitLatency
+	if m.lookup(sd.l1, plan, addr) {
+		m.count(sd.st.l1h)
+		m.seal(sd.unit, cost)
 		return cost
 	}
-	*st.l1m++
+	*sd.st.l1m++
 	// L2.
-	cost += hcfg.L2.HitLatency
-	if p.partLookup(parts, plan, addr, l2Sel) {
-		*st.l2h++
-		p.partFill(parts, plan, ewID, addr, l1Sel)
-		return cost
-	}
-	*st.l2m++
-	cost += hcfg.MemLatency
-	p.partFill(parts, plan, ewID, addr, l2Sel)
-	p.partFill(parts, plan, ewID, addr, l1Sel)
-	return cost
-}
-
-func (p *Partitioned) statsFor(kind AccessKind) *hierStats {
-	if kind == Fetch {
-		return &p.istats
-	}
-	return &p.dstats
-}
-
-// wireStats points istats/dstats at this instance's counters; called
-// after construction and after Clone (the pointers must target the new
-// instance's stats, not the prototype's).
-func (p *Partitioned) wireStats() {
-	p.istats = hierStats{&p.stats.L1IHits, &p.stats.L1IMisses, &p.stats.L2IHits, &p.stats.L2IMisses, &p.stats.ITLBHits, &p.stats.ITLBMisses}
-	p.dstats = hierStats{&p.stats.L1DHits, &p.stats.L1DMisses, &p.stats.L2DHits, &p.stats.L2DMisses, &p.stats.DTLBHits, &p.stats.DTLBMisses}
-}
-
-// sel selects one structure (TLB, L1 or L2) from a partition.
-type sel func(*hier) *cache.Cache
-
-func tlbSel(h *hier) *cache.Cache { return h.tlb }
-func l1Sel(h *hier) *cache.Cache  { return h.l1 }
-func l2Sel(h *hier) *cache.Cache  { return h.l2 }
-
-// partLookup searches the partitions at levels ⊑ er for addr. On a hit
-// it refreshes LRU order only in partitions p with ew ⊑ p (a fused
-// probe+refresh per partition, following the precomputed plan).
-func (p *Partitioned) partLookup(parts []*hier, plan *accessPlan, addr uint64, s sel) bool {
+	cost += sd.cfg.L2.HitLatency
 	hit := false
 	for _, step := range plan.probe {
-		if s(parts[step.id]).Probe(addr, step.refresh) {
+		if sd.l2[step.id].Probe(addr, step.refresh) {
 			hit = true
 		}
 	}
-	return hit
+	if hit {
+		*sd.st.l2h++
+		partFill(sd.l1, plan, ewID, addr)
+		return cost
+	}
+	*sd.st.l2m++
+	cost += sd.cfg.MemLatency
+	partFill(sd.l2, plan, ewID, addr)
+	partFill(sd.l1, plan, ewID, addr)
+	return cost
 }
 
-// partFill installs addr into partition ew and removes stale copies
-// from any other partition p' that Property 5 lets us modify (ew ⊑ p').
-func (p *Partitioned) partFill(parts []*hier, plan *accessPlan, ewID int, addr uint64, s sel) {
+// wire builds the walk's view of the hierarchies, pointing at this
+// instance's caches, geometry and counters; called after construction
+// and after Clone (the view must target the new instance, not the
+// prototype).
+func (p *Partitioned) wire() {
+	p.dside = newSide(p.data, &p.pcfg.Data, p.stats.counters(Read))
+	p.iside = newSide(p.instr, &p.pcfg.Instr, p.stats.counters(Fetch))
+}
+
+// partFill installs addr into partition ew of one structure (cs, by
+// label ID) and removes stale copies from any other partition p' that
+// Property 5 lets us modify (ew ⊑ p').
+func partFill(cs []*cache.Cache, plan *accessPlan, ewID int, addr uint64) {
 	for _, id := range plan.inval {
-		s(parts[id]).Invalidate(addr)
+		cs[id].Invalidate(addr)
 	}
-	s(parts[ewID]).Fill(addr)
+	cs[ewID].Fill(addr)
 }
 
 func (p *Partitioned) Clone() Env {
@@ -502,7 +526,7 @@ func (p *Partitioned) Clone() Env {
 		n.instr[i] = p.instr[i].clone()
 		n.bps[i] = p.bps[i].clone()
 	}
-	n.wireStats()
+	n.wire()
 	return n
 }
 

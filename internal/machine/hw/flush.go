@@ -45,13 +45,14 @@ func NewFlushOnHigh(lat lattice.Lattice, cfg Config) *FlushOnHigh {
 // Access implements Env. Public-write-label accesses behave normally;
 // all others flush the entire machine state and pay the full miss path.
 func (f *FlushOnHigh) Access(kind AccessKind, addr uint64, er, ew lattice.Label) uint64 {
-	h, hcfg := f.data, f.cfg.Data
-	st := f.statsFor(kind)
+	h, hcfg := f.data, &f.cfg.Data
+	st := f.stats.counters(kind)
 	if kind == Fetch {
-		h, hcfg = f.instr, f.cfg.Instr
+		h, hcfg = f.instr, &f.cfg.Instr
 	}
 	if ew == f.lat.Bot() {
-		return normalAccess(h, hcfg, addr, st)
+		var none memo
+		return normalAccess(&none, h, hcfg, addr, &st)
 	}
 	// Confidential context: flush everything, serve from memory.
 	f.data.flush()
@@ -83,13 +84,6 @@ func (f *FlushOnHigh) Branch(addr uint64, taken bool, er, ew lattice.Label) uint
 	f.bp.flush()
 	f.stats.BPMisses++
 	return f.cfg.BP.MissPenalty
-}
-
-func (f *FlushOnHigh) statsFor(kind AccessKind) *hierStats {
-	if kind == Fetch {
-		return &hierStats{&f.stats.L1IHits, &f.stats.L1IMisses, &f.stats.L2IHits, &f.stats.L2IMisses, &f.stats.ITLBHits, &f.stats.ITLBMisses}
-	}
-	return &hierStats{&f.stats.L1DHits, &f.stats.L1DMisses, &f.stats.L2DHits, &f.stats.L2DMisses, &f.stats.DTLBHits, &f.stats.DTLBMisses}
 }
 
 // Clone implements Env.

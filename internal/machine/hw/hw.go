@@ -21,6 +21,7 @@ package hw
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/lattice"
 	"repro/internal/machine/cache"
@@ -110,6 +111,20 @@ func (s Stats) Add(o Stats) Stats {
 		ITLBHits: s.ITLBHits + o.ITLBHits, ITLBMisses: s.ITLBMisses + o.ITLBMisses,
 		BPHits: s.BPHits + o.BPHits, BPMisses: s.BPMisses + o.BPMisses,
 	}
+}
+
+// hierStats points at the six counters an access updates.
+type hierStats struct {
+	l1h, l1m, l2h, l2m, tlbh, tlbm *uint64
+}
+
+// counters returns the counters an access of kind updates: the
+// instruction hierarchy's for a fetch, the data hierarchy's otherwise.
+func (s *Stats) counters(kind AccessKind) hierStats {
+	if kind == Fetch {
+		return hierStats{&s.L1IHits, &s.L1IMisses, &s.L2IHits, &s.L2IMisses, &s.ITLBHits, &s.ITLBMisses}
+	}
+	return hierStats{&s.L1DHits, &s.L1DMisses, &s.L2DHits, &s.L2DMisses, &s.DTLBHits, &s.DTLBMisses}
 }
 
 // hitRate returns hits/(hits+misses), or 0 when there were no events.
@@ -242,18 +257,30 @@ func (h HierarchyConfig) tlbConfig(name string) cache.Config {
 // hier bundles the three caches of one hierarchy partition.
 type hier struct {
 	l1, l2, tlb *cache.Cache
+	// unit and l2Unit are log2 of the address unit a Site memo of this
+	// hierarchy is keyed by: the finest of the page and the L1 line for
+	// a memo that consulted the TLB and L1, and the finest of those and
+	// the L2 line for one that consulted L2 too (NoFill's no-fill
+	// memo). Each structure maps a whole unit to one set and one block.
+	unit, l2Unit uint8
 }
 
 func newHier(cfg HierarchyConfig, tlbName string) *hier {
+	unit := min(log2(cfg.PageSize), log2(cfg.L1.BlockSize))
 	return &hier{
-		l1:  cache.New(cfg.L1),
-		l2:  cache.New(cfg.L2),
-		tlb: cache.New(cfg.tlbConfig(tlbName)),
+		l1:     cache.New(cfg.L1),
+		l2:     cache.New(cfg.L2),
+		tlb:    cache.New(cfg.tlbConfig(tlbName)),
+		unit:   unit,
+		l2Unit: min(unit, log2(cfg.L2.BlockSize)),
 	}
 }
 
+// log2 of a validated power of two.
+func log2(v int) uint8 { return uint8(bits.TrailingZeros64(uint64(v))) }
+
 func (h *hier) clone() *hier {
-	return &hier{l1: h.l1.Clone(), l2: h.l2.Clone(), tlb: h.tlb.Clone()}
+	return &hier{l1: h.l1.Clone(), l2: h.l2.Clone(), tlb: h.tlb.Clone(), unit: h.unit, l2Unit: h.l2Unit}
 }
 
 func (h *hier) flush() {

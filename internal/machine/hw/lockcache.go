@@ -47,7 +47,7 @@ func NewLockProtect(lat lattice.Lattice, cfg Config) *LockProtect {
 // confidential accesses lock what they fill.
 func (l *LockProtect) Access(kind AccessKind, addr uint64, er, ew lattice.Label) uint64 {
 	h, hcfg := l.data, l.cfg.Data
-	st := l.statsFor(kind)
+	st := l.stats.counters(kind)
 	if kind == Fetch {
 		h, hcfg = l.instr, l.cfg.Instr
 	}
@@ -108,13 +108,6 @@ func (l *LockProtect) Branch(addr uint64, taken bool, er, ew lattice.Label) uint
 		l.stats.BPHits++
 	}
 	return c
-}
-
-func (l *LockProtect) statsFor(kind AccessKind) *hierStats {
-	if kind == Fetch {
-		return &hierStats{&l.stats.L1IHits, &l.stats.L1IMisses, &l.stats.L2IHits, &l.stats.L2IMisses, &l.stats.ITLBHits, &l.stats.ITLBMisses}
-	}
-	return &hierStats{&l.stats.L1DHits, &l.stats.L1DMisses, &l.stats.L2DHits, &l.stats.L2DMisses, &l.stats.DTLBHits, &l.stats.DTLBMisses}
 }
 
 // Preload warms and locks a confidential working set — the very

@@ -27,11 +27,7 @@ func siteEnvs(lat lattice.Lattice, cfg Config) []SiteEnv {
 // instructions) so memos are built, replayed many times, invalidated by
 // interleaved evicting traffic, and rebuilt.
 func TestAccessSiteMatchesAccess(t *testing.T) {
-	// wide has many more sets than TinyConfig, so most fills land in
-	// sets a memo did not consult and the memo must survive them.
-	wide := TinyConfig()
-	wide.Data.L1.Sets, wide.Data.L2.Sets, wide.Data.TLBSets = 64, 128, 16
-	wide.Instr = wide.Data
+	wide := wideConfig()
 	for _, in := range []struct {
 		name string
 		lat  lattice.Lattice
@@ -176,15 +172,15 @@ func TestSiteMemoGuardsOnlyItsSets(t *testing.T) {
 			var s Site
 			tc.env.AccessSite(&s, Read, site, tc.er, tc.ew) // cold: fills
 			tc.env.AccessSite(&s, Read, site, tc.er, tc.ew) // memoized
-			if _, ok := s.tryFast(site, tc.er, tc.ew); !ok {
+			if _, ok := s.Replay(site, tc.er, tc.ew); !ok {
 				t.Fatal("memo not built")
 			}
 			tc.env.Access(Read, elsewhere, lo, lo)
-			if _, ok := s.tryFast(site, tc.er, tc.ew); !ok {
+			if _, ok := s.Replay(site, tc.er, tc.ew); !ok {
 				t.Error("memo dropped after fills into sets it did not consult")
 			}
 			tc.env.Access(Read, conflict, lo, lo)
-			if _, ok := s.tryFast(site, tc.er, tc.ew); ok {
+			if _, ok := s.Replay(site, tc.er, tc.ew); ok {
 				t.Error("memo replayed after a fill into its own L1 set")
 			}
 		})
@@ -210,11 +206,85 @@ func TestSiteMemoDropsOnCrossPartitionInvalidate(t *testing.T) {
 	p.Access(Read, addr, b, h) // and in H
 	var s Site
 	p.AccessSite(&s, Read, addr, h, h) // all-hit over L, A, B, H
-	if _, ok := s.tryFast(addr, h, h); !ok {
+	if _, ok := s.Replay(addr, h, h); !ok {
 		t.Fatal("memo not built")
 	}
 	p.Access(Read, addr, l, a) // invalidates H's copy; A's fill is a no-op
-	if _, ok := s.tryFast(addr, h, h); ok {
+	if _, ok := s.Replay(addr, h, h); ok {
 		t.Error("memo replayed after its block was invalidated in a probed partition")
+	}
+}
+
+// TestSiteMemoGuardsUnrefreshedPartitions checks the guard rule of a
+// partitioned lookup on two-point TinyConfig (one way per partition):
+// an [H,H] access probes L without refreshing it and H with. When H
+// holds the block, L's contents cannot change the outcome, so the memo
+// survives an [L,L] fill into the same TLB and L1 sets of L. When only
+// L holds it, L decides the hit, and the same fill, which evicts the
+// block from L, must drop the memo.
+func TestSiteMemoGuardsUnrefreshedPartitions(t *testing.T) {
+	lat := lattice.TwoPoint()
+	lo, hi := lat.Bot(), lat.Top()
+	const (
+		site  = 0x100 // TLB set 1, L1 set 0
+		other = 0x300 // another page and line, same TLB and L1 sets
+	)
+	for _, tc := range []struct {
+		name     string
+		fillAs   lattice.Label // where the site's block is made resident
+		survives bool
+	}{
+		{"resident-in-H", hi, true},
+		{"resident-in-L", lo, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			p := NewPartitioned(lat, TinyConfig())
+			p.Access(Read, site, tc.fillAs, tc.fillAs)
+			var s Site
+			p.AccessSite(&s, Read, site, hi, hi)
+			if _, ok := s.Replay(site, hi, hi); !ok {
+				t.Fatal("memo not built")
+			}
+			p.Access(Read, other, lo, lo)
+			if _, ok := s.Replay(site, hi, hi); ok != tc.survives {
+				t.Errorf("memo replays after a fill into L's sets: %v, want %v", ok, tc.survives)
+			}
+		})
+	}
+}
+
+// BenchmarkAccessSite times one data access through a Site on
+// partitioned two-point Table 1 hardware under [H,H] labels (those of
+// login.tc's loops), issued the way the VM issues it (siteAccess), in
+// ns per access:
+//   - replay: one resident address, so every access replays its memo;
+//   - walk: two resident addresses in different units, so every access
+//     walks the hierarchy and hits everywhere;
+//   - l2-fill: three addresses of one L1 set, more than the H
+//     partition's two ways, so every access misses L1, hits L2 and
+//     fills.
+func BenchmarkAccessSite(b *testing.B) {
+	lat := lattice.TwoPoint()
+	hi := lat.Top()
+	for _, bc := range []struct {
+		name  string
+		addrs []uint64
+	}{
+		{"replay", []uint64{0x10000}},
+		{"walk", []uint64{0x10000, 0x10040}},
+		{"l2-fill", []uint64{0x10000, 0x11000, 0x12000}},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			env := NewPartitioned(lat, Table1Config())
+			for _, a := range bc.addrs {
+				env.Access(Read, a, hi, hi)
+			}
+			var s Site
+			n := len(bc.addrs)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				siteAccess(env, &s, Read, bc.addrs[i%n], hi, hi)
+			}
+		})
 	}
 }

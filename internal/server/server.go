@@ -115,7 +115,14 @@ type Response struct {
 	Index int
 	// Shard is the worker that served the request (always 0 for a
 	// serial Server); ShardIndex is its position within that shard's
-	// sequence. For a serial server ShardIndex == Index.
+	// sequence. For a serial server ShardIndex == Index. Every run the
+	// engine was called for takes a position, whether or not it
+	// delivered a response: a run that failed after it started (a
+	// context that ended mid-run, a step or cycle budget) may have left
+	// cache and predictor state on the shard, so the next response's
+	// ShardIndex skips its position. A request whose context was done
+	// before its run started takes none. A shard whose runs all
+	// succeeded numbers its responses without gaps.
 	Shard      int
 	ShardIndex int
 	// Time is the request's total processing time in cycles.
@@ -200,7 +207,10 @@ type Server struct {
 	opts   Options
 	engine exec.Engine
 	mit    *mitigation.State
-	n      int
+	// n counts delivered responses; runs counts every run the engine
+	// was called for, delivered or not, and is the next run's position
+	// (Response.ShardIndex).
+	n, runs int
 }
 
 // New constructs a server. The program must be type-checked. Errors
@@ -238,8 +248,14 @@ func (s *Server) Engine() string { return s.engine.Name() }
 // MitigationState exposes the persistent miss counters.
 func (s *Server) MitigationState() *mitigation.State { return s.mit }
 
-// Served returns the number of requests processed.
+// Served returns the number of requests processed: the responses
+// delivered.
 func (s *Server) Served() int { return s.n }
+
+// Runs returns the number of runs the engine was called for: Served
+// plus the runs that failed after they started. It is the position the
+// next run takes (Response.ShardIndex).
+func (s *Server) Runs() int { return s.runs }
 
 // Env returns the server's machine environment.
 func (s *Server) Env() hw.Env { return s.opts.Env }
@@ -258,7 +274,9 @@ func (s *Server) Snapshot() obs.Snapshot {
 // Handle processes one request and returns its response. The context
 // bounds the request: cancellation or a deadline aborts the in-flight
 // machine cleanly (persistent mitigation state is NOT updated by an
-// aborted request), returning a *RequestError wrapping ctx.Err().
+// aborted request, but the machine environment keeps what the run did
+// to it, and the run keeps its position; see Response.ShardIndex),
+// returning a *RequestError wrapping ctx.Err().
 // Exhausting the step or cycle budget returns a *RequestError wrapping
 // ErrBudgetExceeded.
 func (s *Server) Handle(ctx context.Context, req Request) (*Response, error) {
@@ -278,11 +296,15 @@ func (s *Server) HandleWith(ctx context.Context, req Request, mit *mitigation.St
 		ctx = context.Background()
 	}
 	if err := ctx.Err(); err != nil {
-		return nil, s.fail(err)
+		return nil, s.fail(s.runs, err)
 	}
 	if mit == nil {
 		mit = s.mit
 	}
+	// The run takes its position before it starts: a run cut off
+	// midway may already have changed the machine environment.
+	pos := s.runs
+	s.runs++
 	// The request's wall-clock bound (Limits.Timeout) is applied by the
 	// engine itself, which derives a deadline context per Run.
 	// The engine splices the persistent mitigation state in before the
@@ -293,13 +315,13 @@ func (s *Server) HandleWith(ctx context.Context, req Request, mit *mitigation.St
 		if errors.Is(err, budget.ErrStepLimit) || errors.Is(err, budget.ErrCycleLimit) {
 			err = fmt.Errorf("%w: %v", ErrBudgetExceeded, err)
 		}
-		return nil, s.fail(err)
+		return nil, s.fail(pos, err)
 	}
 
 	resp := responsePool.Get().(*Response)
 	*resp = Response{
-		Index:       s.n,
-		ShardIndex:  s.n,
+		Index:       pos,
+		ShardIndex:  pos,
 		Time:        result.Clock,
 		Trace:       result.Trace,
 		Mitigations: result.Mitigations,
@@ -314,10 +336,11 @@ func (s *Server) HandleWith(ctx context.Context, req Request, mit *mitigation.St
 	return resp, nil
 }
 
-// fail records a failure and wraps the cause with the request index.
-func (s *Server) fail(err error) error {
+// fail records a failure and wraps the cause with the request's
+// position.
+func (s *Server) fail(pos int, err error) error {
 	s.opts.Metrics.Add(obs.Failures, 1)
-	return &RequestError{Index: s.n, Err: err}
+	return &RequestError{Index: pos, Err: err}
 }
 
 // HandleAll processes a sequence of requests, stopping at the first

@@ -75,6 +75,13 @@ done := 1;
 // worker still runs it against the tenant's state.
 const slowLoops = 100
 
+// slowVMLoops is the late runs' loop bound in the slow case on the vm
+// engine, which counts instructions and polls its context every 1,024:
+// such a run takes about 3.2 million steps and 12 ms without the race
+// detector, so its client's deadline cuts it off mid-run, after it has
+// changed the shard's caches and predictor.
+const slowVMLoops = 2000
+
 // replayRecord is one delivered response with the item it answered.
 type replayRecord struct {
 	item wire.RunRequest
@@ -93,22 +100,28 @@ type replayRecord struct {
 // deadlines, and each is followed at once by the tenant's next run, so
 // a wait that returned before the worker let go of the tenant's state
 // would hand that state to the next run while the worker still used
-// it.
+// it. The slow case on the vm engine cuts its late runs off mid-run:
+// each leaves its cache and predictor state on the shard and must leave
+// a gap in the shard's shard_index sequence, where the replay of that
+// shard stops; a later response that reused the cut-off run's position
+// would be compared against a replay that never ran it.
 func TestSerialReplay(t *testing.T) {
 	src, err := os.ReadFile("../../testdata/mitigated.tc")
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, model := range []string{"partitioned", "nopar"} {
-		t.Run("hw="+model, func(t *testing.T) { replayTraffic(t, model, "vm", string(src), 0) })
+		t.Run("hw="+model, func(t *testing.T) { replayTraffic(t, model, "vm", string(src), 0, false) })
 	}
-	t.Run("prog=slow", func(t *testing.T) { replayTraffic(t, "partitioned", "tree", slowSrc, slowLoops) })
+	t.Run("prog=slow", func(t *testing.T) { replayTraffic(t, "partitioned", "tree", slowSrc, slowLoops, false) })
+	t.Run("prog=slow,engine=vm", func(t *testing.T) { replayTraffic(t, "partitioned", "vm", slowSrc, slowVMLoops, true) })
 }
 
 // replayTraffic serves the oracle's traffic for the program src on the
 // named hardware model and engine, and replays every response it
 // delivered. A positive lateLoops is the loop bound n of the late runs.
-func replayTraffic(t *testing.T, model, engine, src string, lateLoops int64) {
+// With wantCut the traffic must cut at least one run off mid-run.
+func replayTraffic(t *testing.T, model, engine, src string, lateLoops int64, wantCut bool) {
 	p, r := buildProg(t, src)
 	proto, err := hw.NewEnv(model, r.Lat, hw.Table1Config())
 	if err != nil {
@@ -282,13 +295,24 @@ func replayTraffic(t *testing.T, model, engine, src string, lateLoops int64) {
 	if err := h.Shutdown(ctx); err != nil {
 		t.Fatal(err)
 	}
-	snap := h.opts.Pool.Snapshot()
+	pool := h.opts.Pool
+	snap := pool.Snapshot()
 	if snap.BudgetDenials == 0 || snap.SessionsEvictedLRU == 0 {
 		t.Errorf("the traffic must deny and evict: %d denials, %d evictions", snap.BudgetDenials, snap.SessionsEvictedLRU)
 	}
+	// No run of this traffic fails on a budget, so a run that started
+	// and delivered no response was cut off by its context mid-run.
+	cut := 0
+	for s := 0; s < pool.Workers(); s++ {
+		cut += pool.Shard(s).Runs() - pool.Shard(s).Served()
+	}
+	if wantCut && cut == 0 {
+		t.Error("no run was cut off mid-run")
+	}
 
 	compared := replaySerially(t, p, r, proto, recs)
-	t.Logf("outcomes %v; %d evictions; replay compared %d of %d delivered responses", tally, snap.SessionsEvictedLRU, compared, len(recs))
+	t.Logf("outcomes %v; %d evictions; %d runs cut off mid-run; replay compared %d of %d delivered responses",
+		tally, snap.SessionsEvictedLRU, cut, compared, len(recs))
 	if compared < replayFloor {
 		t.Errorf("replay compared %d responses, below the floor of %d", compared, replayFloor)
 	}

@@ -65,7 +65,12 @@ type RunRequest struct {
 type RunResponse struct {
 	SchemaVersion int `json:"schema_version"`
 	// Index is the request's global submission index; Shard the worker
-	// that served it; ShardIndex its position within that shard.
+	// that served it; ShardIndex its position within that shard. Every
+	// run the shard started takes a position, delivered or not, so a
+	// run that failed after it started (cut off by its deadline, or over
+	// a budget) leaves a gap: the shard's state after that gap includes
+	// whatever the failed run did to its caches and predictor. A shard
+	// whose runs all succeeded has no gaps.
 	Index      int `json:"index"`
 	Shard      int `json:"shard"`
 	ShardIndex int `json:"shard_index"`
