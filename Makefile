@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 30s
 
-.PHONY: all ci fmt vet build test race allocs perfbench-test bench bench-smoke bench-engines bench-scaling bench-sessions bench-vmopt bench-transport profile engines chaos fuzz-smoke smoke-serve certify certify-smoke cover harness quick clean
+.PHONY: all ci fmt vet build test race allocs perfbench-test bench bench-smoke bench-engines bench-sessions bench-transport profile engines chaos fuzz-smoke smoke-serve certify certify-smoke cover harness harness-smoke quick clean
 
 all: ci
 
@@ -14,9 +14,10 @@ all: ci
 # every benchmark so benchmark code cannot rot uncompiled or uncovered,
 # the repository benchmark's own vet and self-tests, the allocation
 # pins without the race detector, the certification harness's
-# coverage floor, and an end-to-end drive of the HTTP service through
-# the real binary.
-ci: fmt vet build race allocs perfbench-test engines chaos certify-smoke cover fuzz-smoke bench-smoke smoke-serve
+# coverage floor, a quick run of every harness experiment through its
+# table entry, and an end-to-end drive of the HTTP service through the
+# real binary.
+ci: fmt vet build race allocs perfbench-test engines chaos certify-smoke cover fuzz-smoke bench-smoke harness-smoke smoke-serve
 
 # engines runs the tree/VM differential tests — identical traces,
 # clocks, mitigation records, and final memories across engines on the
@@ -126,27 +127,17 @@ bench-smoke:
 	$(GO) test -bench . -benchtime 1x -benchmem -run ^$$ ./...
 
 # bench-engines records the engine comparison into BENCH_engines.json:
-# the sharded-server throughput matrix (3 runs for benchstat-style
-# aggregation) plus the per-engine microbenchmarks, parsed by the
-# benchjson tool (raw lines are kept verbatim in the JSON for
-# benchstat).
+# the pool's throughput matrix (sleep and compute workloads × both
+# engines × 1-8 workers, with allocations) plus the per-engine
+# microbenchmarks, 3 runs each, parsed by the benchjson tool, which
+# keeps the raw lines verbatim for benchstat and reports each
+# benchmark's median, min and max.
 bench-engines:
 	{ $(GO) test -run '^$$' -bench BenchmarkServerPool -benchtime 2s -count 3 . ; \
-	  $(GO) test -run '^$$' -bench 'BenchmarkEngine|BenchmarkProgramCache' -benchtime 1s ./internal/exec ; } \
+	  $(GO) test -run '^$$' -bench 'BenchmarkEngine|BenchmarkProgramCache' -benchtime 1s -count 3 ./internal/exec ; } \
 	  | tee bench_engines.txt | $(GO) run ./internal/tools/benchjson -o BENCH_engines.json
 	@rm -f bench_engines.txt
 	@echo wrote BENCH_engines.json
-
-# bench-scaling records the multi-core scaling matrix (workers 1-8 ×
-# both engines × batch/submit modes, 3 runs each, with -benchmem so
-# allocation regressions are visible) into BENCH_scaling.json, where
-# benchjson derives per-group speedup and scaling efficiency
-# (req/s at N workers ÷ N·req/s at 1).
-bench-scaling:
-	$(GO) test -run '^$$' -bench BenchmarkPoolScaling -benchtime 2s -count 3 -benchmem . \
-	  | tee bench_scaling.txt | $(GO) run ./internal/tools/benchjson -o BENCH_scaling.json
-	@rm -f bench_scaling.txt
-	@echo wrote BENCH_scaling.json
 
 # bench-sessions records the tenant-session manager's admission hot
 # path into BENCH_sessions.json: working sets of 1/100/10k tenants,
@@ -161,25 +152,13 @@ bench-sessions:
 	@rm -f bench_sessions.txt
 	@echo wrote BENCH_sessions.json
 
-# bench-vmopt records the VM's throughput into BENCH_vmopt.json: the vm
-# engine on a compute-bound workload across 1/2/4 workers, 3 runs each
-# with -benchmem so the VM loop's zero-allocation property is on
-# record. benchjson derives the mean req/s per worker count. (ci's
-# bench-smoke executes the benchmark once per run, so it cannot rot;
-# this target is the measurement.)
-bench-vmopt:
-	$(GO) test -run '^$$' -bench BenchmarkVMOpt -benchtime 2s -count 3 -benchmem . \
-	  | tee bench_vmopt.txt | $(GO) run ./internal/tools/benchjson -o BENCH_vmopt.json
-	@rm -f bench_vmopt.txt
-	@echo wrote BENCH_vmopt.json
-
 # bench-transport records the wire transport matrix into
 # BENCH_transport.json: the {run, batch, stream} submission modes over
 # loopback HTTP, 3 runs each with -benchmem so the allocation profile
-# is on record. benchjson derives the mean req/s per mode and the
-# stream_vs_run ratio (pipelining's gain over one round trip per
-# request). (ci's bench-smoke executes the benchmark once per run, so
-# it cannot rot; this target is the measurement.)
+# is on record; benchjson reports each mode's median req/s, from which
+# the stream/run ratio (pipelining's gain over one round trip per
+# request) follows. (ci's bench-smoke executes the benchmark once per
+# run, so it cannot rot; this target is the measurement.)
 bench-transport:
 	$(GO) test -run '^$$' -bench BenchmarkTransport -benchtime 2s -count 3 -benchmem ./internal/transport \
 	  | tee bench_transport.txt | $(GO) run ./internal/tools/benchjson -o BENCH_transport.json
@@ -216,17 +195,23 @@ cover:
 	  else { printf "internal/certify coverage %.1f%% (floor 85%%)\n", $$3 } }'
 	@rm -f cover_certify.out
 
-# profile captures a CPU profile of the scaling benchmark's vm-engine
-# hot path; inspect with `go tool pprof repro.test cpu.prof`.
+# profile captures a CPU profile of the pool benchmark's vm-engine hot
+# path; inspect with `go tool pprof repro.test cpu.prof`.
 profile:
-	$(GO) test -run '^$$' -bench 'BenchmarkPoolScaling/mode=batch/engine=vm/workers=4$$' \
+	$(GO) test -run '^$$' -bench 'BenchmarkServerPool/workload=sleep/engine=vm/workers=4$$' \
 	  -benchtime 3s -cpuprofile cpu.prof -o repro.test .
 	@echo "wrote cpu.prof; inspect with: $(GO) tool pprof repro.test cpu.prof"
 
 harness:
 	$(GO) run ./cmd/harness -quick
 
+# harness-smoke runs every experiment of the harness's table at reduced
+# scale through its JSON path, so the table's runners, quick
+# configurations and JSON export cannot rot.
+harness-smoke:
+	$(GO) run ./cmd/harness -quick -format json > /dev/null
+
 quick: vet build test
 
 clean:
-	rm -f cpu.prof repro.test bench_engines.txt bench_scaling.txt bench_sessions.txt bench_vmopt.txt bench_transport.txt bench_certify.txt cover_certify.out
+	rm -f cpu.prof repro.test bench_engines.txt bench_sessions.txt bench_transport.txt bench_certify.txt cover_certify.out

@@ -308,7 +308,7 @@ func BenchmarkAblationPenaltyPolicies(b *testing.B) {
 // distinct response durations (leakage surface) each schedule exposes.
 func BenchmarkAblationServerSchemes(b *testing.B) {
 	lat := lattice.TwoPoint()
-	prog, res := mustServerProg(b)
+	prog, res := mustProg(b, sleepSrc)
 	ctx := context.Background()
 	for _, scheme := range []mitigation.Scheme{
 		mitigation.FastDoubling{}, mitigation.Linear{}, mitigation.SlowDoubling{Period: 4},
@@ -341,59 +341,76 @@ func BenchmarkAblationServerSchemes(b *testing.B) {
 	}
 }
 
-// BenchmarkServerPool measures service throughput as shards are added:
-// the same 64-request login-style workload through a serial server
-// (workers=1) and sharded pools. Each shard owns partitioned hardware
-// and mitigation state, so the work is embarrassingly parallel; req/s
-// scales with worker count on multi-core hosts (wall-clock speedup is
-// bounded by GOMAXPROCS — on a single-CPU box the interesting metric
-// is that sharding adds no per-request cost).
+// BenchmarkServerPool is the pool's throughput record: one submitter
+// drives 64-request HandleAll bursts through pools of 1, 2, 4 and 8
+// shards on both engines, releasing each response as the server does,
+// for two workloads. "sleep" is the mitigated sleep(h % 300): the
+// mitigator and the simulated hierarchy bound it. "compute" is a tight
+// loop of fusable compare-and-branch, immediate arithmetic and array
+// traffic with only a token mitigation: instruction dispatch bounds it.
+// Each pool is built once and reused across iterations, with a queue
+// deep enough for a whole burst, so req/s is steady-state request
+// processing, not environment construction or backpressure. Wall-clock
+// speedup from shards is bounded by GOMAXPROCS. `make bench-engines`
+// records it into BENCH_engines.json.
 func BenchmarkServerPool(b *testing.B) {
 	lat := lattice.TwoPoint()
-	prog, res := mustServerProg(b)
 	ctx := context.Background()
 	const nreq = 64
-	reqs := make([]server.Request, nreq)
-	for r := 0; r < nreq; r++ {
-		s := int64(r*17) % 300
-		reqs[r] = func(m *mem.Memory) { m.Set("h", s) }
-	}
-	for _, engine := range []string{"tree", "vm"} {
-		for _, workers := range []int{1, 2, 4} {
-			b.Run(fmt.Sprintf("engine=%s/workers=%d", engine, workers), func(b *testing.B) {
-				// The pool is built once and reused across iterations:
-				// this measures steady-state request throughput, not
-				// environment construction.
-				// Queue depth covers the whole batch so the submitter
-				// never parks on backpressure mid-burst; throughput then
-				// reflects request processing, not goroutine handoff.
-				pool, err := server.NewPool(prog, res, server.PoolOptions{
-					Workers:    workers,
-					QueueDepth: nreq,
-					Options: server.Options{
-						Env:    hw.MustEnv("partitioned", lat, hw.Table1Config()),
-						Engine: engine,
-					},
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				defer pool.Close()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if _, err := pool.HandleAll(ctx, reqs); err != nil {
+	for _, w := range []struct {
+		name string
+		src  string
+		set  func(m *mem.Memory, r int64)
+	}{
+		{"sleep", sleepSrc, func(m *mem.Memory, r int64) { m.Set("h", r*17%300) }},
+		{"compute", computeSrc, func(m *mem.Memory, r int64) {
+			m.Set("n", 1500)
+			m.Set("seed", r%13+1)
+			m.Set("h", r*17%100)
+		}},
+	} {
+		prog, res := mustProg(b, w.src)
+		reqs := make([]server.Request, nreq)
+		for i := range reqs {
+			r := int64(i)
+			reqs[i] = func(m *mem.Memory) { w.set(m, r) }
+		}
+		for _, engine := range []string{"tree", "vm"} {
+			for _, workers := range []int{1, 2, 4, 8} {
+				b.Run(fmt.Sprintf("workload=%s/engine=%s/workers=%d", w.name, engine, workers), func(b *testing.B) {
+					pool, err := server.NewPool(prog, res, server.PoolOptions{
+						Workers:    workers,
+						QueueDepth: nreq,
+						Options: server.Options{
+							Env:    hw.MustEnv("partitioned", lat, hw.Table1Config()),
+							Engine: engine,
+						},
+					})
+					if err != nil {
 						b.Fatal(err)
 					}
-				}
-				b.ReportMetric(float64(nreq)*float64(b.N)/b.Elapsed().Seconds(), "req/s")
-			})
+					defer pool.Close()
+					b.ReportAllocs()
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						resps, err := pool.HandleAll(ctx, reqs)
+						if err != nil {
+							b.Fatal(err)
+						}
+						for _, r := range resps {
+							server.ReleaseResponse(r)
+						}
+					}
+					b.ReportMetric(float64(nreq)*float64(b.N)/b.Elapsed().Seconds(), "req/s")
+				})
+			}
 		}
 	}
 }
 
-func mustServerProg(b *testing.B) (*ast.Program, *types.Result) {
-	b.Helper()
-	src := `
+// sleepSrc is the service benchmarks' mitigated workload: a sleep on
+// the secret, then a public reply.
+const sleepSrc = `
 var h : H;
 var reply : L;
 mitigate (1, H) [L,L] {
@@ -401,6 +418,31 @@ mitigate (1, H) [L,L] {
 }
 reply := 1;
 `
+
+// computeSrc is a compute-bound workload with only a token mitigation,
+// so it times instruction dispatch rather than the mitigator.
+const computeSrc = `
+var h : H;
+var n : L;
+var seed : L;
+var acc : L;
+var i : L;
+var reply : L;
+array tab[32] : L;
+while (i < n) {
+    acc := ((((((((((((((((((((((((((((((((acc * 31 + 7) % 8191) * 3 + 13) % 4093) * 17 + 3) % 2039) * 7 + 11) % 1021) * 23 + 5) % 509) * 13 + 37) % 251) * 11 + 17) % 127) * 9 + 1) % 8191) * 3 + 29) % 4093) * 5 + 7) % 2039) * 7 + 3) % 1021) * 9 + 5) % 509) * 19 + 23) % 8191) * 29 + 31) % 4093) * 37 + 41) % 2039) * 43 + 47) % 1021) + seed;
+    i := i + 1;
+}
+tab[seed % 32] := acc;
+acc := acc + tab[(seed + 7) % 32];
+mitigate (1, H) [L,L] {
+    sleep(h % 8) [H,H];
+}
+reply := acc;
+`
+
+func mustProg(b *testing.B, src string) (*ast.Program, *types.Result) {
+	b.Helper()
 	prog, err := parser.Parse(src)
 	if err != nil {
 		b.Fatal(err)

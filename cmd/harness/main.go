@@ -1,15 +1,15 @@
 // Command harness regenerates every table and figure of the paper's
 // evaluation section (§8) and the extended experiments (leakage
-// bounds, service, network, sessions).
+// bounds, tenant sessions, certification).
 //
 // Usage:
 //
 //	harness [-experiment all|list|<name>] [-quick] [-format text|json|csv]
 //	        [-parallel] [-plot] [-engine tree|vm] [-seed N]
 //
-// `-experiment list` prints the registered experiments with one-line
-// summaries; the set is open — experiments self-register with
-// experiments.Register, and this command has no per-experiment code.
+// `-experiment list` prints the experiments with one-line summaries.
+// The set is the fixed table in internal/experiments, and this command
+// has no per-experiment code.
 // The text format is the human-readable table; json and csv emit the
 // raw data for external plotting (text-only experiments, like table1,
 // are skipped with a note under those formats).

@@ -8,7 +8,6 @@ func Unfused(p *Program) (*Program, error) {
 	if err != nil {
 		return nil, err
 	}
-	finalizeStats(op)
 	q := *p
 	q.Opt = op
 	return &q, nil

@@ -34,7 +34,6 @@ func link(p *Program) error {
 		return err
 	}
 	fuse(op)
-	finalizeStats(op)
 	p.Opt = op
 	return nil
 }
@@ -260,23 +259,6 @@ func stackDepths(p *Program) ([]int, int, error) {
 		}
 	}
 	return depth, maxDepth, nil
-}
-
-// finalizeStats recomputes the pipeline statistics from the final code.
-func finalizeStats(op *OptProgram) {
-	st := OptStats{
-		OrigInstrs: op.OrigLen,
-		OptInstrs:  len(op.Code),
-		Patterns:   map[string]int{},
-	}
-	for _, ins := range op.Code {
-		if ins.Op.Fused() {
-			st.FusedInstrs++
-			st.FusedOrig += int(ins.Len)
-			st.Patterns[ins.Op.String()]++
-		}
-	}
-	op.Stats = st
 }
 
 // fuse rewrites a lowered program in place, combining adjacent

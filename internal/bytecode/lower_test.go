@@ -34,7 +34,6 @@ func TestCompileLevels(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	finalizeStats(lowered)
 	// Lowering is 1:1: every original instruction appears once, in
 	// order, and no fused opcodes exist yet.
 	if len(lowered.Code) != len(bc.Code) || lowered.OrigLen != len(bc.Code) {
@@ -48,27 +47,30 @@ func TestCompileLevels(t *testing.T) {
 			t.Fatalf("instr %d: OrigPC %d Len %d", i, ins.OrigPC, ins.Len)
 		}
 	}
-	if lowered.Stats.FusedInstrs != 0 {
-		t.Errorf("lowered fused count %d", lowered.Stats.FusedInstrs)
-	}
 
 	fused := bc.Opt
-	if fused.Stats.FusedInstrs == 0 {
-		t.Fatalf("fusion found nothing in a loop program:\n%s", fused.Disassemble())
+	var fusedInstrs, absorbed int
+	patterns := map[string]int{}
+	for _, ins := range fused.Code {
+		if ins.Op.Fused() {
+			fusedInstrs++
+			absorbed += int(ins.Len)
+			patterns[ins.Op.String()]++
+		}
 	}
-	if fused.Stats.OrigInstrs != len(bc.Code) || fused.Stats.OptInstrs != len(fused.Code) {
-		t.Errorf("stats counts: %+v", fused.Stats)
+	if fusedInstrs == 0 {
+		t.Fatalf("fusion found nothing in a loop program:\n%s", fused.Disassemble())
 	}
 	// The absorbed-original accounting must balance: unfused + absorbed
 	// = original instruction count.
-	unfused := fused.Stats.OptInstrs - fused.Stats.FusedInstrs
-	if unfused+fused.Stats.FusedOrig != fused.Stats.OrigInstrs {
-		t.Errorf("instruction accounting: %+v", fused.Stats)
+	if unfused := len(fused.Code) - fusedInstrs; unfused+absorbed != len(bc.Code) {
+		t.Errorf("instruction accounting: %d unfused + %d absorbed != %d original",
+			unfused, absorbed, len(bc.Code))
 	}
 	// The loop program exercises the compare-and-branch and
 	// load/store patterns.
 	for _, pat := range []string{"LOAD.CMP.JZ", "IMM.STORE"} {
-		if fused.Stats.Patterns[pat] == 0 {
+		if patterns[pat] == 0 {
 			t.Errorf("pattern %s not used:\n%s", pat, fused.Disassemble())
 		}
 	}

@@ -216,20 +216,6 @@ func (i OptInstr) String() string {
 	return i.Op.String()
 }
 
-// OptStats reports what lowering and fusion did to a program.
-type OptStats struct {
-	// OrigInstrs and OptInstrs are the instruction counts of the stack
-	// ISA program and of its register form.
-	OrigInstrs int
-	OptInstrs  int
-	// FusedInstrs counts emitted superinstructions; FusedOrig counts
-	// the original instructions they absorbed.
-	FusedInstrs int
-	FusedOrig   int
-	// Patterns counts emitted superinstructions by mnemonic.
-	Patterns map[string]int
-}
-
 // OptProgram is the register form of a Program, attached as
 // Program.Opt by Compile and Decode. It is immutable after
 // construction, like the Program it derives from, so one OptProgram can
@@ -245,8 +231,6 @@ type OptProgram struct {
 	// IdxNames[a][i] is the precomputed event name "arr[i]" for array
 	// a's element i, so STOREIDX events allocate no format buffer.
 	IdxNames [][]string
-	// Stats describes the passes' work, for reporting.
-	Stats OptStats
 }
 
 // Disassemble renders the optimized program.

@@ -150,7 +150,7 @@ func RSAWorkload(keys []int64) (*Workload, error) {
 }
 
 // sleepSrc is the scalars-only wire workload: a mitigated sleep on
-// the secret, then a public reply — the same shape the transport
+// the secret, then a public reply — the same shape the sessions
 // experiment serves. Scalars-only means the HTTP binding can carry
 // its secret through wire inputs.
 const sleepSrc = `

@@ -9,20 +9,6 @@ import (
 	"repro/internal/certify"
 )
 
-func init() {
-	MustRegister(Experiment{
-		Name: "certify", Order: 120,
-		Summary: "adversarial leakage certification of the §7 bounds",
-		Run: func(o RunOptions) (*Report, error) {
-			d, err := Certify(CertifyConfig{Seed: o.Seed, Quick: o.Quick})
-			if err != nil {
-				return nil, err
-			}
-			return &Report{Text: d.Render(), Data: d}, nil
-		},
-	})
-}
-
 // CertifyConfig sizes the certification experiment.
 type CertifyConfig struct {
 	// Seed drives every adversary; equal seeds replay bit-for-bit.

@@ -7,9 +7,11 @@
 //	Figure 8 — RSA decryption time for two keys, ± mitigation
 //	Figure 9 — language-level vs system-level mitigation
 //
-// plus the §6–7 leakage-bound experiment (E6 in DESIGN.md). Every
-// experiment is deterministic. Absolute cycle counts differ from the
-// paper (different simulator); the claims that must reproduce are the
+// plus the §6–7 leakage-bound experiment (E6 in DESIGN.md) and the two
+// §7 claims that reach the service: per-tenant leakage accounts (E7)
+// and adversarial certification (E9). Every experiment is
+// deterministic. Absolute cycle counts differ from the paper
+// (different simulator); the claims that must reproduce are the
 // qualitative shapes, which the experiment tests in this package's
 // _test file assert.
 package experiments
@@ -25,89 +27,6 @@ import (
 	"repro/internal/lattice"
 	"repro/internal/machine/hw"
 )
-
-func init() {
-	MustRegister(Experiment{
-		Name: "table1", Order: 10,
-		Summary: "machine environment parameters (§8; text only)",
-		Run: func(RunOptions) (*Report, error) {
-			return &Report{Text: Table1()}, nil
-		},
-	})
-	MustRegister(Experiment{
-		Name: "figure7", Order: 20,
-		Summary: "login time across attempts, ± mitigation (§8.2)",
-		Run: func(o RunOptions) (*Report, error) {
-			cfg := Figure7Config{}
-			if o.Quick {
-				cfg = cfg.Quick()
-			}
-			cfg.Parallel = o.Parallel
-			d, err := Figure7(cfg)
-			if err != nil {
-				return nil, err
-			}
-			text := d.Render()
-			if o.Plot {
-				text = d.Plot()
-			}
-			return &Report{Text: text + fig7Summary(d), Data: d}, nil
-		},
-	})
-	MustRegister(Experiment{
-		Name: "table2", Order: 30,
-		Summary: "login time under {nopar, moff, mon} (§8.2)",
-		Run: func(o RunOptions) (*Report, error) {
-			cfg := Table2Config{}
-			if o.Quick {
-				cfg = cfg.Quick()
-			}
-			d, err := Table2(cfg)
-			if err != nil {
-				return nil, err
-			}
-			return &Report{Text: d.Render(), Data: d}, nil
-		},
-	})
-	MustRegister(Experiment{
-		Name: "figure8", Order: 40,
-		Summary: "RSA decryption time for two keys, ± mitigation (§8.3)",
-		Run: func(o RunOptions) (*Report, error) {
-			cfg := Figure8Config{}
-			if o.Quick {
-				cfg = cfg.Quick()
-			}
-			d, err := Figure8(cfg)
-			if err != nil {
-				return nil, err
-			}
-			text := d.Render()
-			if o.Plot {
-				text = d.Plot()
-			}
-			return &Report{Text: text, Data: d}, nil
-		},
-	})
-	MustRegister(Experiment{
-		Name: "figure9", Order: 50,
-		Summary: "language-level vs system-level mitigation (§8.4)",
-		Run: func(o RunOptions) (*Report, error) {
-			cfg := Figure9Config{}
-			if o.Quick {
-				cfg = cfg.Quick()
-			}
-			d, err := Figure9(cfg)
-			if err != nil {
-				return nil, err
-			}
-			text := d.Render()
-			if o.Plot {
-				text = d.Plot()
-			}
-			return &Report{Text: text, Data: d}, nil
-		},
-	})
-}
 
 // fig7Summary appends the qualitative check — all mitigated curves
 // must coincide — to Figure 7's text rendering.

@@ -11,24 +11,6 @@ import (
 	"repro/internal/sem/mem"
 )
 
-func init() {
-	MustRegister(Experiment{
-		Name: "leakage", Order: 60,
-		Summary: "measured leakage vs the §7 analytic bound (E6)",
-		Run: func(o RunOptions) (*Report, error) {
-			cfg := LeakageConfig{}
-			if o.Quick {
-				cfg = cfg.Quick()
-			}
-			d, err := LeakageBounds(cfg)
-			if err != nil {
-				return nil, err
-			}
-			return &Report{Text: d.Render(), Data: d}, nil
-		},
-	})
-}
-
 // LeakageData holds the E6 experiment: measured leakage of the
 // mitigated and unmitigated RSA decryption versus the §7 analytic
 // bound, over a family of secret keys.

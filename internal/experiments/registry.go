@@ -1,14 +1,8 @@
 package experiments
 
-import (
-	"fmt"
-	"sort"
-	"sync"
-)
-
 // RunOptions are the harness-level knobs shared by every experiment.
 // An experiment reads the knobs that apply to it and ignores the rest
-// (Engine, say, only matters to the service-backed experiments).
+// (Engine, say, only matters to the sessions experiment).
 type RunOptions struct {
 	// Quick selects the reduced-scale configuration.
 	Quick bool
@@ -33,83 +27,166 @@ type Report struct {
 	Data CSV
 }
 
-// Experiment is one registered evaluation artifact: a stable name the
-// harness dispatches on, a one-line summary for `-experiment list`,
-// and the runner.
+// Experiment is one evaluation artifact: a stable name the harness
+// dispatches on, a one-line summary for `-experiment list`, and the
+// runner.
 type Experiment struct {
 	// Name is the harness-facing identifier (figure7, leakage, ...).
 	Name string
 	// Summary is the one-line description shown by `-experiment list`.
 	Summary string
-	// Order fixes the position in All() — the paper's presentation
-	// order, independent of registration order.
-	Order int
 	// Run executes the experiment.
 	Run func(RunOptions) (*Report, error)
 }
 
-// The registry maps experiment names to their runners, mirroring the
-// engine registry in internal/exec. Built-ins register from init
-// functions next to their implementations; tests and future
-// experiments can add their own.
-var (
-	registryMu sync.RWMutex
-	registry   = map[string]Experiment{}
-)
-
-// Register adds an experiment. It reports an error when the name is
-// empty, the runner nil, or the name already taken.
-func Register(e Experiment) error {
-	if e.Name == "" || e.Run == nil {
-		return fmt.Errorf("experiments: Register needs a non-empty name and runner")
-	}
-	registryMu.Lock()
-	defer registryMu.Unlock()
-	if _, dup := registry[e.Name]; dup {
-		return fmt.Errorf("experiments: %q already registered", e.Name)
-	}
-	registry[e.Name] = e
-	return nil
-}
-
-// MustRegister is Register, panicking on error; for init-time use.
-func MustRegister(e Experiment) {
-	if err := Register(e); err != nil {
-		panic(err)
-	}
+// table is the fixed set of experiments in the paper's presentation
+// order: E1–E6 (§8's tables and figures and the §7 bound), then E7 and
+// E9, the §7 claims that reach the service.
+var table = []Experiment{
+	{
+		Name:    "table1",
+		Summary: "machine environment parameters (§8; text only)",
+		Run: func(RunOptions) (*Report, error) {
+			return &Report{Text: Table1()}, nil
+		},
+	},
+	{
+		Name:    "figure7",
+		Summary: "login time across attempts, ± mitigation (§8.2)",
+		Run: func(o RunOptions) (*Report, error) {
+			cfg := Figure7Config{}
+			if o.Quick {
+				cfg = cfg.Quick()
+			}
+			cfg.Parallel = o.Parallel
+			d, err := Figure7(cfg)
+			if err != nil {
+				return nil, err
+			}
+			text := d.Render()
+			if o.Plot {
+				text = d.Plot()
+			}
+			return &Report{Text: text + fig7Summary(d), Data: d}, nil
+		},
+	},
+	{
+		Name:    "table2",
+		Summary: "login time under {nopar, moff, mon} (§8.2)",
+		Run: func(o RunOptions) (*Report, error) {
+			cfg := Table2Config{}
+			if o.Quick {
+				cfg = cfg.Quick()
+			}
+			d, err := Table2(cfg)
+			if err != nil {
+				return nil, err
+			}
+			return &Report{Text: d.Render(), Data: d}, nil
+		},
+	},
+	{
+		Name:    "figure8",
+		Summary: "RSA decryption time for two keys, ± mitigation (§8.3)",
+		Run: func(o RunOptions) (*Report, error) {
+			cfg := Figure8Config{}
+			if o.Quick {
+				cfg = cfg.Quick()
+			}
+			d, err := Figure8(cfg)
+			if err != nil {
+				return nil, err
+			}
+			text := d.Render()
+			if o.Plot {
+				text = d.Plot()
+			}
+			return &Report{Text: text, Data: d}, nil
+		},
+	},
+	{
+		Name:    "figure9",
+		Summary: "language-level vs system-level mitigation (§8.4)",
+		Run: func(o RunOptions) (*Report, error) {
+			cfg := Figure9Config{}
+			if o.Quick {
+				cfg = cfg.Quick()
+			}
+			d, err := Figure9(cfg)
+			if err != nil {
+				return nil, err
+			}
+			text := d.Render()
+			if o.Plot {
+				text = d.Plot()
+			}
+			return &Report{Text: text, Data: d}, nil
+		},
+	},
+	{
+		Name:    "leakage",
+		Summary: "measured leakage vs the §7 analytic bound (E6)",
+		Run: func(o RunOptions) (*Report, error) {
+			cfg := LeakageConfig{}
+			if o.Quick {
+				cfg = cfg.Quick()
+			}
+			d, err := LeakageBounds(cfg)
+			if err != nil {
+				return nil, err
+			}
+			return &Report{Text: d.Render(), Data: d}, nil
+		},
+	},
+	{
+		Name:    "sessions",
+		Summary: "per-tenant leakage accounts and budget enforcement",
+		Run: func(o RunOptions) (*Report, error) {
+			cfg := SessionsConfig{Seed: o.Seed}
+			if o.Quick {
+				cfg = cfg.Quick()
+				cfg.Seed = o.Seed
+			}
+			cfg.Engine = o.Engine
+			d, err := Sessions(cfg)
+			if err != nil {
+				return nil, err
+			}
+			return &Report{Text: d.Render(), Data: d}, nil
+		},
+	},
+	{
+		Name:    "certify",
+		Summary: "adversarial leakage certification of the §7 bounds",
+		Run: func(o RunOptions) (*Report, error) {
+			d, err := Certify(CertifyConfig{Seed: o.Seed, Quick: o.Quick})
+			if err != nil {
+				return nil, err
+			}
+			return &Report{Text: d.Render(), Data: d}, nil
+		},
+	},
 }
 
 // Lookup returns the named experiment.
 func Lookup(name string) (Experiment, bool) {
-	registryMu.RLock()
-	defer registryMu.RUnlock()
-	e, ok := registry[name]
-	return e, ok
+	for _, e := range table {
+		if e.Name == name {
+			return e, true
+		}
+	}
+	return Experiment{}, false
 }
 
-// All returns every registered experiment in presentation order
-// (Order, then Name for stability among equals).
+// All returns every experiment in presentation order.
 func All() []Experiment {
-	registryMu.RLock()
-	defer registryMu.RUnlock()
-	out := make([]Experiment, 0, len(registry))
-	for _, e := range registry {
-		out = append(out, e)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Order != out[j].Order {
-			return out[i].Order < out[j].Order
-		}
-		return out[i].Name < out[j].Name
-	})
-	return out
+	return append([]Experiment(nil), table...)
 }
 
 // Names returns the experiment names in presentation order.
 func Names() []string {
-	all := All()
-	names := make([]string, len(all))
-	for i, e := range all {
+	names := make([]string, len(table))
+	for i, e := range table {
 		names[i] = e.Name
 	}
 	return names

@@ -1,49 +1,28 @@
 package experiments
 
-import (
-	"sort"
-	"testing"
-)
+import "testing"
 
-// TestRegistryHasAllBuiltins pins the registered set: the harness's
-// `-experiment list` is derived from it, so a missing registration
-// silently drops an experiment from `all`.
+// TestRegistryHasAllBuiltins pins the experiment table: the harness's
+// `all` and `-experiment list` read it, so a missing entry silently
+// drops an experiment, and its order is the paper's presentation order.
 func TestRegistryHasAllBuiltins(t *testing.T) {
 	want := []string{
 		"table1", "figure7", "table2", "figure8", "figure9",
-		"leakage", "service", "network", "sessions", "vmopt",
-		"certify",
+		"leakage", "sessions", "certify",
 	}
 	got := Names()
-	sorted := append([]string(nil), got...)
-	sort.Strings(sorted)
-	wantSorted := append([]string(nil), want...)
-	sort.Strings(wantSorted)
-	if len(sorted) != len(wantSorted) {
-		t.Fatalf("registered = %v, want %v", got, want)
+	if len(got) != len(want) {
+		t.Fatalf("experiments = %v, want %v", got, want)
 	}
-	for i := range sorted {
-		if sorted[i] != wantSorted[i] {
-			t.Fatalf("registered = %v, want %v", got, want)
-		}
-	}
-	// Presentation order is the paper's order, not registration order.
 	for i, name := range want {
 		if got[i] != name {
 			t.Errorf("Names()[%d] = %q, want %q", i, got[i], name)
 		}
 	}
-}
-
-func TestRegisterRejectsDuplicatesAndNil(t *testing.T) {
-	if err := Register(Experiment{Name: "", Run: func(RunOptions) (*Report, error) { return nil, nil }}); err == nil {
-		t.Error("empty name must be rejected")
-	}
-	if err := Register(Experiment{Name: "x"}); err == nil {
-		t.Error("nil runner must be rejected")
-	}
-	if err := Register(Experiment{Name: "table1", Run: func(RunOptions) (*Report, error) { return nil, nil }}); err == nil {
-		t.Error("duplicate name must be rejected")
+	for i, e := range All() {
+		if e.Name != want[i] || e.Summary == "" || e.Run == nil {
+			t.Errorf("All()[%d] = {%q, %q, run=%v}", i, e.Name, e.Summary, e.Run != nil)
+		}
 	}
 }
 
@@ -52,8 +31,10 @@ func TestLookupFindsRegistered(t *testing.T) {
 	if !ok || e.Name != "figure7" || e.Run == nil {
 		t.Fatalf("Lookup(figure7) = %+v, %v", e, ok)
 	}
-	if _, ok := Lookup("no-such-experiment"); ok {
-		t.Error("unknown name must not resolve")
+	for _, gone := range []string{"no-such-experiment", "service", "network", "vmopt"} {
+		if _, ok := Lookup(gone); ok {
+			t.Errorf("Lookup(%q) must not resolve", gone)
+		}
 	}
 }
 

@@ -24,25 +24,18 @@ import (
 	"repro/internal/types"
 )
 
-func init() {
-	MustRegister(Experiment{
-		Name: "sessions", Order: 100,
-		Summary: "per-tenant leakage accounts and budget enforcement",
-		Run: func(o RunOptions) (*Report, error) {
-			cfg := SessionsConfig{Seed: o.Seed}
-			if o.Quick {
-				cfg = cfg.Quick()
-				cfg.Seed = o.Seed
-			}
-			cfg.Engine = o.Engine
-			d, err := Sessions(cfg)
-			if err != nil {
-				return nil, err
-			}
-			return &Report{Text: d.Render(), Data: d}, nil
-		},
-	})
+// networkSrc is the wire workload: a mitigated sleep on the secret,
+// then a public reply. It is scalars-only because the wire schema
+// carries scalar inputs (the login app needs array setup, which stays
+// in-process).
+const networkSrc = `
+var h : H;
+var reply : L;
+mitigate (1, H) [L,L] {
+    sleep(h % 64) [H,H];
 }
+reply := 1;
+`
 
 // SessionTrace is one tenant's view of its session: the per-request
 // epoch and cumulative leakage the service reported, plus what the

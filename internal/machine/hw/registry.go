@@ -3,7 +3,6 @@ package hw
 import (
 	"fmt"
 	"sort"
-	"sync"
 
 	"repro/internal/lattice"
 )
@@ -13,74 +12,27 @@ import (
 // may ignore cfg.
 type Factory func(lat lattice.Lattice, cfg Config) Env
 
-// The registry maps hardware-design names to constructors, replacing
-// the switch statements previously copied across the CLI, the
-// experiments package, and the benchmarks. Built-in designs are
-// registered below; external packages (tests, future backends) can add
-// their own with Register.
-var (
-	registryMu sync.RWMutex
-	registry   = map[string]Factory{}
-)
-
-func init() {
-	builtins := map[string]Factory{
-		"flat": func(lat lattice.Lattice, cfg Config) Env { return NewFlat(lat, 2) },
-		"nopar": func(lat lattice.Lattice, cfg Config) Env {
-			return NewUnpartitioned(lat, cfg)
-		},
-		"nofill": func(lat lattice.Lattice, cfg Config) Env {
-			return NewNoFill(lat, cfg)
-		},
-		"partitioned": func(lat lattice.Lattice, cfg Config) Env {
-			return NewPartitioned(lat, cfg)
-		},
-		"flush": func(lat lattice.Lattice, cfg Config) Env {
-			return NewFlushOnHigh(lat, cfg)
-		},
-		"lockcache": func(lat lattice.Lattice, cfg Config) Env {
-			return NewLockProtect(lat, cfg)
-		},
-	}
-	for name, f := range builtins {
-		MustRegister(name, f)
-	}
-	// Aliases accepted by the original CLI switch.
-	MustRegister("unpartitioned", builtins["nopar"])
-	MustRegister("lock", builtins["lockcache"])
+// designs maps hardware-design names to constructors; the CLI, the
+// experiments and the benchmarks all resolve hardware through it.
+// "unpartitioned" and "lock" are aliases the CLI has always accepted.
+var designs = map[string]Factory{
+	"flat":          func(lat lattice.Lattice, cfg Config) Env { return NewFlat(lat, 2) },
+	"nopar":         func(lat lattice.Lattice, cfg Config) Env { return NewUnpartitioned(lat, cfg) },
+	"unpartitioned": func(lat lattice.Lattice, cfg Config) Env { return NewUnpartitioned(lat, cfg) },
+	"nofill":        func(lat lattice.Lattice, cfg Config) Env { return NewNoFill(lat, cfg) },
+	"partitioned":   func(lat lattice.Lattice, cfg Config) Env { return NewPartitioned(lat, cfg) },
+	"flush":         func(lat lattice.Lattice, cfg Config) Env { return NewFlushOnHigh(lat, cfg) },
+	"lockcache":     func(lat lattice.Lattice, cfg Config) Env { return NewLockProtect(lat, cfg) },
+	"lock":          func(lat lattice.Lattice, cfg Config) Env { return NewLockProtect(lat, cfg) },
 }
 
-// Register adds a named environment factory. It reports an error when
-// the name is already taken.
-func Register(name string, f Factory) error {
-	if name == "" || f == nil {
-		return fmt.Errorf("hw: Register needs a non-empty name and factory")
-	}
-	registryMu.Lock()
-	defer registryMu.Unlock()
-	if _, dup := registry[name]; dup {
-		return fmt.Errorf("hw: environment %q already registered", name)
-	}
-	registry[name] = f
-	return nil
-}
-
-// MustRegister is Register, panicking on error; for init-time use.
-func MustRegister(name string, f Factory) {
-	if err := Register(name, f); err != nil {
-		panic(err)
-	}
-}
-
-// NewEnv constructs a registered environment by name. The empty name
-// selects "partitioned", the paper's secure design.
+// NewEnv constructs a named environment. The empty name selects
+// "partitioned", the paper's secure design.
 func NewEnv(name string, lat lattice.Lattice, cfg Config) (Env, error) {
 	if name == "" {
 		name = "partitioned"
 	}
-	registryMu.RLock()
-	f, ok := registry[name]
-	registryMu.RUnlock()
+	f, ok := designs[name]
 	if !ok {
 		return nil, fmt.Errorf("hw: unknown hardware %q (want one of %v)", name, EnvNames())
 	}
@@ -96,12 +48,10 @@ func MustEnv(name string, lat lattice.Lattice, cfg Config) Env {
 	return env
 }
 
-// EnvNames lists the registered design names, sorted.
+// EnvNames lists the design names, aliases included, sorted.
 func EnvNames() []string {
-	registryMu.RLock()
-	defer registryMu.RUnlock()
-	names := make([]string, 0, len(registry))
-	for n := range registry {
+	names := make([]string, 0, len(designs))
+	for n := range designs {
 		names = append(names, n)
 	}
 	sort.Strings(names)

@@ -69,26 +69,6 @@ func TestRegistryEnvNamesSorted(t *testing.T) {
 	}
 }
 
-func TestRegistryRegister(t *testing.T) {
-	if err := Register("", func(lat lattice.Lattice, cfg Config) Env { return nil }); err == nil {
-		t.Error("Register with empty name should fail")
-	}
-	if err := Register("partitioned", func(lat lattice.Lattice, cfg Config) Env { return nil }); err == nil {
-		t.Error("Register over an existing name should fail")
-	}
-	name := "test-custom-env"
-	if err := Register(name, func(lat lattice.Lattice, cfg Config) Env { return NewFlat(lat, 7) }); err != nil {
-		t.Fatalf("Register(%q): %v", name, err)
-	}
-	env, err := NewEnv(name, lattice.TwoPoint(), Config{})
-	if err != nil {
-		t.Fatalf("NewEnv(%q): %v", name, err)
-	}
-	if env.Name() != "flat" {
-		t.Errorf("custom factory not used: %q", env.Name())
-	}
-}
-
 func TestMustEnvPanicsOnUnknown(t *testing.T) {
 	defer func() {
 		if recover() == nil {

@@ -270,9 +270,11 @@ while (i < 200000) {
 		futures = append(futures, f)
 	}
 	// The next submission must hit backpressure until ctx expires.
+	// start is read first, so the time between it and Submit's return
+	// covers the whole deadline however the goroutine is scheduled.
+	start := time.Now()
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
 	defer cancel()
-	start := time.Now()
 	_, err = pool.Submit(ctx, nil)
 	if err == nil {
 		// The queue may have drained before the deadline on a fast

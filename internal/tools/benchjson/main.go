@@ -1,15 +1,15 @@
 // Command benchjson converts `go test -bench` output into a JSON
 // report. The raw benchmark lines are preserved verbatim (so benchstat
 // can still consume them after extraction), every metric pair is
-// parsed into a map, and two derived summaries are computed:
-// engine-vs-engine throughput ratios for BenchmarkServerPool (the
-// service-path headline), and per-worker-count speedup plus scaling
-// efficiency (req/s at N workers ÷ N·req/s at 1) for
-// BenchmarkPoolScaling (the multi-core scaling record).
+// parsed into a map, and one rule summarises repeated runs: each
+// benchmark name that ran more than once (`-count N`) gets its run
+// count and the median, min and max of each unit. A certification
+// sweep (internal/tools/certifybench output) also gets its verdict
+// counts.
 //
 // Usage:
 //
-//	go test -run '^$' -bench . ... | go run ./internal/tools/benchjson -o BENCH_engines.json
+//	go test -run '^$' -bench . -count 3 ... | go run ./internal/tools/benchjson -o BENCH_engines.json
 package main
 
 import (
@@ -17,8 +17,10 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"regexp"
+	"sort"
 	"strconv"
 	"strings"
 )
@@ -32,6 +34,21 @@ type Benchmark struct {
 	// Metrics maps unit -> value for every "value unit" pair on the
 	// line (ns/op, req/s, us/req, B/op, allocs/op, ...).
 	Metrics map[string]float64 `json:"metrics"`
+}
+
+// Spread is one unit's median, min and max over a benchmark's runs.
+type Spread struct {
+	Median float64 `json:"median"`
+	Min    float64 `json:"min"`
+	Max    float64 `json:"max"`
+}
+
+// RunSummary summarises the runs of one benchmark name.
+type RunSummary struct {
+	// Count is the number of result lines with this name.
+	Count int `json:"count"`
+	// Units maps each unit reported by those lines to its spread.
+	Units map[string]Spread `json:"units"`
 }
 
 // Report is the full document written to the output file.
@@ -50,9 +67,13 @@ type Report struct {
 	Raw []string `json:"raw"`
 	// Benchmarks holds the parsed lines, in input order.
 	Benchmarks []Benchmark `json:"benchmarks"`
-	// Summary maps a derived-statistic name to its value; see
-	// summarize for the engine throughput ratios.
+	// Summary holds a certification sweep's verdict counts; see
+	// certifySummary.
 	Summary map[string]float64 `json:"summary,omitempty"`
+	// Runs maps each benchmark name that ran more than once to its run
+	// count and the spread of each unit; a name that ran once has no
+	// entry.
+	Runs map[string]RunSummary `json:"runs,omitempty"`
 }
 
 var benchLine = regexp.MustCompile(`^(Benchmark\S+)\s+(\d+)\s+(.*)$`)
@@ -61,15 +82,11 @@ func main() {
 	out := flag.String("o", "", "output file (default stdout)")
 	flag.Parse()
 
-	rep := parse(bufio.NewScanner(os.Stdin))
-	rep.Summary = summarize(rep.Benchmarks)
-
-	enc, err := json.MarshalIndent(rep, "", "  ")
+	enc, err := convert(os.Stdin)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "benchjson:", err)
 		os.Exit(1)
 	}
-	enc = append(enc, '\n')
 	if *out == "" {
 		os.Stdout.Write(enc)
 		return
@@ -78,6 +95,19 @@ func main() {
 		fmt.Fprintln(os.Stderr, "benchjson:", err)
 		os.Exit(1)
 	}
+}
+
+// convert parses benchmark output and returns the report's JSON
+// encoding, newline-terminated.
+func convert(in io.Reader) ([]byte, error) {
+	rep := parse(bufio.NewScanner(in))
+	rep.Summary = certifySummary(rep.Benchmarks)
+	rep.Runs = repeated(rep.Benchmarks)
+	enc, err := json.MarshalIndent(rep, "", "  ")
+	if err != nil {
+		return nil, err
+	}
+	return append(enc, '\n'), nil
 }
 
 func parse(sc *bufio.Scanner) *Report {
@@ -144,134 +174,38 @@ func trimProcs(name string) string {
 	return name
 }
 
-// summarize derives engine throughput ratios: for every
-// BenchmarkServerPool worker count that has both an engine=tree and an
-// engine=vm run, it emits the mean req/s of each and their ratio as
-// vm_vs_tree_req_per_s/workers=N. Multiple -count runs average.
-func summarize(benches []Benchmark) map[string]float64 {
-	type acc struct {
-		sum float64
-		n   int
-	}
-	// key: engine|workers
-	groups := map[string]*acc{}
+// repeated applies the one summary rule: for each benchmark name that
+// ran more than once, the run count and the median, min and max of
+// each unit over its runs.
+func repeated(benches []Benchmark) map[string]RunSummary {
+	byName := map[string][]Benchmark{}
 	for _, b := range benches {
-		if !strings.HasPrefix(b.Name, "BenchmarkServerPool/") {
+		byName[b.Name] = append(byName[b.Name], b)
+	}
+	out := map[string]RunSummary{}
+	for name, runs := range byName {
+		if len(runs) < 2 {
 			continue
 		}
-		rps, ok := b.Metrics["req/s"]
-		if !ok {
-			continue
+		values := map[string][]float64{}
+		for _, b := range runs {
+			for unit, v := range b.Metrics {
+				values[unit] = append(values[unit], v)
+			}
 		}
-		key := strings.TrimPrefix(b.Name, "BenchmarkServerPool/")
-		a := groups[key]
-		if a == nil {
-			a = &acc{}
-			groups[key] = a
+		r := RunSummary{Count: len(runs), Units: map[string]Spread{}}
+		for unit, vs := range values {
+			sort.Float64s(vs)
+			mid := len(vs) / 2
+			median := vs[mid]
+			if len(vs)%2 == 0 {
+				median = (vs[mid-1] + vs[mid]) / 2
+			}
+			r.Units[unit] = Spread{Median: median, Min: vs[0], Max: vs[len(vs)-1]}
 		}
-		a.sum += rps
-		a.n++
+		out[name] = r
 	}
-	sum := map[string]float64{}
-	for key, a := range groups {
-		sum["mean_req_per_s/"+key] = a.sum / float64(a.n)
-	}
-	for key, tree := range groups {
-		if !strings.HasPrefix(key, "engine=tree/") {
-			continue
-		}
-		rest := strings.TrimPrefix(key, "engine=tree/")
-		vm, ok := groups["engine=vm/"+rest]
-		if !ok || tree.sum == 0 {
-			continue
-		}
-		ratio := (vm.sum / float64(vm.n)) / (tree.sum / float64(tree.n))
-		sum["vm_vs_tree_req_per_s/"+rest] = ratio
-	}
-	scaling(benches, sum)
-	vmopt(benches, sum)
-	transport(benches, sum)
-	certifySummary(benches, sum)
-	if len(sum) == 0 {
-		return nil
-	}
-	return sum
-}
-
-// vmoptName parses "BenchmarkVMOpt/workers=M".
-var vmoptName = regexp.MustCompile(`^BenchmarkVMOpt/(workers=\d+)$`)
-
-// vmopt derives the VM throughput record from BenchmarkVMOpt runs: the
-// mean req/s per worker count. Multiple -count runs average.
-func vmopt(benches []Benchmark, sum map[string]float64) {
-	type acc struct {
-		sum float64
-		n   int
-	}
-	// key: "workers=M"
-	groups := map[string]*acc{}
-	for _, b := range benches {
-		m := vmoptName.FindStringSubmatch(b.Name)
-		if m == nil {
-			continue
-		}
-		rps, ok := b.Metrics["req/s"]
-		if !ok {
-			continue
-		}
-		a := groups[m[1]]
-		if a == nil {
-			a = &acc{}
-			groups[m[1]] = a
-		}
-		a.sum += rps
-		a.n++
-	}
-	for key, a := range groups {
-		sum["mean_req_per_s/"+key] = a.sum / float64(a.n)
-	}
-}
-
-// transportName parses "BenchmarkTransport/mode=M".
-var transportName = regexp.MustCompile(`^BenchmarkTransport/mode=([a-z]+)$`)
-
-// transport derives the wire transport record from BenchmarkTransport
-// runs: mean req/s per submission mode, and the pipelined stream over
-// per-request /v1/run. Multiple -count runs average.
-func transport(benches []Benchmark, sum map[string]float64) {
-	type acc struct {
-		sum float64
-		n   int
-	}
-	// key: "mode=M"
-	groups := map[string]*acc{}
-	for _, b := range benches {
-		m := transportName.FindStringSubmatch(b.Name)
-		if m == nil {
-			continue
-		}
-		rps, ok := b.Metrics["req/s"]
-		if !ok {
-			continue
-		}
-		key := "mode=" + m[1]
-		a := groups[key]
-		if a == nil {
-			a = &acc{}
-			groups[key] = a
-		}
-		a.sum += rps
-		a.n++
-	}
-	mean := func(a *acc) float64 { return a.sum / float64(a.n) }
-	for key, a := range groups {
-		sum["mean_req_per_s/"+key] = mean(a)
-	}
-	run, okRun := groups["mode=run"]
-	stream, okStream := groups["mode=stream"]
-	if okRun && okStream && run.sum > 0 {
-		sum["stream_vs_run_req_per_s"] = mean(stream) / mean(run)
-	}
+	return out
 }
 
 // certifySummary derives the leakage-certification record from
@@ -279,8 +213,9 @@ func transport(benches []Benchmark, sum map[string]float64) {
 // certified-row counts, how many mitigated rows certified out of how
 // many ran, and the worst measured leakage on each side of the
 // mitigation switch. All inputs are deterministic functions of the
-// sweep seed, so the summary — like the rows — is byte-stable.
-func certifySummary(benches []Benchmark, sum map[string]float64) {
+// sweep seed, so the summary — like the rows — is byte-stable. It
+// returns nil when there are no certification rows.
+func certifySummary(benches []Benchmark) map[string]float64 {
 	var rows, certified, mit, mitCertified float64
 	maxUnmit, maxMitUpper := 0.0, 0.0
 	for _, b := range benches {
@@ -301,69 +236,14 @@ func certifySummary(benches []Benchmark, sum map[string]float64) {
 		}
 	}
 	if rows == 0 {
-		return
+		return nil
 	}
-	sum["certify_rows"] = rows
-	sum["certify_certified"] = certified
-	sum["certify_mitigated_rows"] = mit
-	sum["certify_mitigated_certified"] = mitCertified
-	sum["certify_max_unmitigated_measured_bits"] = maxUnmit
-	sum["certify_max_mitigated_upper_bits"] = maxMitUpper
-}
-
-// scalingName parses "BenchmarkPoolScaling/<group>/workers=N" into the
-// group key and worker count.
-var scalingName = regexp.MustCompile(`^BenchmarkPoolScaling/(.+)/workers=(\d+)$`)
-
-// scaling derives the scaling record from BenchmarkPoolScaling runs:
-// for every mode/engine group it emits the mean req/s per worker
-// count, the speedup over the 1-worker baseline, and the scaling
-// efficiency speedup/N (1.0 = perfectly linear). Multiple -count runs
-// average.
-func scaling(benches []Benchmark, sum map[string]float64) {
-	type acc struct {
-		sum float64
-		n   int
-	}
-	// group ("mode=batch/engine=vm") -> workers -> mean accumulator
-	groups := map[string]map[int]*acc{}
-	for _, b := range benches {
-		m := scalingName.FindStringSubmatch(b.Name)
-		if m == nil {
-			continue
-		}
-		rps, ok := b.Metrics["req/s"]
-		if !ok {
-			continue
-		}
-		workers, err := strconv.Atoi(m[2])
-		if err != nil || workers <= 0 {
-			continue
-		}
-		byWorkers := groups[m[1]]
-		if byWorkers == nil {
-			byWorkers = map[int]*acc{}
-			groups[m[1]] = byWorkers
-		}
-		a := byWorkers[workers]
-		if a == nil {
-			a = &acc{}
-			byWorkers[workers] = a
-		}
-		a.sum += rps
-		a.n++
-	}
-	for group, byWorkers := range groups {
-		base, ok := byWorkers[1]
-		for workers, a := range byWorkers {
-			mean := a.sum / float64(a.n)
-			key := fmt.Sprintf("%s/workers=%d", group, workers)
-			sum["mean_req_per_s/"+key] = mean
-			if ok && base.sum > 0 {
-				speedup := mean / (base.sum / float64(base.n))
-				sum["speedup/"+key] = speedup
-				sum["scaling_efficiency/"+key] = speedup / float64(workers)
-			}
-		}
+	return map[string]float64{
+		"certify_rows":                          rows,
+		"certify_certified":                     certified,
+		"certify_mitigated_rows":                mit,
+		"certify_mitigated_certified":           mitCertified,
+		"certify_max_unmitigated_measured_bits": maxUnmit,
+		"certify_max_mitigated_upper_bits":      maxMitUpper,
 	}
 }

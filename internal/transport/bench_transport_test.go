@@ -5,8 +5,8 @@ package transport
 // submit-path req/s for each submission mode (per-request /v1/run,
 // 64-item /v1/batch, pipelined /v1/stream). `make bench-transport`
 // captures it (with -benchmem, so the allocation profile is on record)
-// into BENCH_transport.json, where benchjson derives the
-// stream-over-run ratio.
+// into BENCH_transport.json, where benchjson reports each mode's
+// median, min and max req/s over three runs.
 //
 // The run mode fans requests across GOMAXPROCS client goroutines; the
 // stream mode pipelines everything down one connection, which is the

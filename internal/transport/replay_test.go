@@ -160,8 +160,18 @@ func replayTraffic(t *testing.T, model, engine, src string, lateLoops int64, wan
 		}
 	}
 
-	var wg sync.WaitGroup
-	for c := 0; c < 4; c++ {
+	// Each client sends 40 operations, and from lateOp on some are late
+	// runs. A late run that committed unseen leaves a gap that ends its
+	// shard's comparison, so every client finishes its regular
+	// operations before any client starts its late ones: a client that
+	// reached them while the others were still early in theirs would
+	// end both shards' comparisons early. The barrier draws nothing from
+	// the clients' generators, so each client's operations are still a
+	// function of its seed alone.
+	const clients, lateOp = 4, 34
+	var wg, regular sync.WaitGroup
+	regular.Add(clients)
+	for c := 0; c < clients; c++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -191,6 +201,10 @@ func replayTraffic(t *testing.T, model, engine, src string, lateLoops int64, wan
 				return resp.StatusCode, out, err
 			}
 			for k := 0; k < 40; k++ {
+				if k == lateOp {
+					regular.Done()
+					regular.Wait()
+				}
 				items := []wire.RunRequest{item()}
 				for n := 1 + rng.Intn(7); len(items) < n; {
 					items = append(items, item())
@@ -201,7 +215,7 @@ func replayTraffic(t *testing.T, model, engine, src string, lateLoops int64, wan
 					err    error
 				)
 				switch kind := rng.Intn(3); {
-				case k >= 34 && rng.Intn(3) == 0:
+				case k >= lateOp && rng.Intn(3) == 0:
 					// A fresh tenant's run under a deadline that may end
 					// it anywhere: queued, running, or after it committed
 					// but before its response arrived. A run that
