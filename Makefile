@@ -25,11 +25,13 @@ ci: fmt vet build race allocs perfbench-test engines chaos certify-smoke cover f
 # charge the same pinned metrics for one run
 # (TestMetricsObservationalOnly), the server's engine tests (parity of
 # both engines behind the server and the pool, the step budget on
-# each, and the unknown-engine error), the bytecode package's fusion
-# differential (fused vs unfused register form) and golden tests,
-# which hold the only checks of the VM's micro timing model, and the
-# simulated hierarchy's equivalence tests: the memoized site path the
-# VM charges through against plain Access (TestAccessSite*,
+# each, and the unknown-engine error), the CLI's check that run,
+# compile -exec and exec of an image report one time
+# (TestRunExecAgree), the bytecode package's fusion differential
+# (fused vs unfused register form, and the unfused form against
+# sem/full and the golden rows the stack interpreter recorded), and
+# the simulated hierarchy's equivalence tests: the memoized site path
+# the VM charges through against plain Access (TestAccessSite*,
 # TestSiteMemo*, and the VM on an environment hidden behind a
 # wrapper, TestOptPlainEnvMatchesSites), and both against the two-pass
 # reference lookup (TestWalkMatchesReference), so the VM and the tree
@@ -37,6 +39,7 @@ ci: fmt vet build race allocs perfbench-test engines chaos certify-smoke cover f
 engines:
 	$(GO) test -run 'TestEngine|TestEngines|TestMetricsObservationalOnly' ./internal/exec
 	$(GO) test -run 'Engine' ./internal/server
+	$(GO) test -run 'TestRunExecAgree' ./internal/cli
 	$(GO) test -run 'TestOptDifferential|TestVMGolden|TestOptPlainEnvMatchesSites' ./internal/bytecode
 	$(GO) test -run 'TestAccessSite|TestSiteMemo|TestWalkMatchesReference' ./internal/machine/hw
 

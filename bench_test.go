@@ -497,9 +497,8 @@ func BenchmarkInterpreterFull(b *testing.B) {
 
 // BenchmarkImplementations compares the two language implementations —
 // the tree-walking full semantics and the compiled bytecode VM — on the
-// same program and hardware. Their simulated cycle counts differ (the
-// VM fetches per instruction), which is the point: both satisfy the
-// contract, with different timing.
+// same program and hardware. Both charge one cost model, so they report
+// the same simulated cycles; the host time per run is what differs.
 func BenchmarkImplementations(b *testing.B) {
 	lat := lattice.TwoPoint()
 	prog, res, _, err := progen.GenerateTyped(progen.Config{

@@ -264,33 +264,6 @@ func TestVMDeterminism(t *testing.T) {
 	}
 }
 
-// The VM's finer instruction-fetch granularity yields different (but
-// still deterministic and secure) timing from the tree-walker: code
-// layout is part of the language implementation.
-func TestVMTimingDiffersFromTreeWalker(t *testing.T) {
-	lat := lattice.TwoPoint()
-	src := "var x : L; var i : L; while (i < 10) { x := x + i; i := i + 1; }"
-	prog, err := parser.Parse(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := types.Check(prog, lat)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bc, err := Compile(prog, res)
-	if err != nil {
-		t.Fatal(err)
-	}
-	vm := NewVM(bc, hw.NewPartitioned(lat, hw.Table1Config()), VMOptions{})
-	if err := vm.Run(100000); err != nil {
-		t.Fatal(err)
-	}
-	if vm.Steps() <= 12 {
-		t.Errorf("VM executes more, finer steps than the %d-step tree walk", 12)
-	}
-}
-
 func TestCompileRejectsUnresolvedLabels(t *testing.T) {
 	prog, err := parser.Parse("var l : L; l := 1;")
 	if err != nil {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/lang/ast"
+	"repro/internal/sem/mem"
 	"repro/internal/types"
 )
 
@@ -19,22 +20,20 @@ func Compile(prog *ast.Program, res *types.Result) (*Program, error) {
 		scalars: make(map[string]int64),
 		arrays:  make(map[string]int64),
 	}
-	// Assign data offsets in declaration order, mirroring mem.NewLayout,
-	// so the VM's tree-compatible timing model touches the same data
-	// addresses as the tree-walking semantics.
-	var off uint64
+	// The data offsets are the tree-walking semantics' layout, so the
+	// VM touches the same data addresses.
+	layout := mem.NewLayout(prog)
 	for _, d := range prog.Decls {
+		off := layout.Addr(d.Name) - mem.DataBase
 		if d.IsArray {
 			c.arrays[d.Name] = int64(len(c.out.ArrayNames))
 			c.out.ArrayNames = append(c.out.ArrayNames, d.Name)
 			c.out.ArraySizes = append(c.out.ArraySizes, d.Size)
 			c.out.ArrayOffsets = append(c.out.ArrayOffsets, off)
-			off += 8 * uint64(d.Size)
 		} else {
 			c.scalars[d.Name] = int64(len(c.out.ScalarNames))
 			c.out.ScalarNames = append(c.out.ScalarNames, d.Name)
 			c.out.ScalarOffsets = append(c.out.ScalarOffsets, off)
-			off += 8
 		}
 	}
 	if err := c.cmd(prog.Body); err != nil {
@@ -66,9 +65,9 @@ func (c *compiler) patch(at int, target int) {
 func (c *compiler) here() int { return len(c.out.Code) }
 
 // setlbl emits the timing-label register write for a labeled command.
-// The command's AST node ID rides along in C so the tree-compatible
-// timing model can charge the command fetch at the same code address as
-// the tree-walking semantics (mem.Layout.CodeAddr).
+// The command's AST node ID rides along in C so the VM can charge the
+// command fetch at the same code address as the tree-walking semantics
+// (mem.CodeAddr).
 func (c *compiler) setlbl(cmd ast.Cmd, lab *ast.Labels) error {
 	if !lab.Resolved() {
 		return fmt.Errorf("bytecode: unresolved labels (run types.Check first)")

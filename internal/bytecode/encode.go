@@ -11,23 +11,21 @@ import (
 )
 
 // Binary serialization of compiled programs, so bytecode can be built
-// once and shipped/executed separately (timingc compile -o / -exec-file
-// workflows). The format is a small tagged container:
+// once and shipped/executed separately (timingc compile -o, then
+// timingc exec). The format is a small tagged container:
 //
-//	magic "TCBC" | version u8 | lattice name | mitigates uvarint
-//	scalars: count + names (v2: + offset uvarint each)
-//	arrays: count + (name, size) pairs (v2: + offset uvarint each)
-//	code: count + (op u8, A varint, B varint) triples
-//	      (v2: SETLBL additionally carries C varint, the AST node ID)
+//	magic "TCBC" | version u8 (2) | lattice name | mitigates uvarint
+//	scalars: count + (name, offset uvarint) pairs
+//	arrays: count + (name, size uvarint, offset uvarint) triples
+//	code: count + (op u8, A varint, B varint) triples; SETLBL
+//	      additionally carries C varint, the AST node ID
 //
 // Strings are uvarint-length-prefixed UTF-8. Labels inside SETLBL and
 // MITENTER operands are lattice element IDs; Decode therefore needs the
-// same lattice, which is recorded by name and validated.
-//
-// Version 2 added the declaration-order data offsets and SETLBL node
-// IDs that the VM's tree-compatible timing model needs; Decode still
-// accepts version 1, yielding a program that runs under TimingMicro
-// with the legacy address assignment.
+// same lattice, which is recorded by name and validated. The data
+// offsets and SETLBL node IDs place every access where sem/full makes
+// it, so a decoded program runs with the semantics' timing. Version 1
+// images, which lack both, are rejected.
 
 const (
 	encodeMagic   = "TCBC"
@@ -37,8 +35,12 @@ const (
 	maxArrayElems = 1 << 20
 )
 
-// Encode writes the program to w.
+// Encode writes the program to w. The program must carry its data
+// offsets, as every program from Compile or Decode does.
 func (p *Program) Encode(w io.Writer) error {
+	if !p.hasOffsets() {
+		return fmt.Errorf("bytecode: encoding a program without data offsets")
+	}
 	bw := bufio.NewWriter(w)
 	if _, err := bw.WriteString(encodeMagic); err != nil {
 		return err
@@ -67,13 +69,13 @@ func (p *Program) Encode(w io.Writer) error {
 	writeUvarint(uint64(len(p.ScalarNames)))
 	for i, s := range p.ScalarNames {
 		writeString(s)
-		writeUvarint(p.scalarOffset(i))
+		writeUvarint(p.ScalarOffsets[i])
 	}
 	writeUvarint(uint64(len(p.ArrayNames)))
 	for i, s := range p.ArrayNames {
 		writeString(s)
 		writeUvarint(uint64(p.ArraySizes[i]))
-		writeUvarint(p.arrayOffset(i))
+		writeUvarint(p.ArrayOffsets[i])
 	}
 	writeUvarint(uint64(len(p.Code)))
 	for _, ins := range p.Code {
@@ -85,28 +87,6 @@ func (p *Program) Encode(w io.Writer) error {
 		}
 	}
 	return bw.Flush()
-}
-
-// scalarOffset and arrayOffset reconstruct legacy scalars-then-arrays
-// offsets when a program has none, so every v2 image round-trips with
-// offsets and re-decoding preserves the addresses the program would
-// have used.
-func (p *Program) scalarOffset(i int) uint64 {
-	if len(p.ScalarOffsets) == len(p.ScalarNames) {
-		return p.ScalarOffsets[i]
-	}
-	return 8 * uint64(i)
-}
-
-func (p *Program) arrayOffset(i int) uint64 {
-	if len(p.ArrayOffsets) == len(p.ArrayNames) {
-		return p.ArrayOffsets[i]
-	}
-	off := 8 * uint64(len(p.ScalarNames))
-	for j := 0; j < i; j++ {
-		off += 8 * uint64(p.ArraySizes[j])
-	}
-	return off
 }
 
 // Decode reads a program from r. The caller supplies the lattice the
@@ -127,7 +107,7 @@ func Decode(r io.Reader, lat lattice.Lattice) (*Program, error) {
 	if err != nil {
 		return nil, err
 	}
-	if ver != 1 && ver != encodeVersion {
+	if ver != encodeVersion {
 		return nil, fmt.Errorf("bytecode: unsupported version %d", ver)
 	}
 	readString := func() (string, error) {
@@ -169,14 +149,12 @@ func Decode(r io.Reader, lat lattice.Lattice) (*Program, error) {
 		if err != nil {
 			return nil, err
 		}
-		p.ScalarNames = append(p.ScalarNames, s)
-		if ver >= 2 {
-			off, err := binary.ReadUvarint(br)
-			if err != nil {
-				return nil, err
-			}
-			p.ScalarOffsets = append(p.ScalarOffsets, off)
+		off, err := binary.ReadUvarint(br)
+		if err != nil {
+			return nil, err
 		}
+		p.ScalarNames = append(p.ScalarNames, s)
+		p.ScalarOffsets = append(p.ScalarOffsets, off)
 	}
 	nArrays, err := binary.ReadUvarint(br)
 	if err != nil {
@@ -202,15 +180,13 @@ func Decode(r io.Reader, lat lattice.Lattice) (*Program, error) {
 		if elems += size; elems > maxArrayElems {
 			return nil, fmt.Errorf("bytecode: arrays total more than %d elements", maxArrayElems)
 		}
+		off, err := binary.ReadUvarint(br)
+		if err != nil {
+			return nil, err
+		}
 		p.ArrayNames = append(p.ArrayNames, s)
 		p.ArraySizes = append(p.ArraySizes, int64(size))
-		if ver >= 2 {
-			off, err := binary.ReadUvarint(br)
-			if err != nil {
-				return nil, err
-			}
-			p.ArrayOffsets = append(p.ArrayOffsets, off)
-		}
+		p.ArrayOffsets = append(p.ArrayOffsets, off)
 	}
 	nCode, err := binary.ReadUvarint(br)
 	if err != nil {
@@ -233,7 +209,7 @@ func Decode(r io.Reader, lat lattice.Lattice) (*Program, error) {
 			return nil, err
 		}
 		var c int64
-		if ver >= 2 && Op(op) == OpSetLbl {
+		if Op(op) == OpSetLbl {
 			c, err = binary.ReadVarint(br)
 			if err != nil {
 				return nil, err

@@ -58,7 +58,11 @@ func TestDecodeRejectsGarbage(t *testing.T) {
 		"empty":       {},
 		"bad magic":   []byte("NOPE\x01"),
 		"bad version": []byte("TCBC\x09"),
-		"truncated":   []byte("TCBC\x01\x05two"),
+		"truncated":   []byte("TCBC\x02\x09two"),
+		// A whole version-1 image of x := 42, which carries neither the
+		// data offsets nor the SETLBL node IDs the VM charges at.
+		"version 1": []byte("TCBC\x01\x09two-point\x00\x01\x01x\x00\x04" +
+			"\x01\x00\x00\x02\x54\x00\x05\x00\x00\x0e\x00\x00"),
 	}
 	for name, data := range cases {
 		if _, err := Decode(bytes.NewReader(data), lat); err == nil {
@@ -88,9 +92,9 @@ func TestDecodeValidatesStructure(t *testing.T) {
 		{Lat: lat, Code: []Instr{{Op: OpMitEnter, A: 0, B: 9}}}, // bad level
 		{Lat: lat, Code: []Instr{{Op: OpStoreIdx, A: 2}}},       // no arrays
 		// Stack underflow: STORE with an empty evaluation stack.
-		{Lat: lat, ScalarNames: []string{"x"}, Code: []Instr{{Op: OpStore, A: 0}, {Op: OpHalt}}},
+		{Lat: lat, ScalarNames: []string{"x"}, ScalarOffsets: []uint64{0}, Code: []Instr{{Op: OpStore, A: 0}, {Op: OpHalt}}},
 		// BINOP whose operand is not a binary operator.
-		{Lat: lat, ScalarNames: []string{"x"}, Code: []Instr{
+		{Lat: lat, ScalarNames: []string{"x"}, ScalarOffsets: []uint64{0}, Code: []Instr{
 			{Op: OpPush, A: 1}, {Op: OpPush, A: 2}, {Op: OpBinop, A: 999}, {Op: OpStore, A: 0}, {Op: OpHalt}}},
 	}
 	for i, p := range bad {

@@ -2,7 +2,6 @@ package bytecode
 
 import (
 	"bytes"
-	"encoding/binary"
 	"reflect"
 	"testing"
 
@@ -22,8 +21,8 @@ reply := tab[1];
 `
 
 // TestEncodeV2PreservesTreeMetadata checks that the version-2 format
-// round-trips the metadata the tree-compatible timing model depends
-// on: declaration-order data offsets and the AST node IDs on SETLBL.
+// round-trips the metadata the VM's costs depend on: declaration-order
+// data offsets and the AST node IDs on SETLBL.
 func TestEncodeV2PreservesTreeMetadata(t *testing.T) {
 	lat := lattice.TwoPoint()
 	prog, err := parser.Parse(v2TestSrc)
@@ -66,57 +65,6 @@ func TestEncodeV2PreservesTreeMetadata(t *testing.T) {
 	}
 	if !reflect.DeepEqual(back.ArrayOffsets, bc.ArrayOffsets) {
 		t.Errorf("array offsets changed: %v -> %v", bc.ArrayOffsets, back.ArrayOffsets)
-	}
-}
-
-// TestDecodeAcceptsV1 hand-crafts a version-1 image (no offsets, no
-// node IDs) and checks Decode still accepts it, yielding a program
-// that runs under the legacy micro timing model.
-func TestDecodeAcceptsV1(t *testing.T) {
-	lat := lattice.TwoPoint()
-	var buf bytes.Buffer
-	buf.WriteString("TCBC")
-	buf.WriteByte(1)
-	writeUvarint := func(v uint64) {
-		var tmp [binary.MaxVarintLen64]byte
-		n := binary.PutUvarint(tmp[:], v)
-		buf.Write(tmp[:n])
-	}
-	writeVarint := func(v int64) {
-		var tmp [binary.MaxVarintLen64]byte
-		n := binary.PutVarint(tmp[:], v)
-		buf.Write(tmp[:n])
-	}
-	writeString := func(s string) {
-		writeUvarint(uint64(len(s)))
-		buf.WriteString(s)
-	}
-	writeString(lat.Name())
-	writeUvarint(0) // mitigates
-	writeUvarint(1) // one scalar, no offset in v1
-	writeString("x")
-	writeUvarint(0) // no arrays
-	code := []Instr{
-		{Op: OpSetLbl, A: 0, B: 0},
-		{Op: OpPush, A: 42},
-		{Op: OpStore, A: 0},
-		{Op: OpHalt},
-	}
-	writeUvarint(uint64(len(code)))
-	for _, ins := range code {
-		buf.WriteByte(byte(ins.Op))
-		writeVarint(ins.A)
-		writeVarint(ins.B)
-	}
-	p, err := Decode(bytes.NewReader(buf.Bytes()), lat)
-	if err != nil {
-		t.Fatalf("decoding v1 image: %v", err)
-	}
-	if len(p.ScalarOffsets) != 0 || len(p.ArrayOffsets) != 0 {
-		t.Errorf("v1 decode invented offsets: %v / %v", p.ScalarOffsets, p.ArrayOffsets)
-	}
-	if !reflect.DeepEqual(p.Code, code) {
-		t.Errorf("v1 code mismatch: %v", p.Code)
 	}
 }
 

@@ -19,12 +19,11 @@ import (
 // machine environment, the VM must agree with its references on the
 // simulated clock, the event trace, the mitigation records, the final
 // memory, the hardware counters and every level's projection of the
-// hardware state. Under TimingTree the reference is the tree-walking
-// semantics (sem/full); under TimingMicro, which only the VM
-// implements, it is the lowered but unfused register form, and the
-// step counts must agree too. The checked-in corpus (testdata/fuzz,
-// regenerated by genfuzzcorpus) seeds it with the example programs; the
-// fuzzer mutates from there.
+// hardware state. The bool selects the reference: false runs the
+// tree-walking semantics (sem/full), true the lowered but unfused
+// register form, against which the step counts must agree too. The
+// checked-in corpus (testdata/fuzz, regenerated by genfuzzcorpus) seeds
+// it with the example programs; the fuzzer mutates from there.
 func FuzzOptTraceIdentity(f *testing.F) {
 	f.Add("var x : L;\nx := 1;\n", byte(0), false, byte(0))
 	f.Add(`
@@ -44,7 +43,7 @@ l := 1;
 `, byte(2), false, byte(7))
 
 	lat := lattice.TwoPoint()
-	f.Fuzz(func(t *testing.T, src string, hwSel byte, micro bool, inputSeed byte) {
+	f.Fuzz(func(t *testing.T, src string, hwSel byte, unfusedRef bool, inputSeed byte) {
 		prog, err := parser.Parse(src)
 		if err != nil {
 			return
@@ -84,9 +83,9 @@ l := 1;
 			stats hw.Stats
 			env   hw.Env
 		}
-		runVM := func(p *bytecode.Program, timing bytecode.TimingModel) outcome {
+		runVM := func(p *bytecode.Program) outcome {
 			env := mkEnv()
-			vm := bytecode.NewVM(p, env, bytecode.VMOptions{Timing: timing})
+			vm := bytecode.NewVM(p, env, bytecode.VMOptions{})
 			for i, name := range p.ScalarNames {
 				if err := vm.SetScalar(name, input(i)); err != nil {
 					t.Fatal(err)
@@ -102,18 +101,18 @@ l := 1;
 		}
 
 		var ref, got outcome
-		if micro {
+		if unfusedRef {
 			lowered, err := bytecode.Unfused(bc)
 			if err != nil {
 				t.Fatalf("lowering a linked program: %v", err)
 			}
-			ref = runVM(lowered, bytecode.TimingMicro)
-			got = runVM(bc, bytecode.TimingMicro)
+			ref = runVM(lowered)
+			got = runVM(bc)
 			if (ref.err == nil) != (got.err == nil) {
 				t.Fatalf("error mismatch: unfused %v, fused %v", ref.err, got.err)
 			}
 		} else {
-			got = runVM(bc, bytecode.TimingTree)
+			got = runVM(bc)
 			if got.err != nil {
 				// A step budget counts instructions here and language
 				// steps in sem/full, so over-budget runs do not compare.
@@ -142,7 +141,7 @@ l := 1;
 			// exact intermediate state is only compared on clean runs.
 			return
 		}
-		if micro && ref.steps != got.steps {
+		if unfusedRef && ref.steps != got.steps {
 			t.Fatalf("steps: unfused %d, fused %d", ref.steps, got.steps)
 		}
 		if ref.clock != got.clock {

@@ -73,33 +73,10 @@ a[0] := 1;
 		if err != nil {
 			t.Fatalf("re-decoding re-encoded program: %v", err)
 		}
-		// Offsets may be materialized by the round-trip (legacy v1 images
-		// decode without them; Encode synthesizes the equivalent layout),
-		// so compare the programs after normalizing both to explicit
-		// offsets.
-		normalize(p)
-		normalize(p2)
 		if !reflect.DeepEqual(p, p2) {
 			t.Fatalf("round-trip mismatch:\n first: %+v\nsecond: %+v", p, p2)
 		}
 		// ...and run: any outcome but a panic is fine.
 		NewVM(p, hw.NewFlat(lat, 1), VMOptions{}).Run(10_000)
 	})
-}
-
-// normalize materializes implicit (legacy) data offsets so programs can
-// be compared structurally.
-func normalize(p *Program) {
-	if len(p.ScalarOffsets) != len(p.ScalarNames) {
-		p.ScalarOffsets = nil
-		for i := range p.ScalarNames {
-			p.ScalarOffsets = append(p.ScalarOffsets, p.scalarOffset(i))
-		}
-	}
-	if len(p.ArrayOffsets) != len(p.ArrayNames) {
-		p.ArrayOffsets = nil
-		for i := range p.ArrayNames {
-			p.ArrayOffsets = append(p.ArrayOffsets, p.arrayOffset(i))
-		}
-	}
 }

@@ -17,13 +17,12 @@ import (
 
 // The golden file pins the VM's observable outcome on every program of
 // the differential corpus (the optTestSources plus progen seeds 1–40),
-// on all four machine environments and under both timing models. Its
-// rows were recorded from the stack interpreter before the register
-// loop became the VM's only loop, so they are the reference for the
-// TimingMicro cost model, which no other engine implements; TimingTree
-// rows are also checked against sem/full by the exec differential
-// suite. Rewrite the file only for a deliberate cost-model change (the
-// failing test reports each new row) and say so in CHANGES.md.
+// on all four machine environments. Its rows were recorded from the
+// stack interpreter before the register loop became the VM's only
+// loop; the same costs are checked against sem/full by the exec
+// differential suite. Rewrite the file only for a deliberate
+// cost-model change (the failing test reports each new row) and say so
+// in CHANGES.md.
 const goldenFile = "testdata/vm_golden.txt"
 
 // goldenBudget is the step budget of every golden run; all of them
@@ -51,14 +50,10 @@ func goldenCases(t *testing.T, lat lattice.Lattice) []goldenCase {
 	return cases
 }
 
-var timingNames = map[bytecode.TimingModel]string{
-	bytecode.TimingMicro: "micro",
-	bytecode.TimingTree:  "tree",
-}
-
-// goldenKey identifies a row: program, environment, timing model.
-func goldenKey(name, envName string, timing bytecode.TimingModel) string {
-	return name + " " + envName + " " + timingNames[timing]
+// goldenKey identifies a row: program, environment, and the cost
+// model, which is always sem/full's, named "tree" in the rows.
+func goldenKey(name, envName string) string {
+	return name + " " + envName + " tree"
 }
 
 // goldenRow renders a run as one row: its key, whether it failed, the
@@ -117,10 +112,8 @@ func goldenRows(t *testing.T) []string {
 	for _, tc := range goldenCases(t, lat) {
 		bc := compileOpt(t, tc.src, lat)
 		for _, envName := range envNames {
-			for _, timing := range []bytecode.TimingModel{bytecode.TimingMicro, bytecode.TimingTree} {
-				s := runSnap(t, bc, envs[envName](), bytecode.VMOptions{Timing: timing}, goldenBudget)
-				rows = append(rows, goldenRow(goldenKey(tc.name, envName, timing), s))
-			}
+			s := runSnap(t, bc, envs[envName](), bytecode.VMOptions{}, goldenBudget, 1)
+			rows = append(rows, goldenRow(goldenKey(tc.name, envName), s))
 		}
 	}
 	return rows

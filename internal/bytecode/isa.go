@@ -9,10 +9,10 @@
 // paper's "new register ... added as an interface to communicate the
 // timing label from the software to the hardware"; every instruction
 // fetch and data access the VM performs carries the current register
-// value. Because the VM fetches one instruction at a time, its
-// instruction-cache behaviour is finer-grained than the tree-walker's
-// one-fetch-per-command model — demonstrating that the contract admits
-// multiple language implementations with different timing, all secure.
+// value. The VM charges the full semantics' costs (the constants of
+// sem/mem) at the same code and data addresses: one fetch per SETLBL,
+// that is per command, at its AST node's code address, so a compiled
+// program runs with the tree-walker's timing, cycle for cycle.
 //
 // The stack ISA is the compiler's output and the serialization format.
 // Compile and Decode link every program to a register form (lower.go)
@@ -89,10 +89,10 @@ type Instr struct {
 	A  int64
 	B  int64
 	// C is instruction metadata: for OpSetLbl it records the AST node
-	// ID of the source command the label write belongs to, which the
-	// tree-compatible timing model uses to charge the command's fetch
-	// and branch costs at the same code address as the tree-walking
-	// semantics. It is not shown in disassembly.
+	// ID of the source command the label write belongs to, at whose
+	// code address (mem.CodeAddr) the VM charges the command's fetch
+	// and branch costs, as the tree-walking semantics does. It is not
+	// shown in disassembly.
 	C int64
 }
 
@@ -121,12 +121,10 @@ type Program struct {
 	// ArrayNames.
 	ArraySizes []int64
 	// ScalarOffsets and ArrayOffsets give each variable's byte offset
-	// from the VM's DataBase, parallel to ScalarNames/ArrayNames. The
-	// compiler assigns them in declaration order, matching
-	// mem.NewLayout, so the VM's data accesses hit the same addresses
-	// as the tree-walking semantics. Programs without offsets (hand
-	// built, or decoded from the v1 wire format) fall back to the VM's
-	// legacy scalars-then-arrays assignment.
+	// from mem.DataBase, parallel to ScalarNames/ArrayNames. The
+	// compiler takes them from mem.NewLayout, so the VM's data
+	// accesses hit the same addresses as the tree-walking semantics.
+	// NewVM and Encode require them.
 	ScalarOffsets []uint64
 	ArrayOffsets  []uint64
 	// Lat is the lattice the label IDs in SETLBL/MITENTER refer to.
@@ -137,6 +135,11 @@ type Program struct {
 	// and Decode (see link). It is derived state: the wire encoding
 	// carries only Code, and Decode rebuilds Opt from it.
 	Opt *OptProgram
+}
+
+// hasOffsets reports whether every variable has its data offset.
+func (p *Program) hasOffsets() bool {
+	return len(p.ScalarOffsets) == len(p.ScalarNames) && len(p.ArrayOffsets) == len(p.ArrayNames)
 }
 
 // Disassemble renders the whole program.

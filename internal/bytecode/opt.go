@@ -17,9 +17,8 @@ import (
 // accesses, trace events, and mitigation transitions that the stack
 // ISA defines for the original instruction sequence it replaces.
 // Fused opcodes carry the pc and length of their original expansion so
-// the step counter, the micro-timing model's per-instruction fetches,
-// and the per-site hardware memos all remain keyed to original
-// instructions.
+// the step counter and the per-site hardware memos remain keyed to
+// original instructions.
 
 // OptOp is an opcode of the optimized (register-file) ISA.
 type OptOp uint8
@@ -134,8 +133,7 @@ type OptInstr struct {
 	// evaluation-stack slot i in the original program (see lower).
 	Dst, S1, S2 uint8
 	// Len is the number of original instructions this one expands to
-	// (1 for unfused opcodes). The step counter advances by Len and the
-	// micro timing model fetches Len instructions at OrigPC..OrigPC+Len-1.
+	// (1 for unfused opcodes). The step counter advances by Len.
 	Len uint8
 	// A is the primary integer operand: scalar/array index for memory
 	// opcodes, jump target for OJmp/OJz and every fused *Jz, mitigate
@@ -151,8 +149,8 @@ type OptInstr struct {
 	// Val is the immediate of OImm and the IMM-fused opcodes; Val2 is
 	// the second immediate of OImmBinop2.
 	Val, Val2 int64
-	// Node is the AST node ID carried by OSetLbl (the tree timing
-	// model charges command fetch and branch costs at its code address).
+	// Node is the AST node ID carried by OSetLbl (the VM charges
+	// command fetch and branch costs at its code address).
 	Node int64
 	// ER/EW are the predecoded labels of OSetLbl; ER doubles as the
 	// mitigation level of OMitEnter.

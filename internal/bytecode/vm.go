@@ -12,62 +12,10 @@ import (
 	"repro/internal/sem/mem"
 )
 
-// ErrStepLimit is returned by Run when the instruction budget runs out.
-//
-// Deprecated: it is now an alias for the engine-shared
-// budget.ErrStepLimit, so errors.Is matches across engines; match that
-// sentinel directly in new code.
-var ErrStepLimit = budget.ErrStepLimit
-
-// ErrCycleLimit is returned by RunBudget when the cycle budget runs
-// out. It is an alias for the engine-shared budget.ErrCycleLimit.
-var ErrCycleLimit = budget.ErrCycleLimit
-
-// TimingModel selects the VM's cost model.
-type TimingModel int
-
-const (
-	// TimingMicro charges BaseCost plus an instruction fetch for every
-	// bytecode instruction — the finer-grained model described in the
-	// package comment, demonstrating that the label contract admits
-	// implementations with different timing.
-	TimingMicro TimingModel = iota
-	// TimingTree reproduces the tree-walking semantics' cost model
-	// exactly: one BaseCost plus a command fetch per SETLBL (one per
-	// language-level step, at mem.Layout's code address for the
-	// command's AST node), OpCost per operator, and the branch charge
-	// at the command's code address with full's taken polarity
-	// (condition true). Run on the same environment with a program
-	// compiled by this package (which records layout-compatible data
-	// offsets), traces are identical to sem/full's, times included.
-	TimingTree
-)
-
-// VMOptions configure the virtual machine's timing model.
+// VMOptions configure the VM's mitigation. Costs and addresses are the
+// constants of sem/mem, the cost model the tree-walking semantics
+// charges too.
 type VMOptions struct {
-	// BaseCost is the fixed per-instruction cost (per-command under
-	// TimingTree); default 1 unless CostSet.
-	BaseCost uint64
-	// OpCost is the per-operator cost charged by TimingTree for unary
-	// and binary operators, matching full.Options.OpCost; default 1
-	// unless CostSet. TimingMicro folds operator cost into the
-	// per-instruction BaseCost and ignores it.
-	OpCost uint64
-	// CostSet, when true, takes BaseCost and OpCost literally — an
-	// explicit zero is honored instead of selecting the default of 1.
-	CostSet bool
-	// CodeBase is the address of instruction 0; default 0x400000.
-	CodeBase uint64
-	// InstrSize is the encoded size of one instruction in bytes
-	// (controls instruction-cache behaviour); default 4.
-	InstrSize uint64
-	// CodeStride is the code-address stride per AST node used by
-	// TimingTree, matching mem.LayoutConfig.CodeStride; default 16.
-	CodeStride uint64
-	// DataBase is the address of the data segment; default 0x10000.
-	DataBase uint64
-	// Timing selects the cost model; default TimingMicro.
-	Timing TimingModel
 	// Scheme and Policy configure predictive mitigation; defaults are
 	// FastDoubling and PerLevel.
 	Scheme mitigation.Scheme
@@ -77,26 +25,6 @@ type VMOptions struct {
 }
 
 func (o VMOptions) withDefaults() VMOptions {
-	if !o.CostSet {
-		if o.BaseCost == 0 {
-			o.BaseCost = 1
-		}
-		if o.OpCost == 0 {
-			o.OpCost = 1
-		}
-	}
-	if o.CodeBase == 0 {
-		o.CodeBase = 0x400000
-	}
-	if o.InstrSize == 0 {
-		o.InstrSize = 4
-	}
-	if o.CodeStride == 0 {
-		o.CodeStride = 16
-	}
-	if o.DataBase == 0 {
-		o.DataBase = 0x10000
-	}
 	if o.Scheme == nil {
 		o.Scheme = mitigation.FastDoubling{}
 	}
@@ -111,12 +39,14 @@ type mitFrame struct {
 	start uint64
 }
 
-// VM executes a bytecode program against a machine environment. Under
-// the default TimingMicro model it is an alternative language
-// implementation: same observable values as the tree-walking semantics
-// (value adequacy), different — finer-grained — timing, still governed
-// by the same label contract. Under TimingTree it reproduces the
-// tree-walker's timing exactly (see TimingModel).
+// VM executes a bytecode program against a machine environment with the
+// tree-walking semantics' costs: one mem.BaseCost plus a command fetch
+// per SETLBL (one per language-level step, at mem.CodeAddr of the
+// command's AST node), mem.OpCost per operator, a data access per load
+// and store at the compiler's declaration-order offsets from
+// mem.DataBase, and the branch charge at the command's code address
+// with sem/full's taken polarity (condition true). Run on the same
+// environment, its traces are identical to sem/full's, times included.
 //
 // A VM is not safe for concurrent use; like server.Server, each
 // goroutine owns its own.
@@ -133,8 +63,8 @@ type VM struct {
 
 	// er/ew mirror the timing-label register.
 	er, ew lattice.Label
-	// curNode is the AST node ID carried by the last SETLBL; TimingTree
-	// charges branch costs at its code address.
+	// curNode is the AST node ID carried by the last SETLBL; branches
+	// are charged at its code address.
 	curNode int64
 	// pc is the program counter into prog.Opt.Code.
 	pc int
@@ -147,23 +77,26 @@ type VM struct {
 	open   []mitFrame
 
 	// regs is the fixed register file (one slot per evaluation-stack
-	// slot of the stack ISA), and senv/fetchSites/dataSites the
-	// environment's memoized access path and the per-original-instruction
-	// hardware-access memos (see vm_opt.go).
-	regs       []int64
-	senv       hw.SiteEnv
-	fetchSites []hw.Site
-	dataSites  []hw.Site
+	// slot of the stack ISA), and senv/sites the environment's memoized
+	// access path and the per-original-instruction hardware-access
+	// memos (see vm_opt.go).
+	regs  []int64
+	senv  hw.SiteEnv
+	sites []hw.Site
 }
 
 // NewVM creates a VM for a program from Compile or Decode. It panics on
-// a program without its register form (Program.Opt): every Program from
-// outside the process arrives through Decode, which links it, so a
-// missing form is a programming error.
+// a program without its register form (Program.Opt) or without data
+// offsets: every Program from outside the process arrives through
+// Decode, which links it and reads its offsets, so a missing form is a
+// programming error.
 func NewVM(prog *Program, env hw.Env, opts VMOptions) *VM {
 	opt := prog.Opt
 	if opt == nil {
 		panic("bytecode: NewVM on a program without its register form (use Compile or Decode)")
+	}
+	if !prog.hasOffsets() {
+		panic("bytecode: NewVM on a program without data offsets (use Compile or Decode)")
 	}
 	opts = opts.withDefaults()
 	vm := &VM{
@@ -176,31 +109,14 @@ func NewVM(prog *Program, env hw.Env, opts VMOptions) *VM {
 		ew:      prog.Lat.Bot(),
 		mstate:  mitigation.NewState(prog.Lat, opts.Scheme, opts.Policy),
 	}
-	// Use the compiler's declaration-order offsets when present (they
-	// make data addresses match mem.NewLayout's); fall back to the
-	// legacy scalars-then-arrays assignment for hand-built programs and
-	// v1-decoded images.
-	useOffsets := len(prog.ScalarOffsets) == len(prog.ScalarNames) &&
-		len(prog.ArrayOffsets) == len(prog.ArrayNames)
-	next := opts.DataBase
 	vm.scalarAddr = make([]uint64, len(prog.ScalarNames))
-	for i := range prog.ScalarNames {
-		if useOffsets {
-			vm.scalarAddr[i] = opts.DataBase + prog.ScalarOffsets[i]
-		} else {
-			vm.scalarAddr[i] = next
-			next += 8
-		}
+	for i, off := range prog.ScalarOffsets {
+		vm.scalarAddr[i] = mem.DataBase + off
 	}
 	vm.arrayBase = make([]uint64, len(prog.ArrayNames))
 	for i, n := range prog.ArraySizes {
 		vm.arrays[i] = make([]int64, n)
-		if useOffsets {
-			vm.arrayBase[i] = opts.DataBase + prog.ArrayOffsets[i]
-		} else {
-			vm.arrayBase[i] = next
-			next += 8 * uint64(n)
-		}
+		vm.arrayBase[i] = mem.DataBase + prog.ArrayOffsets[i]
 	}
 	nr := opt.NumRegs
 	if nr < 1 {
@@ -212,16 +128,11 @@ func NewVM(prog *Program, env hw.Env, opts VMOptions) *VM {
 		senv = plainSites{env}
 	}
 	vm.senv = senv
-	// One memo per original instruction: dataSites for data accesses
-	// (and the tree model's per-command fetch, which SETLBL owns),
-	// fetchSites for the micro model's per-instruction fetches. Sites
-	// deliberately survive Reset: their validity is guarded by the
-	// environment's membership generations, and a service keeps the
-	// environment warm across requests.
-	vm.dataSites = make([]hw.Site, opt.OrigLen)
-	if opts.Timing == TimingMicro {
-		vm.fetchSites = make([]hw.Site, opt.OrigLen)
-	}
+	// One memo per original instruction: its data access, or for SETLBL
+	// the command's fetch. Sites deliberately survive Reset: their
+	// validity is guarded by the environment's membership generations,
+	// and a service keeps the environment warm across requests.
+	vm.sites = make([]hw.Site, opt.OrigLen)
 	return vm
 }
 

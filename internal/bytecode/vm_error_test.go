@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/exec/budget"
 	"repro/internal/lang/token"
 	"repro/internal/lattice"
 	"repro/internal/machine/hw"
@@ -19,14 +20,14 @@ func handProgram(code ...Instr) (*Program, error) {
 
 // runHand links and runs a raw program, failing the test if linking
 // rejects it.
-func runHand(t *testing.T, budget int, code ...Instr) error {
+func runHand(t *testing.T, maxInstrs int, code ...Instr) error {
 	t.Helper()
 	p, err := handProgram(code...)
 	if err != nil {
 		t.Fatalf("link: %v", err)
 	}
 	vm := NewVM(p, hw.NewFlat(lattice.TwoPoint(), 1), VMOptions{})
-	return vm.Run(budget)
+	return vm.Run(maxInstrs)
 }
 
 // linkRejects asserts that linking a raw program fails with an error
@@ -48,7 +49,7 @@ func linkRejects(t *testing.T, want string, code ...Instr) {
 func TestVMInstructionBudget(t *testing.T) {
 	// An infinite JMP loop exhausts the budget.
 	err := runHand(t, 100, Instr{Op: OpJmp, A: 0})
-	if !errors.Is(err, ErrStepLimit) {
+	if !errors.Is(err, budget.ErrStepLimit) {
 		t.Errorf("err = %v", err)
 	}
 }
@@ -125,8 +126,10 @@ func TestVMBadLabelPanics(t *testing.T) {
 
 func TestVMSleepNegative(t *testing.T) {
 	p, err := handProgram(
+		Instr{Op: OpSetLbl},
 		Instr{Op: OpPush, A: -5},
 		Instr{Op: OpSleep},
+		Instr{Op: OpSetLbl},
 		Instr{Op: OpPush, A: 0},
 		Instr{Op: OpSleep},
 		Instr{Op: OpHalt},
@@ -138,8 +141,8 @@ func TestVMSleepNegative(t *testing.T) {
 	if err := vm.Run(10); err != nil {
 		t.Fatal(err)
 	}
-	// 5 instructions at (1 base + 1 flat fetch) each, no extra sleep.
-	if vm.Clock() != 10 {
-		t.Errorf("clock = %d, want 10", vm.Clock())
+	// 2 commands at (1 base + 1 flat fetch) each, no extra sleep.
+	if vm.Clock() != 4 {
+		t.Errorf("clock = %d, want 4", vm.Clock())
 	}
 }

@@ -10,16 +10,16 @@ import (
 	"repro/internal/machine/hw"
 	"repro/internal/sem/core"
 	"repro/internal/sem/events"
+	"repro/internal/sem/mem"
 )
 
 // runLoopOpt is the VM's execution loop: it runs prog.Opt, the
 // register form of prog.Code. Each register instruction, fused or not,
 // has the timing of the stack-ISA instructions it replaces (OrigPC and
-// Len name them): one machine-environment access per load, store and
-// fetch, in stack-ISA order, and the costs the TimingModel charges for
-// each of those instructions. Under TimingTree those are sem/full's
-// costs for the same command, so a run matches the tree-walking
-// semantics event for event.
+// Len name them): one machine-environment access per load and store,
+// and per SETLBL the command's fetch, in stack-ISA order, with
+// sem/full's costs for the same command, so a run matches the
+// tree-walking semantics event for event.
 // Operands are predecoded, the evaluation stack is a fixed register
 // file, fused superinstructions cut dispatches, and steady-state
 // hardware accesses replay per-site memos (hw.Site.Replay, a direct
@@ -42,12 +42,7 @@ func (vm *VM) runLoopOpt(ctx context.Context, b budget.Budget) error {
 	arrays := vm.arrays
 	scalarAddr := vm.scalarAddr
 	arrayBase := vm.arrayBase
-	tree := vm.opts.Timing == TimingTree
-	base := vm.opts.BaseCost
-	opCost := vm.opts.OpCost
-	codeBase := vm.opts.CodeBase
-	isize := vm.opts.InstrSize
-	stride := vm.opts.CodeStride
+	sites := vm.sites
 
 	pc := vm.pc
 	er, ew := vm.er, vm.ew
@@ -98,27 +93,10 @@ loop:
 		pc++
 
 		var cost uint64
-		if !tree {
-			// Micro model: every original instruction pays base + fetch
-			// at its own code address, under the labels in force before
-			// the group executes (fused groups never contain SETLBL, and
-			// SETLBL itself fetches before updating the register).
-			org := uint64(ins.OrigPC)
-			for k := uint64(0); k < uint64(ins.Len); k++ {
-				site, addr := &vm.fetchSites[org+k], codeBase+(org+k)*isize
-				c, ok := site.Replay(addr, er, ew)
-				if !ok {
-					c = senv.AccessSite(site, hw.Fetch, addr, er, ew)
-				}
-				cost += base + c
-			}
-		}
-
 		switch ins.Op {
 		case ONop:
 
 		case OHalt:
-			clock += cost
 			vm.clock = clock
 			for len(vm.open) > 0 {
 				vm.exitMitigation()
@@ -129,23 +107,21 @@ loop:
 		case OSetLbl:
 			er, ew = ins.ER, ins.EW
 			curNode = ins.Node
-			if tree {
-				// The command's single fetch, at the AST node's code
-				// address, under the command's own labels.
-				addr := codeBase + stride*uint64(curNode)
-				site := &vm.dataSites[ins.OrigPC]
-				c, ok := site.Replay(addr, er, ew)
-				if !ok {
-					c = senv.AccessSite(site, hw.Fetch, addr, er, ew)
-				}
-				cost = base + c
+			// The command's single fetch, at the AST node's code
+			// address, under the command's own labels.
+			addr := mem.CodeAddr(int(curNode))
+			site := &sites[ins.OrigPC]
+			c, ok := site.Replay(addr, er, ew)
+			if !ok {
+				c = senv.AccessSite(site, hw.Fetch, addr, er, ew)
 			}
+			cost = mem.BaseCost + c
 
 		case OImm:
 			regs[ins.Dst] = ins.Val
 
 		case OLoad:
-			site := &vm.dataSites[ins.OrigPC]
+			site := &sites[ins.OrigPC]
 			c, ok := site.Replay(scalarAddr[ins.A], er, ew)
 			if !ok {
 				c = senv.AccessSite(site, hw.Read, scalarAddr[ins.A], er, ew)
@@ -156,7 +132,7 @@ loop:
 		case OLoadIdx:
 			idx := wrap(regs[ins.S1], len(arrays[ins.A]))
 			addr := arrayBase[ins.A] + 8*uint64(idx)
-			site := &vm.dataSites[ins.OrigPC]
+			site := &sites[ins.OrigPC]
 			c, ok := site.Replay(addr, er, ew)
 			if !ok {
 				c = senv.AccessSite(site, hw.Read, addr, er, ew)
@@ -166,7 +142,7 @@ loop:
 
 		case OStore:
 			v := regs[ins.S1]
-			site := &vm.dataSites[ins.OrigPC]
+			site := &sites[ins.OrigPC]
 			c, ok := site.Replay(scalarAddr[ins.A], er, ew)
 			if !ok {
 				c = senv.AccessSite(site, hw.Write, scalarAddr[ins.A], er, ew)
@@ -182,7 +158,7 @@ loop:
 			v := regs[ins.S2]
 			idx := wrap(regs[ins.S1], len(arrays[ins.A]))
 			addr := arrayBase[ins.A] + 8*uint64(idx)
-			site := &vm.dataSites[ins.OrigPC]
+			site := &sites[ins.OrigPC]
 			c, ok := site.Replay(addr, er, ew)
 			if !ok {
 				c = senv.AccessSite(site, hw.Write, addr, er, ew)
@@ -209,22 +185,18 @@ loop:
 				err = fmt.Errorf("bytecode: bad unary operator %v", ins.Kind)
 				break loop
 			}
-			if tree {
-				cost += opCost
-			}
+			cost += mem.OpCost
 
 		case OBinop:
 			regs[ins.Dst] = binop(ins.Kind, regs[ins.S1], regs[ins.S2])
-			if tree {
-				cost += opCost
-			}
+			cost += mem.OpCost
 
 		case OJmp:
 			pc = int(ins.A)
 
 		case OJz:
 			taken := regs[ins.S1] == 0
-			cost += vm.optBranch(tree, taken, curNode, ins, codeBase, isize, stride, er, ew)
+			cost += vm.branch(curNode, taken, er, ew)
 			if taken {
 				pc = int(ins.A)
 			}
@@ -236,7 +208,6 @@ loop:
 
 		case OMitEnter:
 			init := regs[ins.S1]
-			clock += cost
 			vm.open = append(vm.open, mitFrame{
 				id:    int(ins.A),
 				level: ins.ER,
@@ -246,7 +217,6 @@ loop:
 			continue
 
 		case OMitExit:
-			clock += cost
 			if len(vm.open) == 0 {
 				err = fmt.Errorf("bytecode: MITEXIT with no open region")
 				break loop
@@ -284,9 +254,7 @@ loop:
 				v = core.EvalBinop(ins.Kind, a, v)
 			}
 			regs[ins.Dst] = v
-			if tree {
-				cost += opCost
-			}
+			cost += mem.OpCost
 
 		case OImmBinop2: // PUSH Val; BINOP Kind; PUSH Val2; BINOP Kind2
 			// Two chained immediate operations in one dispatch, each
@@ -323,85 +291,73 @@ loop:
 				a = core.EvalBinop(ins.Kind2, a, v)
 			}
 			regs[ins.Dst] = a
-			if tree {
-				cost += opCost * 2
-			}
+			cost += 2 * mem.OpCost
 
 		case OLoadBinop: // LOAD B; BINOP — the load is original pc OrigPC.
-			site := &vm.dataSites[ins.OrigPC]
+			site := &sites[ins.OrigPC]
 			c, ok := site.Replay(scalarAddr[ins.B], er, ew)
 			if !ok {
 				c = senv.AccessSite(site, hw.Read, scalarAddr[ins.B], er, ew)
 			}
 			cost += c
 			regs[ins.Dst] = binop(ins.Kind, regs[ins.S1], scalars[ins.B])
-			if tree {
-				cost += opCost
-			}
+			cost += mem.OpCost
 
 		case OImmLoadBinop: // PUSH Val; LOAD B; BINOP — the load is OrigPC+1.
-			site := &vm.dataSites[ins.OrigPC+1]
+			site := &sites[ins.OrigPC+1]
 			c, ok := site.Replay(scalarAddr[ins.B], er, ew)
 			if !ok {
 				c = senv.AccessSite(site, hw.Read, scalarAddr[ins.B], er, ew)
 			}
 			cost += c
 			regs[ins.Dst] = binop(ins.Kind, ins.Val, scalars[ins.B])
-			if tree {
-				cost += opCost
-			}
+			cost += mem.OpCost
 
 		case OLoadJz: // LOAD B; JZ — the load is OrigPC.
-			site := &vm.dataSites[ins.OrigPC]
+			site := &sites[ins.OrigPC]
 			c, ok := site.Replay(scalarAddr[ins.B], er, ew)
 			if !ok {
 				c = senv.AccessSite(site, hw.Read, scalarAddr[ins.B], er, ew)
 			}
 			cost += c
 			taken := scalars[ins.B] == 0
-			cost += vm.optBranch(tree, taken, curNode, ins, codeBase, isize, stride, er, ew)
+			cost += vm.branch(curNode, taken, er, ew)
 			if taken {
 				pc = int(ins.A)
 			}
 
 		case OCmpJz: // BINOP; JZ
 			taken := binop(ins.Kind, regs[ins.S1], regs[ins.S2]) == 0
-			if tree {
-				cost += opCost
-			}
-			cost += vm.optBranch(tree, taken, curNode, ins, codeBase, isize, stride, er, ew)
+			cost += mem.OpCost
+			cost += vm.branch(curNode, taken, er, ew)
 			if taken {
 				pc = int(ins.A)
 			}
 
 		case OImmCmpJz: // PUSH Val; BINOP; JZ
 			taken := binop(ins.Kind, regs[ins.S1], ins.Val) == 0
-			if tree {
-				cost += opCost
-			}
-			cost += vm.optBranch(tree, taken, curNode, ins, codeBase, isize, stride, er, ew)
+			cost += mem.OpCost
+			cost += vm.branch(curNode, taken, er, ew)
 			if taken {
 				pc = int(ins.A)
 			}
 
 		case OLoadCmpJz: // LOAD B; BINOP; JZ — the load is OrigPC.
-			site := &vm.dataSites[ins.OrigPC]
+			site := &sites[ins.OrigPC]
 			c, ok := site.Replay(scalarAddr[ins.B], er, ew)
 			if !ok {
 				c = senv.AccessSite(site, hw.Read, scalarAddr[ins.B], er, ew)
 			}
 			cost += c
 			taken := binop(ins.Kind, regs[ins.S1], scalars[ins.B]) == 0
-			if tree {
-				cost += opCost
-			}
-			cost += vm.optBranch(tree, taken, curNode, ins, codeBase, isize, stride, er, ew)
+			cost += mem.OpCost
+			cost += vm.branch(curNode, taken, er, ew)
 			if taken {
 				pc = int(ins.A)
 			}
 
 		case OImmStore: // PUSH Val; STORE A — the store is OrigPC+1.
-			site := &vm.dataSites[ins.OrigPC+1]
+			site := &sites[ins.OrigPC+1]
 			c, ok := site.Replay(scalarAddr[ins.A], er, ew)
 			if !ok {
 				c = senv.AccessSite(site, hw.Write, scalarAddr[ins.A], er, ew)
@@ -414,14 +370,14 @@ loop:
 			continue
 
 		case OLoadStore: // LOAD B; STORE A — load at OrigPC, store at OrigPC+1.
-			site := &vm.dataSites[ins.OrigPC]
+			site := &sites[ins.OrigPC]
 			c, ok := site.Replay(scalarAddr[ins.B], er, ew)
 			if !ok {
 				c = senv.AccessSite(site, hw.Read, scalarAddr[ins.B], er, ew)
 			}
 			cost += c
 			v := scalars[ins.B]
-			site = &vm.dataSites[ins.OrigPC+1]
+			site = &sites[ins.OrigPC+1]
 			c, ok = site.Replay(scalarAddr[ins.A], er, ew)
 			if !ok {
 				c = senv.AccessSite(site, hw.Write, scalarAddr[ins.A], er, ew)
@@ -436,14 +392,14 @@ loop:
 		case OLoadIdxStore: // LOADIDX B; STORE A — load at OrigPC, store at OrigPC+1.
 			idx := wrap(regs[ins.S1], len(arrays[ins.B]))
 			addr := arrayBase[ins.B] + 8*uint64(idx)
-			site := &vm.dataSites[ins.OrigPC]
+			site := &sites[ins.OrigPC]
 			c, ok := site.Replay(addr, er, ew)
 			if !ok {
 				c = senv.AccessSite(site, hw.Read, addr, er, ew)
 			}
 			cost += c
 			v := arrays[ins.B][idx]
-			site = &vm.dataSites[ins.OrigPC+1]
+			site = &sites[ins.OrigPC+1]
 			c, ok = site.Replay(scalarAddr[ins.A], er, ew)
 			if !ok {
 				c = senv.AccessSite(site, hw.Write, scalarAddr[ins.A], er, ew)
@@ -493,15 +449,11 @@ func binop(k token.Kind, a, b int64) int64 {
 	return core.EvalBinop(k, a, b)
 }
 
-// optBranch charges the branch cost of a (possibly fused) JZ: the tree
-// model charges at the current command's code address with sem/full's
-// taken polarity (condition true, i.e. !taken); the micro model charges
-// at the JZ's own stack-ISA code address with the jump polarity. Branch
-// predictor state changes on every call, so there is no memoized path.
-func (vm *VM) optBranch(tree, taken bool, curNode int64, ins *OptInstr, codeBase, isize, stride uint64, er, ew lattice.Label) uint64 {
-	if tree {
-		return vm.env.Branch(codeBase+stride*uint64(curNode), !taken, er, ew)
-	}
-	jzPC := uint64(ins.OrigPC) + uint64(ins.Len) - 1
-	return vm.env.Branch(codeBase+jzPC*isize, taken, er, ew)
+// branch charges the branch cost of a (possibly fused) JZ as sem/full
+// charges its if or while: at the command's code address, with the
+// condition's truth as the outcome, which is the negation of the JZ's
+// taken. Branch predictor state changes on every call, so there is no
+// memoized path.
+func (vm *VM) branch(node int64, taken bool, er, ew lattice.Label) uint64 {
+	return vm.env.Branch(mem.CodeAddr(int(node)), !taken, er, ew)
 }

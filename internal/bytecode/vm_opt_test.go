@@ -6,7 +6,16 @@ package bytecode_test
 // mitigation records, same final memory, and same machine-environment
 // state (counters and every label-level projection of the
 // cache/predictor state) — and the unfused form must reproduce the
-// golden rows recorded from the stack interpreter (golden_test.go).
+// golden rows recorded from the stack interpreter (golden_test.go) and
+// the tree-walking semantics.
+//
+// The subtests of TestOptDifferentialTestdata and
+// TestOptPlainEnvMatchesSites end in timing1 or timing0, names kept
+// from when the VM had a second cost model so their IDs stay stable.
+// timing1 runs a case once on a fresh environment, as the golden rows
+// do; timing0 runs it twice on one environment, through Reset, and
+// compares the second run, as a service reuses a VM on a warm
+// environment: that run replays the hardware memos the first recorded.
 
 import (
 	"fmt"
@@ -19,6 +28,7 @@ import (
 	"repro/internal/machine/hw"
 	"repro/internal/progen"
 	"repro/internal/sem/events"
+	"repro/internal/sem/full"
 	"repro/internal/types"
 )
 
@@ -73,24 +83,36 @@ type optSnap struct {
 	env     hw.Env
 }
 
-// runSnap executes prog on a fresh env and snapshots everything
-// observable. Inputs are seeded deterministically from variable order.
-func runSnap(t *testing.T, prog *bytecode.Program, env hw.Env, opts bytecode.VMOptions, maxInstrs int) optSnap {
+// scalarInput and arrayInput seed every run's inputs deterministically
+// from variable order.
+func scalarInput(i int) int64         { return int64(i*7%13 + 1) }
+func arrayInput(i int, j int64) int64 { return (int64(i) + 3) * j % 17 }
+
+// runSnap executes prog runs times on env, resetting the VM between
+// runs, and snapshots everything observable after the last run.
+func runSnap(t *testing.T, prog *bytecode.Program, env hw.Env, opts bytecode.VMOptions, maxInstrs, runs int) optSnap {
 	t.Helper()
 	vm := bytecode.NewVM(prog, env, opts)
-	for i, name := range prog.ScalarNames {
-		if err := vm.SetScalar(name, int64(i*7%13+1)); err != nil {
-			t.Fatal(err)
+	var err error
+	for r := 0; r < runs; r++ {
+		if r > 0 {
+			vm.Reset()
 		}
-	}
-	for i, name := range prog.ArrayNames {
-		for j := int64(0); j < prog.ArraySizes[i]; j++ {
-			if err := vm.SetArrayEl(name, j, (int64(i)+3)*j%17); err != nil {
+		for i, name := range prog.ScalarNames {
+			if err := vm.SetScalar(name, scalarInput(i)); err != nil {
 				t.Fatal(err)
 			}
 		}
+		for i, name := range prog.ArrayNames {
+			for j := int64(0); j < prog.ArraySizes[i]; j++ {
+				if err := vm.SetArrayEl(name, j, arrayInput(i, j)); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		err = vm.Run(maxInstrs)
 	}
-	s := optSnap{err: vm.Run(maxInstrs), env: env}
+	s := optSnap{err: err, env: env}
 	s.clock = vm.Clock()
 	s.steps = vm.Steps()
 	s.trace = append(events.Trace(nil), vm.Trace()...)
@@ -103,31 +125,82 @@ func runSnap(t *testing.T, prog *bytecode.Program, env hw.Env, opts bytecode.VMO
 	return s
 }
 
-func diffSnaps(t *testing.T, lat lattice.Lattice, want, got optSnap) {
+// fullSnap is runSnap on the tree-walking semantics: runs fresh
+// machines of src, one after another on env, with the same inputs. Its
+// steps count language steps, not instructions.
+func fullSnap(t *testing.T, src string, lat lattice.Lattice, env hw.Env, runs int) optSnap {
+	t.Helper()
+	prog, err := parser.Parse(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := types.Check(prog, lat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var m *full.Machine
+	for r := 0; r < runs; r++ {
+		if m, err = full.New(prog, res, env, full.Options{}); err != nil {
+			t.Fatal(err)
+		}
+		var scalars, arrays int
+		for _, d := range prog.Decls {
+			if d.IsArray {
+				for j := int64(0); j < d.Size; j++ {
+					m.Memory().SetEl(d.Name, j, arrayInput(arrays, j))
+				}
+				arrays++
+			} else {
+				m.Memory().Set(d.Name, scalarInput(scalars))
+				scalars++
+			}
+		}
+		err = m.Run(goldenBudget)
+	}
+	s := optSnap{err: err, clock: m.Clock(), steps: m.Steps(), env: env, stats: env.Stats()}
+	s.trace = append(events.Trace(nil), m.Trace()...)
+	s.mits = append(events.MitTrace(nil), m.Mitigations()...)
+	for _, d := range prog.Decls {
+		if !d.IsArray {
+			s.scalars = append(s.scalars, m.Memory().Get(d.Name))
+			continue
+		}
+		a := make([]int64, d.Size)
+		for j := range a {
+			a[j] = m.Memory().GetEl(d.Name, int64(j))
+		}
+		s.arrays = append(s.arrays, a)
+	}
+	return s
+}
+
+// diffSnaps reports every observable on which got differs from want.
+// Steps compare only when both count instructions.
+func diffSnaps(t *testing.T, lat lattice.Lattice, want, got optSnap, steps bool) {
 	t.Helper()
 	if (want.err == nil) != (got.err == nil) {
-		t.Fatalf("error mismatch: unfused %v, fused %v", want.err, got.err)
+		t.Fatalf("error mismatch: want %v, got %v", want.err, got.err)
 	}
 	if want.clock != got.clock {
-		t.Errorf("clock: unfused %d, fused %d", want.clock, got.clock)
+		t.Errorf("clock: want %d, got %d", want.clock, got.clock)
 	}
-	if want.steps != got.steps {
-		t.Errorf("steps: unfused %d, fused %d", want.steps, got.steps)
+	if steps && want.steps != got.steps {
+		t.Errorf("steps: want %d, got %d", want.steps, got.steps)
 	}
 	if !reflect.DeepEqual(want.trace, got.trace) {
-		t.Errorf("trace:\nunfused: %v\nfused:   %v", want.trace, got.trace)
+		t.Errorf("trace:\nwant: %v\ngot:  %v", want.trace, got.trace)
 	}
 	if !reflect.DeepEqual(want.mits, got.mits) {
-		t.Errorf("mitigations:\nunfused: %v\nfused:   %v", want.mits, got.mits)
+		t.Errorf("mitigations:\nwant: %v\ngot:  %v", want.mits, got.mits)
 	}
 	if !reflect.DeepEqual(want.scalars, got.scalars) {
-		t.Errorf("scalars: unfused %v, fused %v", want.scalars, got.scalars)
+		t.Errorf("scalars: want %v, got %v", want.scalars, got.scalars)
 	}
 	if !reflect.DeepEqual(want.arrays, got.arrays) {
-		t.Errorf("arrays: unfused %v, fused %v", want.arrays, got.arrays)
+		t.Errorf("arrays: want %v, got %v", want.arrays, got.arrays)
 	}
 	if want.stats != got.stats {
-		t.Errorf("hw stats:\nunfused: %+v\nfused:   %+v", want.stats, got.stats)
+		t.Errorf("hw stats:\nwant: %+v\ngot:  %+v", want.stats, got.stats)
 	}
 	for _, lv := range lat.Levels() {
 		if !want.env.ProjEqual(got.env, lv) {
@@ -209,10 +282,11 @@ while (i < 4) [H,H] {
 `},
 }
 
-// TestOptDifferentialTestdata checks each pass on its own: subtest o1
-// runs the lowered, unfused form against the golden row the stack
-// interpreter recorded, and o2 runs the fused form against the unfused
-// one.
+// TestOptDifferentialTestdata checks each pass on its own. Subtest o1
+// runs the lowered, unfused form against a reference the passes cannot
+// affect: the golden row the stack interpreter recorded (timing1) or
+// sem/full's second run on the same environment (timing0). Subtest o2
+// runs the fused form against the unfused one.
 func TestOptDifferentialTestdata(t *testing.T) {
 	lat := lattice.TwoPoint()
 	golden := loadGolden(t)
@@ -220,19 +294,22 @@ func TestOptDifferentialTestdata(t *testing.T) {
 		bc := compileOpt(t, tc.src, lat)
 		lowered := unfused(t, bc)
 		for envName, mkEnv := range optEnvs(lat) {
-			for _, timing := range []bytecode.TimingModel{bytecode.TimingMicro, bytecode.TimingTree} {
-				opts := bytecode.VMOptions{Timing: timing}
-				name := fmt.Sprintf("%s/%s/timing%d", tc.name, envName, timing)
+			for _, runs := range []int{2, 1} {
+				name := fmt.Sprintf("%s/%s/timing%d", tc.name, envName, 2-runs)
 				t.Run(name+"/o1", func(t *testing.T) {
-					key := goldenKey(tc.name, envName, timing)
-					got := goldenRow(key, runSnap(t, lowered, mkEnv(), opts, goldenBudget))
-					if got != golden[key] {
-						t.Errorf("lowered form differs from the golden row:\n want %s\n  got %s", golden[key], got)
+					got := runSnap(t, lowered, mkEnv(), bytecode.VMOptions{}, goldenBudget, runs)
+					if runs == 2 {
+						diffSnaps(t, lat, fullSnap(t, tc.src, lat, mkEnv(), runs), got, false)
+						return
+					}
+					key := goldenKey(tc.name, envName)
+					if row := goldenRow(key, got); row != golden[key] {
+						t.Errorf("lowered form differs from the golden row:\n want %s\n  got %s", golden[key], row)
 					}
 				})
 				t.Run(name+"/o2", func(t *testing.T) {
-					base := runSnap(t, lowered, mkEnv(), opts, goldenBudget)
-					diffSnaps(t, lat, base, runSnap(t, bc, mkEnv(), opts, goldenBudget))
+					base := runSnap(t, lowered, mkEnv(), bytecode.VMOptions{}, goldenBudget, runs)
+					diffSnaps(t, lat, base, runSnap(t, bc, mkEnv(), bytecode.VMOptions{}, goldenBudget, runs), true)
 				})
 			}
 		}
@@ -251,36 +328,31 @@ func TestOptDifferentialProgen(t *testing.T) {
 		}
 		bc := compileOpt(t, src, lat)
 		envName := []string{"flat", "unpartitioned", "nofill", "partitioned"}[seed%4]
-		timing := bytecode.TimingMicro
-		if seed%2 == 0 {
-			timing = bytecode.TimingTree
-		}
 		t.Run(fmt.Sprintf("seed%d/%s", seed, envName), func(t *testing.T) {
-			opts := bytecode.VMOptions{Timing: timing}
-			base := runSnap(t, unfused(t, bc), envs[envName](), opts, 2_000_000)
-			diffSnaps(t, lat, base, runSnap(t, bc, envs[envName](), opts, 2_000_000))
+			base := runSnap(t, unfused(t, bc), envs[envName](), bytecode.VMOptions{}, 2_000_000, 1)
+			diffSnaps(t, lat, base, runSnap(t, bc, envs[envName](), bytecode.VMOptions{}, 2_000_000, 1), true)
 		})
 	}
 }
 
 // TestOptPlainEnvMatchesSites runs every optTestSources program on each
-// environment twice: once as the environment itself, whose site memos
-// the VM replays, and once behind a wrapper that hides AccessSite, as
-// an Env defined outside package hw is, so the VM charges every access
-// through Access. Every observable must agree (diffSnaps names the
-// Access run "unfused" and the memoized one "fused").
+// environment twice over: once as the environment itself, whose site
+// memos the VM replays, and once behind a wrapper that hides
+// AccessSite, as an Env defined outside package hw is, so the VM
+// charges every access through Access. Every observable must agree,
+// on a fresh environment (timing1) and on the second run of a warm one
+// (timing0), whose memos the first run recorded.
 func TestOptPlainEnvMatchesSites(t *testing.T) {
 	lat := lattice.TwoPoint()
 	type plainEnv struct{ hw.Env }
 	for _, tc := range optTestSources {
 		bc := compileOpt(t, tc.src, lat)
 		for envName, mkEnv := range optEnvs(lat) {
-			for _, timing := range []bytecode.TimingModel{bytecode.TimingMicro, bytecode.TimingTree} {
-				t.Run(fmt.Sprintf("%s/%s/timing%d", tc.name, envName, timing), func(t *testing.T) {
-					opts := bytecode.VMOptions{Timing: timing}
-					plain := runSnap(t, bc, plainEnv{mkEnv()}, opts, goldenBudget)
+			for _, runs := range []int{2, 1} {
+				t.Run(fmt.Sprintf("%s/%s/timing%d", tc.name, envName, 2-runs), func(t *testing.T) {
+					plain := runSnap(t, bc, plainEnv{mkEnv()}, bytecode.VMOptions{}, goldenBudget, runs)
 					plain.env = plain.env.(plainEnv).Env
-					diffSnaps(t, lat, plain, runSnap(t, bc, mkEnv(), opts, goldenBudget))
+					diffSnaps(t, lat, plain, runSnap(t, bc, mkEnv(), bytecode.VMOptions{}, goldenBudget, runs), true)
 				})
 			}
 		}
@@ -339,12 +411,12 @@ func TestOptResumeAfterBudget(t *testing.T) {
 	lat := lattice.TwoPoint()
 	bc := compileOpt(t, optTestSources[1].src, lat)
 	opts := bytecode.VMOptions{}
-	full := runSnap(t, bc, hw.NewUnpartitioned(lat, hw.TinyConfig()), opts, 100000)
+	whole := runSnap(t, bc, hw.NewUnpartitioned(lat, hw.TinyConfig()), opts, 100000, 1)
 
 	env := hw.NewUnpartitioned(lat, hw.TinyConfig())
 	vm := bytecode.NewVM(bc, env, opts)
 	for i, name := range bc.ScalarNames {
-		if err := vm.SetScalar(name, int64(i*7%13+1)); err != nil {
+		if err := vm.SetScalar(name, scalarInput(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -352,11 +424,11 @@ func TestOptResumeAfterBudget(t *testing.T) {
 		// MaxSteps is an absolute step count, so grow it a little each
 		// slice to stop-and-resume through the whole program.
 		if err := vm.Run(7 * i); err == nil {
-			if vm.Clock() != full.clock || vm.Steps() != full.steps {
+			if vm.Clock() != whole.clock || vm.Steps() != whole.steps {
 				t.Fatalf("resumed run: clock %d steps %d, want %d/%d",
-					vm.Clock(), vm.Steps(), full.clock, full.steps)
+					vm.Clock(), vm.Steps(), whole.clock, whole.steps)
 			}
-			if !reflect.DeepEqual(append(events.Trace(nil), vm.Trace()...), full.trace) {
+			if !reflect.DeepEqual(append(events.Trace(nil), vm.Trace()...), whole.trace) {
 				t.Fatal("resumed trace differs")
 			}
 			return

@@ -35,11 +35,7 @@ func runVictim(t *testing.T, env hw.Env, lat lattice.Lattice, h1 int64) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := full.New(prog, res, env, full.Options{
-		// Use a data layout far from the attacker's probe range only in
-		// page terms; cache sets still collide by construction.
-		Layout: mem.LayoutConfig{DataBase: 0x10000},
-	})
+	m, err := full.New(prog, res, env, full.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -131,6 +131,11 @@ func latticeFlag(fs *flag.FlagSet) *string {
 	return fs.String("lattice", "two", "security lattice: two, three, diamond")
 }
 
+// hwFlag defines -hw, naming every model PickEnv accepts after usage.
+func hwFlag(fs *flag.FlagSet, usage string) *string {
+	return fs.String("hw", "partitioned", fmt.Sprintf("%s: one of %v", usage, hw.EnvNames()))
+}
+
 // PickLattice resolves a lattice by its CLI name.
 func PickLattice(name string) (lattice.Lattice, error) {
 	switch name {
@@ -251,7 +256,7 @@ func (s setFlags) Set(v string) error {
 func runRun(args []string, stdout, stderr io.Writer) error {
 	fs := newFlagSet("run", stderr)
 	latName := latticeFlag(fs)
-	hwName := fs.String("hw", "partitioned", "hardware model: flat, nopar, nofill, partitioned")
+	hwName := hwFlag(fs, "hardware model")
 	mitigate := fs.Bool("mitigate", true, "enable predictive mitigation")
 	optimize := fs.Bool("opt", false, "apply timing-aware optimizations before running")
 	maxSteps := fs.Int("max-steps", 10_000_000, "step budget")
@@ -312,7 +317,7 @@ func runCompile(args []string, stdout, stderr io.Writer) error {
 	latName := latticeFlag(fs)
 	exec := fs.Bool("exec", false, "execute the bytecode on the VM after compiling")
 	outFile := fs.String("o", "", "write encoded bytecode to this file instead of disassembling")
-	hwName := fs.String("hw", "partitioned", "hardware model for -exec")
+	hwName := hwFlag(fs, "hardware model for -exec")
 	sets := setFlags{}
 	fs.Var(sets, "set", "set an input variable for -exec (repeatable)")
 	if err := fs.Parse(args); err != nil {
@@ -345,31 +350,13 @@ func runCompile(args []string, stdout, stderr io.Writer) error {
 	if !*exec {
 		return nil
 	}
-	env, err := PickEnv(*hwName, lat)
-	if err != nil {
-		return err
-	}
-	vm := bytecode.NewVM(bc, env, bytecode.VMOptions{})
-	for name, v := range sets {
-		if err := vm.SetScalar(name, v); err != nil {
-			return err
-		}
-	}
-	if err := vm.Run(50_000_000); err != nil {
-		return err
-	}
-	fmt.Fprintf(stdout, "VM: %d instructions, %d cycles on %s hardware\n",
-		vm.Steps(), vm.Clock(), env.Name())
-	for _, e := range vm.Trace() {
-		fmt.Fprintf(stdout, "  %s\n", e)
-	}
-	return nil
+	return runVM(bc, *hwName, lat, sets, stdout)
 }
 
 func runExec(args []string, stdout, stderr io.Writer) error {
 	fs := newFlagSet("exec", stderr)
 	latName := latticeFlag(fs)
-	hwName := fs.String("hw", "partitioned", "hardware model")
+	hwName := hwFlag(fs, "hardware model")
 	sets := setFlags{}
 	fs.Var(sets, "set", "set an input variable (repeatable)")
 	if err := fs.Parse(args); err != nil {
@@ -391,7 +378,14 @@ func runExec(args []string, stdout, stderr io.Writer) error {
 	if err != nil {
 		return err
 	}
-	env, err := PickEnv(*hwName, lat)
+	return runVM(bc, *hwName, lat, sets, stdout)
+}
+
+// runVM runs a compiled or decoded program on the VM with the inputs
+// in sets and prints its steps, cycles and events (compile -exec and
+// exec).
+func runVM(bc *bytecode.Program, hwName string, lat lattice.Lattice, sets setFlags, stdout io.Writer) error {
+	env, err := PickEnv(hwName, lat)
 	if err != nil {
 		return err
 	}
@@ -481,7 +475,7 @@ func cmdKind(c ast.Cmd) string {
 func runTrace(args []string, stdout, stderr io.Writer) error {
 	fs := newFlagSet("trace", stderr)
 	latName := latticeFlag(fs)
-	hwName := fs.String("hw", "partitioned", "hardware model")
+	hwName := hwFlag(fs, "hardware model")
 	mitigate := fs.Bool("mitigate", true, "enable predictive mitigation")
 	maxSteps := fs.Int("max-steps", 100_000, "step budget")
 	sets := setFlags{}
@@ -541,8 +535,7 @@ func runTrace(args []string, stdout, stderr io.Writer) error {
 func runServe(args []string, stdout, stderr io.Writer) error {
 	fs := newFlagSet("serve", stderr)
 	latName := latticeFlag(fs)
-	hwName := fs.String("hw", "partitioned",
-		fmt.Sprintf("hardware model: one of %v", hw.EnvNames()))
+	hwName := hwFlag(fs, "hardware model")
 	workers := fs.Int("workers", 4, "number of pool shards")
 	queue := fs.Int("queue", 2, "per-shard submission queue depth")
 	requests := fs.Int("requests", 32, "number of requests to serve")
@@ -772,7 +765,7 @@ func serveHTTP(pool *server.Pool, prog *ast.Program, sessions *session.Manager, 
 func runVerify(args []string, stdout, stderr io.Writer) error {
 	fs := newFlagSet("verify", stderr)
 	latName := latticeFlag(fs)
-	hwName := fs.String("hw", "partitioned", "hardware model to verify")
+	hwName := hwFlag(fs, "hardware model to verify")
 	trials := fs.Int("trials", 20, "trials per property")
 	seed := fs.Int64("seed", 1, "random seed")
 	if err := fs.Parse(args); err != nil {
@@ -839,7 +832,7 @@ func runCertify(args []string, stdout, stderr io.Writer) error {
 	secretN := fs.Int("n", 16, "with a file: secret-space size")
 	engine := fs.String("engine", "tree",
 		fmt.Sprintf("with a file: execution engine, one of %v", exec.EngineNames()))
-	hwName := fs.String("hw", "partitioned", "with a file: hardware model")
+	hwName := hwFlag(fs, "with a file: hardware model")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -963,7 +956,7 @@ func (s secretRange) values() []int64 {
 func runLeak(args []string, stdout, stderr io.Writer) error {
 	fs := newFlagSet("leak", stderr)
 	latName := latticeFlag(fs)
-	hwName := fs.String("hw", "partitioned", "hardware model")
+	hwName := hwFlag(fs, "hardware model")
 	mitigate := fs.Bool("mitigate", true, "enable predictive mitigation")
 	maxCombos := fs.Int("max-combos", 512, "cap on secret combinations")
 	var secrets rangeFlags

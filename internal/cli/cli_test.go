@@ -2,12 +2,15 @@ package cli
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"net/http"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/machine/hw"
 )
 
 // testdataPath resolves a file in the repository's testdata directory.
@@ -189,6 +192,18 @@ func TestRunFlatHardware(t *testing.T) {
 	code, out, _ := run("run", "-hw", "flat", testdataPath(t, "mitigated.tc"))
 	if code != 0 || !strings.Contains(out, "flat hardware") {
 		t.Errorf("exit=%d out=%q", code, out)
+	}
+}
+
+// TestHardwareUsage: every subcommand's -hw usage names all the models
+// PickEnv accepts.
+func TestHardwareUsage(t *testing.T) {
+	want := fmt.Sprint(hw.EnvNames())
+	for _, cmd := range []string{"run", "compile", "exec", "trace", "serve", "verify", "certify", "leak"} {
+		_, _, errOut := run(cmd, "-h")
+		if !strings.Contains(errOut, want) {
+			t.Errorf("%s -h does not list %s:\n%s", cmd, want, errOut)
+		}
 	}
 }
 
@@ -381,6 +396,30 @@ func TestCompileToFileAndExec(t *testing.T) {
 	os.WriteFile(garbage, []byte("not bytecode"), 0o644)
 	if code, _, _ := run("exec", garbage); code != 1 {
 		t.Error("garbage file should fail")
+	}
+}
+
+// TestRunExecAgree: the tree-walking run, the VM behind compile -exec,
+// and the VM running a compile -o image charge one cost model, so all
+// three report the same time for the same input.
+func TestRunExecAgree(t *testing.T) {
+	src := testdataPath(t, "mitigated.tc")
+	img := filepath.Join(t.TempDir(), "mitigated.tcbc")
+	if code, _, errOut := run("compile", "-o", img, src); code != 0 {
+		t.Fatalf("compile -o: exit=%d stderr=%q", code, errOut)
+	}
+	for _, args := range [][]string{
+		{"run", "-set", "h=9", src},
+		{"compile", "-exec", "-set", "h=9", src},
+		{"exec", "-set", "h=9", img},
+	} {
+		code, out, errOut := run(args...)
+		if code != 0 {
+			t.Fatalf("%v: exit=%d stderr=%q", args, code, errOut)
+		}
+		if !strings.Contains(out, ", 539 cycles on partitioned hardware") || !strings.Contains(out, "(done, 1, 539)") {
+			t.Errorf("%v: want 539 cycles and (done, 1, 539):\n%s", args, out)
+		}
 	}
 }
 

@@ -158,7 +158,7 @@ func BenchmarkEngineVMColdCompile(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		vm := bytecode.NewVM(bc, env, bytecode.VMOptions{Timing: bytecode.TimingTree})
+		vm := bytecode.NewVM(bc, env, bytecode.VMOptions{})
 		m.Zero()
 		app.Setup(m, creds, att, 1, 1)
 		vm.LoadFrom(m)

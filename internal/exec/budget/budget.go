@@ -5,9 +5,7 @@
 // Both the tree-walking interpreter (sem/full) and the bytecode VM
 // (bytecode) return these sentinels, so callers — most importantly the
 // service layer — can match budget exhaustion with a single errors.Is
-// regardless of which engine executed the request. The packages keep
-// deprecated aliases (full.ErrStepLimit, bytecode.ErrStepLimit) for one
-// release.
+// regardless of which engine executed the request.
 package budget
 
 import "errors"

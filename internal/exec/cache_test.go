@@ -190,7 +190,7 @@ reply := 1;
 	}
 	run := func(p *bytecode.Program) (string, uint64) {
 		env := hw.MustEnv("partitioned", lat, hw.Table1Config())
-		vm := bytecode.NewVM(p, env, bytecode.VMOptions{Timing: bytecode.TimingTree})
+		vm := bytecode.NewVM(p, env, bytecode.VMOptions{})
 		if err := vm.SetScalar("h", 23); err != nil {
 			t.Fatal(err)
 		}

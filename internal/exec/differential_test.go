@@ -260,38 +260,6 @@ while (x < 1000000) [L, L] {
 	}
 }
 
-// TestEngineCostSetParity checks the zero-value trap fix end to end: an
-// explicit BaseCost/OpCost of zero must be honored by both engines and
-// still produce identical traces.
-func TestEngineCostSetParity(t *testing.T) {
-	const src = `
-var l: L;
-l := 3 + 4 * 2;
-sleep(l % 7) [L, L];
-l := l + 1;
-`
-	prog, err := parser.Parse(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lat := lattice.TwoPoint()
-	res, err := types.Check(prog, lat)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := checkedProg{name: "costset", prog: prog, res: res, lat: lat}
-	opts := Options{CostSet: true, BaseCost: 0, OpCost: 0}
-	setup := func(m *mem.Memory) { m.Set("l", 0) }
-	tree := runEngine(t, "tree", "flat", p, opts, setup)
-	vm := runEngine(t, "vm", "flat", p, opts, setup)
-	assertSameResult(t, p.name, tree, vm)
-	withDefaults := runEngine(t, "tree", "flat", p, Options{}, setup)
-	if tree.Clock >= withDefaults.Clock {
-		t.Errorf("explicit zero costs not honored: clock %d with CostSet, %d with defaults",
-			tree.Clock, withDefaults.Clock)
-	}
-}
-
 // TestVMRegisterLimit: an expression nested deeper than the VM's 256
 // registers cannot be linked, so constructing the vm engine fails with
 // the register error, while the tree engine still runs the program.

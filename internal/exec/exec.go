@@ -12,10 +12,10 @@
 // machine across requests — the service hot path the tree-walker
 // cannot match, because it must rebuild per-request interpreter state.
 //
-// Both engines run against the same hw.Env contract and, because the
-// VM engine uses the tree-compatible timing model
-// (bytecode.TimingTree), they produce identical event traces and
-// leakage bounds — differential tests in this package enforce that.
+// Both engines run against the same hw.Env contract and charge the same
+// costs (the constants of sem/mem), so they produce identical event
+// traces and leakage bounds — differential tests in this package
+// enforce that.
 package exec
 
 import (
@@ -79,17 +79,12 @@ func (l Limits) Bound(ctx context.Context) (context.Context, context.CancelFunc)
 	return ctx, func() {}
 }
 
-// Options carries the knobs shared by every engine: cost model,
-// mitigation configuration, per-run budgets, and instrumentation. It
-// replaces the per-engine option structs (full.Options,
-// bytecode.VMOptions) on the service path; those remain as
-// engine-internal configuration for direct use of the interpreters.
+// Options carries the knobs shared by every engine: mitigation
+// configuration, per-run budgets, and instrumentation. It replaces the
+// per-engine option structs (full.Options, bytecode.VMOptions) on the
+// service path; those remain as engine-internal configuration for
+// direct use of the interpreters.
 type Options struct {
-	// BaseCost is the per-step base cost and OpCost the per-operator
-	// cost; both default to 1 unless CostSet honors explicit zeros.
-	BaseCost uint64
-	OpCost   uint64
-	CostSet  bool
 	// Scheme and Policy configure predictive mitigation; defaults are
 	// FastDoubling and PerLevel.
 	Scheme mitigation.Scheme

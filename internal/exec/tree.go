@@ -34,9 +34,6 @@ func newTreeEngine(prog *ast.Program, res *types.Result, env hw.Env, opts Option
 
 func treeOptions(opts Options) full.Options {
 	return full.Options{
-		BaseCost:          opts.BaseCost,
-		OpCost:            opts.OpCost,
-		CostSet:           opts.CostSet,
 		Scheme:            opts.Scheme,
 		Policy:            opts.Policy,
 		DisableMitigation: opts.DisableMitigation,

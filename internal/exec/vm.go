@@ -12,9 +12,8 @@ import (
 	"repro/internal/types"
 )
 
-// VMEngine runs requests on the bytecode VM in tree-compatible timing
-// mode (bytecode.TimingTree): identical traces to the tree engine,
-// without re-walking the AST per step. The program is compiled once —
+// VMEngine runs requests on the bytecode VM: identical traces to the
+// tree engine, without re-walking the AST per step. The program is compiled once —
 // through the shared DefaultCache, so pool shards serving the same
 // source compile it once between them — and the VM and its scratch
 // memory are reused across requests, which is where the service-path
@@ -37,10 +36,6 @@ func newVMEngine(prog *ast.Program, res *types.Result, env hw.Env, opts Options)
 		return nil, err
 	}
 	vm := bytecode.NewVM(bp, env, bytecode.VMOptions{
-		Timing:            bytecode.TimingTree,
-		BaseCost:          opts.BaseCost,
-		OpCost:            opts.OpCost,
-		CostSet:           opts.CostSet,
 		Scheme:            opts.Scheme,
 		Policy:            opts.Policy,
 		DisableMitigation: opts.DisableMitigation,

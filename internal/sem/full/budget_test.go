@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/exec/budget"
 	"repro/internal/machine/hw"
 )
 
@@ -24,8 +25,8 @@ func TestRunBudgetStepLimit(t *testing.T) {
 		t.Fatal(err)
 	}
 	err = m.RunBudget(context.Background(), Budget{MaxSteps: 100})
-	if !errors.Is(err, ErrStepLimit) {
-		t.Fatalf("RunBudget = %v, want ErrStepLimit", err)
+	if !errors.Is(err, budget.ErrStepLimit) {
+		t.Fatalf("RunBudget = %v, want budget.ErrStepLimit", err)
 	}
 }
 
@@ -36,8 +37,8 @@ func TestRunBudgetCycleLimit(t *testing.T) {
 		t.Fatal(err)
 	}
 	err = m.RunBudget(context.Background(), Budget{MaxCycles: 50})
-	if !errors.Is(err, ErrCycleLimit) {
-		t.Fatalf("RunBudget = %v, want ErrCycleLimit", err)
+	if !errors.Is(err, budget.ErrCycleLimit) {
+		t.Fatalf("RunBudget = %v, want budget.ErrCycleLimit", err)
 	}
 }
 

@@ -7,16 +7,18 @@
 // adequacy, Property 1, holds by construction and is verified by
 // tests), additionally charging each step's duration:
 //
-//	cost(step) = BaseCost                      // issue/ALU
+//	cost(step) = mem.BaseCost                  // issue/ALU
 //	           + E.Access(Fetch, code address) // instruction fetch
 //	           + Σ E.Access(Read, var/elem)    // operands, left-to-right
-//	           + OpCost per operator
+//	           + mem.OpCost per operator
 //	           + E.Access(Write, target)       // for assignments/stores
 //	           + max(n, 0)                     // for sleep(n), Property 4
 //
-// Every access carries the command's read and write labels, which is
-// the software→hardware half of the paper's contract (the timing-label
-// register of §8.1).
+// with the addresses of mem.NewLayout and mem.CodeAddr. The costs and
+// the layout are constants, shared with the bytecode VM, which charges
+// the same costs at the same addresses. Every access carries the
+// command's read and write labels, which is the software→hardware half
+// of the paper's contract (the timing-label register of §8.1).
 package full
 
 import (
@@ -34,29 +36,9 @@ import (
 	"repro/internal/types"
 )
 
-// ErrStepLimit is returned by Run when the program does not terminate
-// within the step budget. It is the shared budget.ErrStepLimit
-// sentinel, so errors.Is matches it regardless of execution engine.
-//
-// Deprecated: match budget.ErrStepLimit directly.
-var ErrStepLimit = budget.ErrStepLimit
-
-// ErrCycleLimit is returned by RunBudget when the program exceeds its
-// simulated-cycle budget. It is the shared budget.ErrCycleLimit
-// sentinel.
-//
-// Deprecated: match budget.ErrCycleLimit directly.
-var ErrCycleLimit = budget.ErrCycleLimit
-
 // Options configure a Machine. The zero value selects the defaults
 // noted on each field.
 type Options struct {
-	// Layout controls address assignment; zero value = defaults.
-	Layout mem.LayoutConfig
-	// BaseCost is the fixed per-step cost; default 1.
-	BaseCost uint64
-	// OpCost is the cost per evaluated operator; default 1.
-	OpCost uint64
 	// Scheme is the mitigation prediction scheme; default FastDoubling.
 	Scheme mitigation.Scheme
 	// Policy is the mitigation penalty policy; default PerLevel (the
@@ -65,20 +47,9 @@ type Options struct {
 	// DisableMitigation makes mitigate behave as in the core semantics
 	// (identity); used for the unmitigated baselines of §8.
 	DisableMitigation bool
-	// CostSet, when true, takes BaseCost and OpCost literally — an
-	// explicit zero is honored instead of selecting the default of 1.
-	CostSet bool
 }
 
 func (o Options) withDefaults() Options {
-	if !o.CostSet {
-		if o.BaseCost == 0 {
-			o.BaseCost = 1
-		}
-		if o.OpCost == 0 {
-			o.OpCost = 1
-		}
-	}
 	if o.Scheme == nil {
 		o.Scheme = mitigation.FastDoubling{}
 	}
@@ -136,7 +107,7 @@ func New(prog *ast.Program, res *types.Result, env hw.Env, opts Options) (*Machi
 		prog:   prog,
 		res:    res,
 		opts:   opts,
-		layout: mem.NewLayout(prog, opts.Layout),
+		layout: mem.NewLayout(prog),
 		stack:  []frame{frame(prog.Body)},
 		mem:    mem.New(prog),
 		env:    env,
@@ -261,17 +232,17 @@ func (k *Machine) eval(e ast.Expr, lab *ast.Labels) (int64, uint64) {
 		// literal to guarantee value agreement between semantics.
 		switch ex.Op {
 		case token.MINUS:
-			return -v, c + k.opts.OpCost
+			return -v, c + mem.OpCost
 		case token.NOT:
 			if v == 0 {
-				return 1, c + k.opts.OpCost
+				return 1, c + mem.OpCost
 			}
-			return 0, c + k.opts.OpCost
+			return 0, c + mem.OpCost
 		}
 	case *ast.Binary:
 		a, ca := k.eval(ex.X, lab)
 		b, cb := k.eval(ex.Y, lab)
-		return core.EvalBinop(ex.Op, a, b), ca + cb + k.opts.OpCost
+		return core.EvalBinop(ex.Op, a, b), ca + cb + mem.OpCost
 	}
 	panic(fmt.Sprintf("full: unknown expression %T", e))
 }
@@ -293,8 +264,8 @@ func (k *Machine) Step() bool {
 	k.stack = k.stack[:len(k.stack)-1]
 
 	lab := head.(ast.Labeled).Labels()
-	cost := k.opts.BaseCost
-	cost += k.access(hw.Fetch, k.layout.CodeAddr(head.ID()), lab)
+	cost := mem.BaseCost
+	cost += k.access(hw.Fetch, mem.CodeAddr(head.ID()), lab)
 
 	switch c := head.(type) {
 	case *ast.Skip:
@@ -331,7 +302,7 @@ func (k *Machine) Step() bool {
 	case *ast.If:
 		v, ec := k.eval(c.Cond, lab)
 		cost += ec
-		cost += k.env.Branch(k.layout.CodeAddr(c.ID()), v != 0, lab.RL, lab.WL)
+		cost += k.env.Branch(mem.CodeAddr(c.ID()), v != 0, lab.RL, lab.WL)
 		if v != 0 {
 			k.stack = append(k.stack, frame(c.Then))
 		} else {
@@ -341,7 +312,7 @@ func (k *Machine) Step() bool {
 	case *ast.While:
 		v, ec := k.eval(c.Cond, lab)
 		cost += ec
-		cost += k.env.Branch(k.layout.CodeAddr(c.ID()), v != 0, lab.RL, lab.WL)
+		cost += k.env.Branch(mem.CodeAddr(c.ID()), v != 0, lab.RL, lab.WL)
 		if v != 0 {
 			k.stack = append(k.stack, frame(c), frame(c.Body))
 		}
@@ -375,18 +346,18 @@ type Budget = budget.Budget
 // abort latency, never simulated behavior.
 const ctxCheckInterval = 1024
 
-// RunBudget executes to completion, a budget violation (ErrStepLimit /
-// ErrCycleLimit), or context cancellation — in the last case it
-// returns ctx.Err(), so callers can test errors.Is(err,
-// context.DeadlineExceeded).
+// RunBudget executes to completion, a budget violation
+// (budget.ErrStepLimit / budget.ErrCycleLimit), or context
+// cancellation — in the last case it returns ctx.Err(), so callers can
+// test errors.Is(err, context.DeadlineExceeded).
 func (k *Machine) RunBudget(ctx context.Context, b Budget) error {
 	nextPoll := k.steps + ctxCheckInterval
 	for !k.Done() {
 		if b.MaxSteps > 0 && k.steps >= b.MaxSteps {
-			return fmt.Errorf("%w (%d steps)", ErrStepLimit, b.MaxSteps)
+			return fmt.Errorf("%w (%d steps)", budget.ErrStepLimit, b.MaxSteps)
 		}
 		if b.MaxCycles > 0 && k.clock > b.MaxCycles {
-			return fmt.Errorf("%w (%d cycles > %d)", ErrCycleLimit, k.clock, b.MaxCycles)
+			return fmt.Errorf("%w (%d cycles > %d)", budget.ErrCycleLimit, k.clock, b.MaxCycles)
 		}
 		if ctx != nil && k.steps >= nextPoll {
 			nextPoll = k.steps + ctxCheckInterval
@@ -401,7 +372,7 @@ func (k *Machine) RunBudget(ctx context.Context, b Budget) error {
 	// drain may pad the clock past the cycle budget; that still counts.
 	k.top()
 	if b.MaxCycles > 0 && k.clock > b.MaxCycles {
-		return fmt.Errorf("%w (%d cycles > %d)", ErrCycleLimit, k.clock, b.MaxCycles)
+		return fmt.Errorf("%w (%d cycles > %d)", budget.ErrCycleLimit, k.clock, b.MaxCycles)
 	}
 	return nil
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"testing"
 
+	"repro/internal/exec/budget"
 	"repro/internal/lang/ast"
 	"repro/internal/lang/parser"
 	"repro/internal/lattice"
@@ -475,8 +476,8 @@ func TestStepLimitError(t *testing.T) {
 	p, r := build(t, "var x : L; while (1) { x := x + 1; }")
 	env := hw.NewFlat(r.Lat, 1)
 	_, err := Execute(p, r, env, Options{}, nil, 50)
-	if !errors.Is(err, ErrStepLimit) {
-		t.Errorf("err = %v, want ErrStepLimit", err)
+	if !errors.Is(err, budget.ErrStepLimit) {
+		t.Errorf("err = %v, want budget.ErrStepLimit", err)
 	}
 }
 

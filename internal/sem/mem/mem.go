@@ -1,6 +1,7 @@
 // Package mem provides program memories (the m component of semantic
-// configurations) and the address layout that maps variables and array
-// elements to simulated machine addresses.
+// configurations), the address layout that maps variables, array
+// elements and commands to simulated machine addresses, and the
+// per-step costs that both engines charge.
 //
 // The paper distinguishes memory m from the machine environment E: both
 // affect timing, but only memory affects control flow (§3.3). Memory
@@ -292,46 +293,42 @@ func (m *Memory) Names() []string {
 // ---------------------------------------------------------------------------
 // Layout
 
-// Layout assigns simulated machine addresses: each scalar gets one
-// 8-byte slot and each array a contiguous run of 8-byte elements, in
-// declaration order from DataBase. Command nodes get code addresses
-// from CodeBase with CodeStride bytes per node, so distinct commands
-// fall in distinct (or at least spread-out) instruction-cache blocks.
-type Layout struct {
-	addrs      map[string]uint64
-	dataBase   uint64
-	codeBase   uint64
-	codeStride uint64
-	end        uint64
+// The simulated machine's cost and address constants. They are the one
+// cost model of the timed semantics: sem/full charges them per language
+// step, and the bytecode VM, whose compiler records each variable's
+// offset from DataBase, charges them per command at the same addresses.
+const (
+	// BaseCost is the fixed issue/ALU cost of every language step.
+	BaseCost uint64 = 1
+	// OpCost is the cost of each evaluated unary or binary operator.
+	OpCost uint64 = 1
+	// DataBase is the address of the first declared variable.
+	DataBase uint64 = 0x10000
+	// CodeBase is the code address of command node 0.
+	CodeBase uint64 = 0x400000
+	// CodeStride is the instruction space per command node in bytes,
+	// so distinct commands fall in distinct (or at least spread-out)
+	// instruction-cache blocks.
+	CodeStride uint64 = 16
+)
+
+// CodeAddr returns the instruction address of a command node.
+func CodeAddr(nodeID int) uint64 {
+	return CodeBase + CodeStride*uint64(nodeID)
 }
 
-// LayoutConfig controls address assignment; the zero value selects the
-// defaults below.
-type LayoutConfig struct {
-	DataBase   uint64 // default 0x1_0000
-	CodeBase   uint64 // default 0x40_0000
-	CodeStride uint64 // bytes of instruction space per command node; default 16
-	ElemSize   uint64 // bytes per scalar/element; fixed at 8
+// Layout assigns simulated data addresses: each scalar gets one 8-byte
+// slot and each array a contiguous run of 8-byte elements, in
+// declaration order from DataBase.
+type Layout struct {
+	addrs map[string]uint64
+	end   uint64
 }
 
 // NewLayout computes the address layout for a program.
-func NewLayout(prog *ast.Program, cfg LayoutConfig) *Layout {
-	if cfg.DataBase == 0 {
-		cfg.DataBase = 0x10000
-	}
-	if cfg.CodeBase == 0 {
-		cfg.CodeBase = 0x400000
-	}
-	if cfg.CodeStride == 0 {
-		cfg.CodeStride = 16
-	}
-	l := &Layout{
-		addrs:      make(map[string]uint64),
-		dataBase:   cfg.DataBase,
-		codeBase:   cfg.CodeBase,
-		codeStride: cfg.CodeStride,
-	}
-	next := cfg.DataBase
+func NewLayout(prog *ast.Program) *Layout {
+	l := &Layout{addrs: make(map[string]uint64)}
+	next := DataBase
 	for _, d := range prog.Decls {
 		l.addrs[d.Name] = next
 		if d.IsArray {
@@ -357,11 +354,6 @@ func (l *Layout) Addr(name string) uint64 {
 // responsible for wrapping i into range first (Memory.WrapIndex).
 func (l *Layout) ElemAddr(name string, i int64) uint64 {
 	return l.Addr(name) + 8*uint64(i)
-}
-
-// CodeAddr returns the instruction address of a command node.
-func (l *Layout) CodeAddr(nodeID int) uint64 {
-	return l.codeBase + l.codeStride*uint64(nodeID)
 }
 
 // DataEnd returns the first address past the data segment.

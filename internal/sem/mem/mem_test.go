@@ -155,7 +155,7 @@ func TestLayoutAddresses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	l := NewLayout(p, LayoutConfig{})
+	l := NewLayout(p)
 	if l.Addr("x") != 0x10000 {
 		t.Errorf("x at %#x", l.Addr("x"))
 	}
@@ -171,25 +171,14 @@ func TestLayoutAddresses(t *testing.T) {
 	if l.DataEnd() != 0x10008+32+8 {
 		t.Errorf("end at %#x", l.DataEnd())
 	}
-	if l.CodeAddr(0) != 0x400000 || l.CodeAddr(3) != 0x400000+48 {
+	if CodeAddr(0) != 0x400000 || CodeAddr(3) != 0x400000+48 {
 		t.Error("code addresses")
-	}
-}
-
-func TestLayoutCustomBases(t *testing.T) {
-	p, err := parser.Parse("var x : L; skip;")
-	if err != nil {
-		t.Fatal(err)
-	}
-	l := NewLayout(p, LayoutConfig{DataBase: 0x2000, CodeBase: 0x8000, CodeStride: 32})
-	if l.Addr("x") != 0x2000 || l.CodeAddr(1) != 0x8020 {
-		t.Error("custom bases not honored")
 	}
 }
 
 func TestLayoutUnknownPanics(t *testing.T) {
 	p, _ := parser.Parse("var x : L; skip;")
-	l := NewLayout(p, LayoutConfig{})
+	l := NewLayout(p)
 	defer func() {
 		if recover() == nil {
 			t.Error("expected panic")
@@ -203,7 +192,7 @@ func TestDistinctVariablesDistinctAddresses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	l := NewLayout(p, LayoutConfig{})
+	l := NewLayout(p)
 	seen := map[uint64]string{}
 	check := func(name string, addr uint64) {
 		if prev, ok := seen[addr]; ok {

@@ -1,6 +1,7 @@
 // Command genfuzzcorpus regenerates the checked-in seed corpora for the
-// native fuzz targets (parser.FuzzParse, bytecode.FuzzDecode) from the
-// example programs in testdata/. Run it from anywhere inside the repo
+// native fuzz targets (parser.FuzzParse, bytecode.FuzzDecode,
+// bytecode.FuzzOptTraceIdentity) from the example programs in
+// testdata/. Run it from anywhere inside the repo
 // after adding or changing example programs:
 //
 //	go run ./internal/tools/genfuzzcorpus
@@ -47,18 +48,19 @@ func main() {
 	}
 
 	// VM differential corpus: every example program, crossed over machine
-	// environment and timing-model selectors, so the differential
-	// target starts from real programs on both timing models.
+	// environment and reference selectors, so the differential target
+	// starts from real programs against both references: sem/full
+	// (false) and the unfused register form (true).
 	odir := filepath.Join(repo, "internal/bytecode/testdata/fuzz/FuzzOptTraceIdentity")
 	for i, tc := range tcs {
 		src, err := os.ReadFile(tc)
 		if err != nil {
 			panic(err)
 		}
-		for _, micro := range []bool{false, true} {
-			name := fmt.Sprintf("seed-%s-%v", filepath.Base(tc), micro)
+		for _, unfusedRef := range []bool{false, true} {
+			name := fmt.Sprintf("seed-%s-%v", filepath.Base(tc), unfusedRef)
 			body := fmt.Sprintf("string(%s)\nbyte(%d)\nbool(%v)\nbyte(%d)",
-				strconv.Quote(string(src)), i%4, micro, i%11)
+				strconv.Quote(string(src)), i%4, unfusedRef, i%11)
 			write(odir, name, body)
 		}
 	}
