@@ -59,10 +59,6 @@ func TestDecodeRejectsGarbage(t *testing.T) {
 		"bad magic":   []byte("NOPE\x01"),
 		"bad version": []byte("TCBC\x09"),
 		"truncated":   []byte("TCBC\x02\x09two"),
-		// A whole version-1 image of x := 42, which carries neither the
-		// data offsets nor the SETLBL node IDs the VM charges at.
-		"version 1": []byte("TCBC\x01\x09two-point\x00\x01\x01x\x00\x04" +
-			"\x01\x00\x00\x02\x54\x00\x05\x00\x00\x0e\x00\x00"),
 	}
 	for name, data := range cases {
 		if _, err := Decode(bytes.NewReader(data), lat); err == nil {

@@ -3,6 +3,7 @@ package bytecode
 import (
 	"bytes"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/lang/parser"
@@ -65,6 +66,18 @@ func TestEncodeV2PreservesTreeMetadata(t *testing.T) {
 	}
 	if !reflect.DeepEqual(back.ArrayOffsets, bc.ArrayOffsets) {
 		t.Errorf("array offsets changed: %v -> %v", bc.ArrayOffsets, back.ArrayOffsets)
+	}
+}
+
+// TestDecodeRejectsV1 checks that Decode refuses a whole version-1
+// image of x := 42: it carries neither the data offsets nor the SETLBL
+// node IDs the VM charges at, so there is no cost to run it under.
+func TestDecodeRejectsV1(t *testing.T) {
+	v1 := []byte("TCBC\x01\x09two-point\x00\x01\x01x\x00\x04" +
+		"\x01\x00\x00\x02\x54\x00\x05\x00\x00\x0e\x00\x00")
+	_, err := Decode(bytes.NewReader(v1), lattice.TwoPoint())
+	if err == nil || !strings.Contains(err.Error(), "unsupported version 1") {
+		t.Errorf("decoding a version-1 image: err = %v", err)
 	}
 }
 
