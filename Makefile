@@ -137,7 +137,7 @@ bench-smoke:
 # benchmark's median, min and max.
 bench-engines:
 	{ $(GO) test -run '^$$' -bench BenchmarkServerPool -benchtime 2s -count 3 . ; \
-	  $(GO) test -run '^$$' -bench 'BenchmarkEngine|BenchmarkProgramCache' -benchtime 1s -count 3 ./internal/exec ; } \
+	  $(GO) test -run '^$$' -bench 'BenchmarkEngine' -benchtime 1s -count 3 ./internal/exec ; } \
 	  | tee bench_engines.txt | $(GO) run ./internal/tools/benchjson -o BENCH_engines.json
 	@rm -f bench_engines.txt
 	@echo wrote BENCH_engines.json

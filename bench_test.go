@@ -306,10 +306,13 @@ func BenchmarkAblationPenaltyPolicies(b *testing.B) {
 // BenchmarkAblationServerSchemes runs a warm login server over a
 // request sequence per scheme, reporting total time and how many
 // distinct response durations (leakage surface) each schedule exposes.
+// The service mitigates only with fast doubling, so the ablation runs
+// on sem/full as the tree engine serves: one persistent environment
+// and one persistent state per scheme, spliced into a fresh machine
+// for every request and copied back after it.
 func BenchmarkAblationServerSchemes(b *testing.B) {
 	lat := lattice.TwoPoint()
 	prog, res := mustProg(b, sleepSrc)
-	ctx := context.Background()
 	for _, scheme := range []mitigation.Scheme{
 		mitigation.FastDoubling{}, mitigation.Linear{}, mitigation.SlowDoubling{Period: 4},
 	} {
@@ -317,21 +320,22 @@ func BenchmarkAblationServerSchemes(b *testing.B) {
 			var total uint64
 			distinct := 0
 			for i := 0; i < b.N; i++ {
-				srv, err := server.New(prog, res, server.Options{
-					Env:    hw.MustEnv("partitioned", lat, hw.Table1Config()),
-					Scheme: scheme,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
+				env := hw.MustEnv("partitioned", lat, hw.Table1Config())
+				state := mitigation.NewState(lat, scheme, mitigation.PerLevel)
 				seen := map[uint64]bool{}
 				for r := 0; r < 48; r++ {
-					resp, err := srv.Handle(ctx, func(m *mem.Memory) { m.Set("h", int64(r*17%300)) })
+					m, err := full.New(prog, res, env, full.Options{Scheme: scheme})
 					if err != nil {
 						b.Fatal(err)
 					}
-					total += resp.Time
-					seen[resp.Time] = true
+					state.CopyInto(m.MitigationState())
+					m.Memory().Set("h", int64(r*17%300))
+					if err := m.Run(10_000_000); err != nil {
+						b.Fatal(err)
+					}
+					m.MitigationState().CopyInto(state)
+					total += m.Clock()
+					seen[m.Clock()] = true
 				}
 				distinct = len(seen)
 			}

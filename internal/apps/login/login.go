@@ -24,7 +24,6 @@ import (
 	"repro/internal/lang/parser"
 	"repro/internal/lattice"
 	"repro/internal/machine/hw"
-	"repro/internal/mitigation"
 	"repro/internal/sem/full"
 	"repro/internal/sem/mem"
 	"repro/internal/types"
@@ -200,7 +199,6 @@ func (a *App) Setup(m *mem.Memory, creds []Credential, att Attempt, pred1, pred2
 type RunOptions struct {
 	Env      hw.Env
 	Mitigate bool
-	Policy   mitigation.Policy
 	Pred1    int64
 	Pred2    int64
 }
@@ -209,7 +207,7 @@ type RunOptions struct {
 // response time is the Time of the trace's final event (the assignment
 // to response).
 func (a *App) Run(opts RunOptions, creds []Credential, att Attempt) (*full.Result, error) {
-	fopts := full.Options{DisableMitigation: !opts.Mitigate, Policy: opts.Policy}
+	fopts := full.Options{DisableMitigation: !opts.Mitigate}
 	return full.Execute(a.Prog, a.Res, opts.Env, fopts, func(m *mem.Memory) {
 		a.Setup(m, creds, att, opts.Pred1, opts.Pred2)
 	}, 10_000_000)

@@ -2,9 +2,11 @@ package bytecode
 
 import (
 	"bufio"
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"io"
+	"slices"
 
 	"repro/internal/lang/token"
 	"repro/internal/lattice"
@@ -25,7 +27,8 @@ import (
 // same lattice, which is recorded by name and validated. The data
 // offsets and SETLBL node IDs place every access where sem/full makes
 // it, so a decoded program runs with the semantics' timing. Version 1
-// images, which lack both, are rejected.
+// images, which lack both, are rejected, and so are offsets that do
+// not tile the data segment (checkOffsets).
 
 const (
 	encodeMagic   = "TCBC"
@@ -229,6 +232,9 @@ func Decode(r io.Reader, lat lattice.Lattice) (*Program, error) {
 // validate performs structural checks on a decoded program so a
 // corrupted file fails fast instead of panicking mid-execution.
 func (p *Program) validate() error {
+	if err := p.checkOffsets(); err != nil {
+		return err
+	}
 	n := int64(len(p.Code))
 	levels := int64(p.Lat.Size())
 	for i, ins := range p.Code {
@@ -261,6 +267,34 @@ func (p *Program) validate() error {
 				return fmt.Errorf("bytecode: instr %d: %d is not a binary operator", i, ins.A)
 			}
 		}
+	}
+	return nil
+}
+
+// checkOffsets reports an error unless the data offsets tile the data
+// segment: each scalar takes 8 bytes and each array 8·size, and sorted
+// by offset the declarations start at 0 and leave no gap or overlap.
+// That is the layout mem.NewLayout gives some declaration order, so a
+// decoded program touches only addresses sem/full could use.
+func (p *Program) checkOffsets() error {
+	type span struct {
+		name      string
+		off, size uint64
+	}
+	spans := make([]span, 0, len(p.ScalarNames)+len(p.ArrayNames))
+	for i, name := range p.ScalarNames {
+		spans = append(spans, span{name, p.ScalarOffsets[i], 8})
+	}
+	for i, name := range p.ArrayNames {
+		spans = append(spans, span{name, p.ArrayOffsets[i], 8 * uint64(p.ArraySizes[i])})
+	}
+	slices.SortStableFunc(spans, func(a, b span) int { return cmp.Compare(a.off, b.off) })
+	var next uint64
+	for _, s := range spans {
+		if s.off != next {
+			return fmt.Errorf("bytecode: %q at data offset %d, want %d: offsets must tile the data segment from 0", s.name, s.off, next)
+		}
+		next += s.size
 	}
 	return nil
 }

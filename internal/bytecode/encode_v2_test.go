@@ -84,7 +84,8 @@ func TestDecodeRejectsV1(t *testing.T) {
 // TestDecodeRejectsHugeArrays: an image whose arrays total more than
 // 2^20 elements is rejected before linking, which builds per-element
 // storage and event names, can run; an image at the bound still links,
-// with each element's event name.
+// with each element's event name. The scalar declared after the array
+// moves with its size, so the offsets still tile the data segment.
 func TestDecodeRejectsHugeArrays(t *testing.T) {
 	lat := lattice.TwoPoint()
 	prog, err := parser.Parse(v2TestSrc)
@@ -104,6 +105,7 @@ func TestDecodeRejectsHugeArrays(t *testing.T) {
 		ok   bool
 	}{{1 << 20, true}, {1 << 21, false}} {
 		bc.ArraySizes[0] = c.size
+		bc.ScalarOffsets[1] = bc.ArrayOffsets[0] + 8*uint64(c.size)
 		var buf bytes.Buffer
 		if err := bc.Encode(&buf); err != nil {
 			t.Fatal(err)
@@ -118,5 +120,60 @@ func TestDecodeRejectsHugeArrays(t *testing.T) {
 				t.Errorf("element names: %d, first %q, last %q", len(names), names[0], names[len(names)-1])
 			}
 		}
+	}
+}
+
+// TestDecodeRejectsUntiledOffsets re-encodes a compiled program with
+// data offsets that do not tile the data segment, which mem.NewLayout
+// never produces: offsets far past it, where the VM would charge
+// accesses at addresses sem/full never uses, and two scalars that
+// share a slot. Decode must reject both.
+func TestDecodeRejectsUntiledOffsets(t *testing.T) {
+	lat := lattice.TwoPoint()
+	prog, err := parser.Parse(`
+var a: L;
+var b: L;
+array t[4]: L;
+a := t[1];
+b := a + 1;
+t[2] := b;
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := types.Check(prog, lat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bc, err := Compile(prog, res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	encode := func(t *testing.T, scalars []uint64, arrays []uint64) []byte {
+		t.Helper()
+		p := *bc
+		p.ScalarOffsets, p.ArrayOffsets = scalars, arrays
+		var buf bytes.Buffer
+		if err := p.Encode(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	if _, err := Decode(bytes.NewReader(encode(t, bc.ScalarOffsets, bc.ArrayOffsets)), lat); err != nil {
+		t.Fatalf("the compiled offsets %v / %v must decode: %v", bc.ScalarOffsets, bc.ArrayOffsets, err)
+	}
+	for _, c := range []struct {
+		name            string
+		scalars, arrays []uint64
+	}{
+		{"far", []uint64{1 << 40, 1 << 41}, []uint64{1 << 42}},
+		{"overlap", []uint64{0, 0}, []uint64{16}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			_, err := Decode(bytes.NewReader(encode(t, c.scalars, c.arrays)), lat)
+			if err == nil || !strings.Contains(err.Error(), "tile the data segment") {
+				t.Errorf("offsets %v / %v: Decode error %v, want a tiling error", c.scalars, c.arrays, err)
+			}
+		})
 	}
 }

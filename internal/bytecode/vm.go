@@ -12,23 +12,13 @@ import (
 	"repro/internal/sem/mem"
 )
 
-// VMOptions configure the VM's mitigation. Costs and addresses are the
-// constants of sem/mem, the cost model the tree-walking semantics
-// charges too.
+// VMOptions configure the VM's mitigation. The VM mitigates with the
+// paper's fast-doubling scheme and per-level penalties; costs and
+// addresses are the constants of sem/mem, the cost model the
+// tree-walking semantics charges too.
 type VMOptions struct {
-	// Scheme and Policy configure predictive mitigation; defaults are
-	// FastDoubling and PerLevel.
-	Scheme mitigation.Scheme
-	Policy mitigation.Policy
 	// DisableMitigation makes MITENTER/MITEXIT record but not pad.
 	DisableMitigation bool
-}
-
-func (o VMOptions) withDefaults() VMOptions {
-	if o.Scheme == nil {
-		o.Scheme = mitigation.FastDoubling{}
-	}
-	return o
 }
 
 // mitFrame tracks one open mitigation region.
@@ -98,7 +88,6 @@ func NewVM(prog *Program, env hw.Env, opts VMOptions) *VM {
 	if !prog.hasOffsets() {
 		panic("bytecode: NewVM on a program without data offsets (use Compile or Decode)")
 	}
-	opts = opts.withDefaults()
 	vm := &VM{
 		prog:    prog,
 		opts:    opts,
@@ -107,7 +96,7 @@ func NewVM(prog *Program, env hw.Env, opts VMOptions) *VM {
 		arrays:  make([][]int64, len(prog.ArrayNames)),
 		er:      prog.Lat.Bot(),
 		ew:      prog.Lat.Bot(),
-		mstate:  mitigation.NewState(prog.Lat, opts.Scheme, opts.Policy),
+		mstate:  mitigation.NewState(prog.Lat, nil, mitigation.PerLevel),
 	}
 	vm.scalarAddr = make([]uint64, len(prog.ScalarNames))
 	for i, off := range prog.ScalarOffsets {

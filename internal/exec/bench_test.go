@@ -21,7 +21,7 @@ import (
 )
 
 // BenchmarkEngine* compare the tree-walking engine against the VM
-// engine (compiled once via the program cache, machine reused) on the
+// engine (compiled once when it is built, machine reused) on the
 // paper's two case-study applications. The simulated cycle counts are
 // identical by construction (differential tests); what differs is host
 // time per request — the service hot path.
@@ -139,9 +139,10 @@ func BenchmarkEngineRSA(b *testing.B) {
 	}
 }
 
-// BenchmarkEngineVMColdCompile measures the cost the cache removes: a
-// full compile + fresh VM per request, against the login workload.
-// Compare with BenchmarkEngineLogin/vm to see the amortization.
+// BenchmarkEngineVMColdCompile measures one shard's compile at
+// start-up, with a fresh VM and one run, per iteration, against the
+// login workload. Compare with BenchmarkEngineLogin/vm to see what
+// building an engine adds to a run.
 func BenchmarkEngineVMColdCompile(b *testing.B) {
 	lat := lattice.TwoPoint()
 	app, err := login.Build(login.Config{TableSize: 32, WorkFactor: 96, WorkTableSize: 512}, lat)
@@ -166,47 +167,4 @@ func BenchmarkEngineVMColdCompile(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-}
-
-// BenchmarkProgramCache measures the cache's hit path in isolation.
-func BenchmarkProgramCache(b *testing.B) {
-	lat := lattice.TwoPoint()
-	app, err := login.Build(login.Config{TableSize: 32, WorkFactor: 96, WorkTableSize: 512}, lat)
-	if err != nil {
-		b.Fatal(err)
-	}
-	c := NewProgramCache(8)
-	if _, err := c.Get(app.Prog, app.Res); err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := c.Get(app.Prog, app.Res); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkProgramCacheParallel hammers the hit path from concurrent
-// goroutines — the pool-shard pattern. With the copy-on-write map the
-// hit path takes no lock, so this should track the serial benchmark
-// instead of collapsing onto a mutex.
-func BenchmarkProgramCacheParallel(b *testing.B) {
-	lat := lattice.TwoPoint()
-	app, err := login.Build(login.Config{TableSize: 32, WorkFactor: 96, WorkTableSize: 512}, lat)
-	if err != nil {
-		b.Fatal(err)
-	}
-	c := NewProgramCache(8)
-	if _, err := c.Get(app.Prog, app.Res); err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		for pb.Next() {
-			if _, err := c.Get(app.Prog, app.Res); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 }

@@ -26,6 +26,20 @@ import (
 // is the acceptance bar for putting the VM on the service hot path: any
 // divergence would change the leakage analysis, not just performance.
 
+// mustCheck parses and type-checks source under the two-point lattice.
+func mustCheck(t *testing.T, src string) (*ast.Program, *types.Result) {
+	t.Helper()
+	prog, err := parser.Parse(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := types.Check(prog, lattice.TwoPoint())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return prog, res
+}
+
 type checkedProg struct {
 	name string
 	prog *ast.Program

@@ -8,9 +8,9 @@
 // server, a pool shard, an experiment arm) for one program, and then
 // runs many requests. Engines are NOT safe for concurrent use; like
 // server.Server, each goroutine owns its own. This is what lets the VM
-// engine compile once (through the shared ProgramCache) and reuse its
-// machine across requests — the service hot path the tree-walker
-// cannot match, because it must rebuild per-request interpreter state.
+// engine compile once, when it is built, and reuse its machine across
+// requests — the service hot path the tree-walker cannot match,
+// because it must rebuild per-request interpreter state.
 //
 // Both engines run against the same hw.Env contract and charge the same
 // costs (the constants of sem/mem), so they produce identical event
@@ -79,16 +79,14 @@ func (l Limits) Bound(ctx context.Context) (context.Context, context.CancelFunc)
 	return ctx, func() {}
 }
 
-// Options carries the knobs shared by every engine: mitigation
-// configuration, per-run budgets, and instrumentation. It replaces the
+// Options carries the knobs shared by every engine: whether to
+// mitigate, per-run budgets, and instrumentation. It replaces the
 // per-engine option structs (full.Options, bytecode.VMOptions) on the
 // service path; those remain as engine-internal configuration for
-// direct use of the interpreters.
+// direct use of the interpreters. Every engine mitigates with the
+// paper's fast-doubling scheme and per-level penalties; the other
+// schemes and policies are ablations on sem/full.
 type Options struct {
-	// Scheme and Policy configure predictive mitigation; defaults are
-	// FastDoubling and PerLevel.
-	Scheme mitigation.Scheme
-	Policy mitigation.Policy
 	// DisableMitigation makes mitigate blocks record but not pad.
 	DisableMitigation bool
 	// Limits bounds every Run: engine steps, simulated cycles, and —

@@ -3,11 +3,9 @@ package exec
 // Metamorphic tests over generated programs: relations that must hold
 // between two executions regardless of what the program computes.
 // Unlike the differential tests (tree vs vm on hand-written programs),
-// these sample the program space with progen and pin two service-level
-// guarantees: engines are deterministic (same program, same inputs,
-// same environment ⇒ identical traces and clocks), and the program
-// cache is transparent (an engine built from a cache hit behaves
-// byte-identically to the cold-compile engine).
+// these sample the program space with progen and pin a service-level
+// guarantee: engines are deterministic (same program, same inputs,
+// same environment ⇒ identical traces and clocks).
 
 import (
 	"context"
@@ -75,19 +73,4 @@ func TestMetamorphic(t *testing.T) {
 			}
 		})
 	}
-	t.Run("vm/cache-transparency", func(t *testing.T) {
-		// The first runSequence compiles each program into DefaultCache;
-		// the second constructs its engines from cache hits. A cache that
-		// returned a stale or corrupted compilation would diverge here.
-		// The seed range is disjoint from the determinism subtest's so
-		// the first run really is a cold compile.
-		for seed := int64(101); seed <= 100+programs; seed++ {
-			cold := runSequence(t, "vm", seed, requests)
-			hit := runSequence(t, "vm", seed, requests)
-			if !reflect.DeepEqual(cold, hit) {
-				t.Fatalf("seed %d: cache-hit engine diverged from cold engine:\n cold: %+v\n  hit: %+v",
-					seed, cold, hit)
-			}
-		}
-	})
 }

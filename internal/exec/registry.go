@@ -12,9 +12,8 @@ import (
 
 // Factory constructs an engine for one type-checked program over one
 // machine environment. Construction may do per-program work (the VM
-// engine compiles, or fetches from the program cache) and validates the
-// program, so a broken program fails at engine construction rather than
-// per request.
+// engine compiles) and validates the program, so a broken program fails
+// at engine construction rather than per request.
 type Factory func(prog *ast.Program, res *types.Result, env hw.Env, opts Options) (Engine, error)
 
 // The registry maps engine names to factories, mirroring hw's

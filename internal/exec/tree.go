@@ -33,11 +33,7 @@ func newTreeEngine(prog *ast.Program, res *types.Result, env hw.Env, opts Option
 }
 
 func treeOptions(opts Options) full.Options {
-	return full.Options{
-		Scheme:            opts.Scheme,
-		Policy:            opts.Policy,
-		DisableMitigation: opts.DisableMitigation,
-	}
+	return full.Options{DisableMitigation: opts.DisableMitigation}
 }
 
 // Name implements Engine.

@@ -13,11 +13,10 @@ import (
 )
 
 // VMEngine runs requests on the bytecode VM: identical traces to the
-// tree engine, without re-walking the AST per step. The program is compiled once —
-// through the shared DefaultCache, so pool shards serving the same
-// source compile it once between them — and the VM and its scratch
-// memory are reused across requests, which is where the service-path
-// speedup comes from.
+// tree engine, without re-walking the AST per step. The program is
+// compiled once, when the engine is built (so a pool compiles once per
+// shard, at start-up), and the VM and its scratch memory are reused
+// across requests, which is where the service-path speedup comes from.
 type VMEngine struct {
 	prog    *bytecode.Program
 	src     *ast.Program
@@ -31,15 +30,11 @@ type VMEngine struct {
 
 // newVMEngine is the registered factory for "vm".
 func newVMEngine(prog *ast.Program, res *types.Result, env hw.Env, opts Options) (Engine, error) {
-	bp, err := DefaultCache.Get(prog, res)
+	bp, err := bytecode.Compile(prog, res)
 	if err != nil {
 		return nil, err
 	}
-	vm := bytecode.NewVM(bp, env, bytecode.VMOptions{
-		Scheme:            opts.Scheme,
-		Policy:            opts.Policy,
-		DisableMitigation: opts.DisableMitigation,
-	})
+	vm := bytecode.NewVM(bp, env, bytecode.VMOptions{DisableMitigation: opts.DisableMitigation})
 	// The scratch memory aliases the VM's own storage: request setup
 	// writes machine state directly with no copy pass, and the VM's
 	// Reset (which zeroes its scalars and arrays) doubles as the

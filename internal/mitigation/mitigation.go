@@ -245,7 +245,8 @@ func (s *State) Reset() {
 // CopyInto copies this state's counters into dst, which must have been
 // created over the same lattice. Scheme and policy are not copied (dst
 // keeps its own); this supports splicing persistent counters into fresh
-// machines (the server runtime).
+// machines (the server runtime), where every state is the paper's
+// fast-doubling, per-level one, so the two always agree.
 func (s *State) CopyInto(dst *State) {
 	copy(dst.byLevel, s.byLevel)
 	dst.global = s.global

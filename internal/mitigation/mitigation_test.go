@@ -110,6 +110,36 @@ func TestPerSitePolicy(t *testing.T) {
 	}
 }
 
+// TestResetRestoresNewState penalises a state under each policy and
+// resets it: it must be exactly the state NewState returns, scheme and
+// policy included, which is what a recycled tenant session relies on.
+func TestResetRestoresNewState(t *testing.T) {
+	lat := lattice.TwoPoint()
+	scheme := SlowDoubling{}
+	for _, policy := range []Policy{PerLevel, Global, PerSite} {
+		t.Run(policy.String(), func(t *testing.T) {
+			st := NewState(lat, scheme, policy)
+			fresh := NewState(lat, scheme, policy)
+			st.Penalize(1, lat.Top(), 3, 1000)
+			st.Penalize(1, lat.Bot(), 4, 10)
+			if st.Equal(fresh) {
+				t.Fatal("Penalize left the state as NewState made it")
+			}
+			st.Reset()
+			if !st.Equal(fresh) {
+				t.Errorf("Reset left %d misses, want the state NewState returns", st.TotalMisses())
+			}
+			for _, site := range []int{3, 4} {
+				for _, level := range []lattice.Label{lat.Bot(), lat.Top()} {
+					if got, want := st.Predict(1, level, site), fresh.Predict(1, level, site); got != want {
+						t.Errorf("after Reset, Predict(1, %v, %d) = %d, want %d", level, site, got, want)
+					}
+				}
+			}
+		})
+	}
+}
+
 func TestCloneAndEqual(t *testing.T) {
 	lat := lattice.ThreePoint()
 	M, _ := lat.Lookup("M")

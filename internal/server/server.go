@@ -147,14 +147,13 @@ type Options struct {
 	Env hw.Env
 	// Engine selects the execution engine by registered name: "tree"
 	// (the default) interprets the AST per request; "vm" compiles the
-	// program to bytecode once (shared across shards via the program
-	// cache) and reuses the machine — the fast path. Both produce
-	// identical traces. Unknown names fail New with ErrBadOptions.
+	// program to bytecode once per server (so once per pool shard) and
+	// reuses the machine — the fast path. Both produce identical
+	// traces. Unknown names fail New with ErrBadOptions.
 	Engine string
-	// Scheme and Policy configure the persistent mitigation state.
-	Scheme mitigation.Scheme
-	Policy mitigation.Policy
-	// DisableMitigation runs the program unmitigated.
+	// DisableMitigation runs the program unmitigated. A mitigated
+	// server predicts with the paper's fast-doubling scheme and
+	// per-level penalties, the one mitigation point the service runs.
 	DisableMitigation bool
 	// Limits bounds each request: engine steps (MaxSteps, default
 	// 10_000_000), simulated cycles (MaxCycles), and wall-clock time
@@ -223,8 +222,6 @@ func New(prog *ast.Program, res *types.Result, opts Options) (*Server, error) {
 	}
 	opts = opts.withDefaults()
 	engine, err := exec.NewEngine(opts.Engine, prog, res, opts.Env, exec.Options{
-		Scheme:            opts.Scheme,
-		Policy:            opts.Policy,
 		DisableMitigation: opts.DisableMitigation,
 		Limits:            opts.Limits,
 		Metrics:           opts.Metrics,
@@ -238,7 +235,7 @@ func New(prog *ast.Program, res *types.Result, opts Options) (*Server, error) {
 		res:    res,
 		opts:   opts,
 		engine: engine,
-		mit:    mitigation.NewState(res.Lat, opts.Scheme, opts.Policy),
+		mit:    mitigation.NewState(res.Lat, nil, mitigation.PerLevel),
 	}, nil
 }
 

@@ -11,7 +11,6 @@ import (
 	"repro/internal/lang/parser"
 	"repro/internal/lattice"
 	"repro/internal/machine/hw"
-	"repro/internal/mitigation"
 	"repro/internal/sem/mem"
 	"repro/internal/types"
 )
@@ -168,25 +167,6 @@ func TestServerUnmitigatedLeaksEachSecret(t *testing.T) {
 	}
 	if len(distinct) < 16 {
 		t.Errorf("unmitigated server should leak every secret: %d distinct", len(distinct))
-	}
-}
-
-func TestServerPerSitePolicy(t *testing.T) {
-	p, r := buildProg(t, echoSrc)
-	lat := r.Lat
-	srv, err := New(p, r, Options{
-		Env:    hw.NewFlat(lat, 2),
-		Policy: mitigation.PerSite,
-		Scheme: mitigation.FastDoubling{},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := srv.Handle(ctxb(), setH(40)); err != nil {
-		t.Fatal(err)
-	}
-	if srv.MitigationState().TotalMisses() == 0 {
-		t.Error("per-site counters should persist too")
 	}
 }
 

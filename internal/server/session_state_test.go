@@ -17,7 +17,7 @@ func TestHandleWithUsesCallerState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mine := mitigation.NewState(r.Lat, srv.opts.Scheme, srv.opts.Policy)
+	mine := mitigation.NewState(r.Lat, nil, mitigation.PerLevel)
 
 	// A large secret forces a misprediction on the first epoch.
 	if _, err := srv.HandleWith(ctxb(), setH(63), mine); err != nil {
@@ -48,8 +48,8 @@ func TestHandleWithStatesAreIndependent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := mitigation.NewState(r.Lat, srv.opts.Scheme, srv.opts.Policy)
-	b := mitigation.NewState(r.Lat, srv.opts.Scheme, srv.opts.Policy)
+	a := mitigation.NewState(r.Lat, nil, mitigation.PerLevel)
+	b := mitigation.NewState(r.Lat, nil, mitigation.PerLevel)
 
 	ref, err := New(p, r, Options{Env: hw.NewPartitioned(r.Lat, hw.Table1Config())})
 	if err != nil {

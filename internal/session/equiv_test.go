@@ -104,7 +104,7 @@ func (r *refManager) checkIn(e *refSession, now time.Time) {
 }
 
 func (r *refManager) bits(e *refSession) float64 {
-	return leakage.Bound(r.opts.ClosureSize, e.cumMits, e.cumTime)
+	return leakage.Bound(r.opts.Lat.Size()-1, e.cumMits, e.cumTime)
 }
 
 // shardIndex is the position of tenant's shard in m.shards.

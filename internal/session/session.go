@@ -81,23 +81,18 @@ func (e *BudgetError) Error() string {
 // Unwrap makes errors.Is(err, ErrBudgetExceeded) work.
 func (e *BudgetError) Unwrap() error { return ErrBudgetExceeded }
 
-// Options configure a Manager.
+// Options configure a Manager. Each session's prediction state is the
+// one every engine on the serving path runs: the paper's fast-doubling
+// scheme with per-level penalties. The |L↑| term of its leakage bound,
+// the number of levels an observer at the bottom of the lattice can
+// see mitigated timing at, is Lat.Size()-1 (everything above bottom) —
+// the conservative service-layer choice, since the manager cannot see
+// which levels a particular program actually mitigates.
 type Options struct {
 	// Lat is the security lattice of the served program; required. It
 	// sizes each session's per-level miss counters and the closure term
 	// of the leakage bound.
 	Lat lattice.Lattice
-	// Scheme and Policy configure each session's prediction state,
-	// with the same defaults as internal/mitigation (FastDoubling,
-	// PerLevel).
-	Scheme mitigation.Scheme
-	Policy mitigation.Policy
-	// ClosureSize is the |L↑| term of the leakage bound: the number of
-	// levels an observer at the bottom of the lattice can see mitigated
-	// timing at. Default Lat.Size()-1 (everything above bottom) — the
-	// conservative service-layer choice, since the manager cannot see
-	// which levels a particular program actually mitigates.
-	ClosureSize int
 	// BudgetBits caps each tenant's cumulative leakage bound; a tenant
 	// whose account has reached it is denied at Begin until its session
 	// expires. 0 disables enforcement (accounting still runs).
@@ -121,9 +116,6 @@ type Options struct {
 }
 
 func (o Options) withDefaults() Options {
-	if o.ClosureSize == 0 {
-		o.ClosureSize = o.Lat.Size() - 1
-	}
 	if o.MaxSessions == 0 {
 		o.MaxSessions = 65536
 	}
@@ -151,9 +143,6 @@ func (o Options) validate() error {
 	}
 	if o.Shards < 0 {
 		return fmt.Errorf("%w: Shards must be ≥ 0", ErrBadOptions)
-	}
-	if o.ClosureSize < 0 {
-		return fmt.Errorf("%w: ClosureSize must be ≥ 0", ErrBadOptions)
 	}
 	return nil
 }
@@ -317,7 +306,7 @@ func (m *Manager) shardFor(tenant string) *shard {
 
 // spentBits is the tenant's accumulated §7 bound. Caller holds e.mu.
 func (m *Manager) spentBits(e *session) float64 {
-	return leakage.Bound(m.opts.ClosureSize, e.cumMits, e.cumTime)
+	return leakage.Bound(m.opts.Lat.Size()-1, e.cumMits, e.cumTime)
 }
 
 // expired reports whether an idle session has outlived the TTL.
@@ -449,7 +438,7 @@ func (m *Manager) Begin(tenant string) (*Ticket, error) {
 		}
 		e = spare
 		if e == nil {
-			e = &session{mit: mitigation.NewState(m.opts.Lat, m.opts.Scheme, m.opts.Policy)}
+			e = &session{mit: mitigation.NewState(m.opts.Lat, nil, mitigation.PerLevel)}
 			e.tk = Ticket{m: m, s: s, e: e}
 		} else {
 			e.mit.Reset()

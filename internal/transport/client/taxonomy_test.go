@@ -158,7 +158,7 @@ func TestTaxonomyAgainstLiveService(t *testing.T) {
 	t.Run("503 overloaded", func(t *testing.T) {
 		_, url, hits, pool := liveService(t, server.PoolOptions{
 			Workers: 1, QueueDepth: 1, ShedOnSaturation: true,
-		}, transport.Options{RetryAfter: time.Second})
+		}, transport.Options{})
 		// Hold the only worker on a gated request and take the queue
 		// entry, so every submission sheds until the gate opens.
 		entered, gate := make(chan struct{}), make(chan struct{})
@@ -180,6 +180,10 @@ func TestTaxonomyAgainstLiveService(t *testing.T) {
 		c.sleep = func(context.Context, time.Duration) bool { return true }
 		_, err = c.Run(ctx, wire.RunRequest{Inputs: map[string]int64{"h": 1}})
 		assertTaxonomy(t, err, ErrOverloaded, http.StatusServiceUnavailable, wire.CodeOverloaded)
+		var cerr *Error
+		if errors.As(err, &cerr) && cerr.RetryAfter != transport.RetryAfter {
+			t.Errorf("RetryAfter = %v, want the transport's %v", cerr.RetryAfter, transport.RetryAfter)
+		}
 		// Overload IS retried: 1 initial + 2 retries.
 		if got := hits.Load(); got != 3 {
 			t.Errorf("attempts = %d, want 3", got)

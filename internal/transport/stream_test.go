@@ -309,7 +309,7 @@ func nonEmptyLines(raw []byte) [][]byte {
 // stream finish in-flight work, answer with a shutting_down error
 // line, and close — the streaming analogue of the two-phase drain.
 func TestStreamDrainMidStream(t *testing.T) {
-	h, ts := newService(t, server0(), Options{RetryAfter: 2 * time.Second})
+	h, ts := newService(t, server0(), Options{})
 
 	pr, pw := io.Pipe()
 	req, err := http.NewRequest(http.MethodPost, ts.URL+"/v1/stream", pr)
@@ -355,8 +355,8 @@ func TestStreamDrainMidStream(t *testing.T) {
 	if second.Error.Code != wire.CodeShuttingDown {
 		t.Errorf("drain code = %q, want %q", second.Error.Code, wire.CodeShuttingDown)
 	}
-	if second.Error.RetryAfterMS != (2 * time.Second).Milliseconds() {
-		t.Errorf("drain retry_after_ms = %d, want %d", second.Error.RetryAfterMS, (2 * time.Second).Milliseconds())
+	if second.Error.RetryAfterMS != RetryAfter.Milliseconds() {
+		t.Errorf("drain retry_after_ms = %d, want %d", second.Error.RetryAfterMS, RetryAfter.Milliseconds())
 	}
 	if sc.Scan() {
 		t.Errorf("stream must end after the drain line, got %s", sc.Bytes())

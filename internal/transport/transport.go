@@ -71,6 +71,12 @@ const DefaultMaxBatch = 1024
 // enough that one stream cannot queue unbounded work.
 const DefaultStreamWindow = 256
 
+// RetryAfter is the delay advertised on 503 responses: the Retry-After
+// header and the retry_after_ms body field of overloaded and
+// shutting_down errors. A budget denial (429) advertises its session's
+// TTL instead.
+const RetryAfter = time.Second
+
 // Options configure a Handler.
 type Options struct {
 	// Pool serves the requests; required. The handler takes ownership
@@ -85,9 +91,6 @@ type Options struct {
 	// transport-level bound (the pool's queue backpressure still
 	// applies).
 	MaxInFlight int
-	// RetryAfter is the delay advertised on 503 responses (Retry-After
-	// header and retry_after_ms body field). Default 1s.
-	RetryAfter time.Duration
 	// Sessions, when non-nil, enables per-tenant mitigation sessions:
 	// requests naming a tenant (body field or X-Timing-Tenant header)
 	// run against that tenant's persistent mitigation state and leakage
@@ -124,9 +127,6 @@ func New(opts Options) (*Handler, error) {
 	if opts.Prog == nil {
 		return nil, errors.New("transport: Options.Prog is required")
 	}
-	if opts.RetryAfter <= 0 {
-		opts.RetryAfter = time.Second
-	}
 	h := &Handler{
 		opts:    opts,
 		metrics: opts.Pool.Metrics(),
@@ -162,7 +162,7 @@ func (h *Handler) begin() *wire.Error {
 		return &wire.Error{
 			Code:         wire.CodeOverloaded,
 			Message:      "too many in-flight requests",
-			RetryAfterMS: h.opts.RetryAfter.Milliseconds(),
+			RetryAfterMS: RetryAfter.Milliseconds(),
 		}
 	}
 	h.inFlight++
@@ -174,7 +174,7 @@ func (h *Handler) drainError() *wire.Error {
 	return &wire.Error{
 		Code:         wire.CodeShuttingDown,
 		Message:      "service is draining",
-		RetryAfterMS: h.opts.RetryAfter.Milliseconds(),
+		RetryAfterMS: RetryAfter.Milliseconds(),
 	}
 }
 
@@ -343,7 +343,7 @@ func (h *Handler) start(ctx context.Context, it *item) {
 	if it.tenant == "" {
 		fut, err := h.opts.Pool.Submit(ctx, it.setup)
 		if err != nil {
-			it.fail(h.toWireError(err))
+			it.fail(toWireError(err))
 			return
 		}
 		it.fut, it.queued = fut, true
@@ -351,13 +351,13 @@ func (h *Handler) start(ctx context.Context, it *item) {
 	}
 	tk, err := h.opts.Sessions.Begin(it.tenant)
 	if err != nil {
-		it.fail(h.toWireError(err))
+		it.fail(toWireError(err))
 		return
 	}
 	resp, err := h.opts.Pool.HandleWith(ctx, it.setup, tk.Mit())
 	if err != nil {
 		tk.Abort()
-		it.fail(h.toWireError(err))
+		it.fail(toWireError(err))
 		return
 	}
 	info := tk.Commit(resp.Time, len(resp.Mitigations))
@@ -379,7 +379,7 @@ func (h *Handler) resolve(ctx context.Context, it *item) *wire.BatchResult {
 			// yet; it would still call the item's setup.
 			it.lost = true
 		}
-		it.fail(h.toWireError(err))
+		it.fail(toWireError(err))
 		return &it.res
 	}
 	it.succeed(resp)
@@ -555,8 +555,8 @@ func fillRunResponse(out *wire.RunResponse, resp *server.Response, trace, mitiga
 // sentinel checks mirror the service's own taxonomy: saturation and
 // shutdown are retryable-with-delay, budget exhaustion is the caller's
 // program being too big, deadline/cancel are timing outcomes.
-func (h *Handler) toWireError(err error) *wire.Error {
-	retryMS := h.opts.RetryAfter.Milliseconds()
+func toWireError(err error) *wire.Error {
+	retryMS := RetryAfter.Milliseconds()
 	var be *session.BudgetError
 	switch {
 	case errors.As(err, &be):

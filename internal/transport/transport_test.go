@@ -289,15 +289,15 @@ func holdWorker(t *testing.T, pool *server.Pool, fill bool) (release func()) {
 // saturated shard queue must surface as 503 with a Retry-After header
 // and the stable overloaded code.
 func TestSaturationMapsTo503(t *testing.T) {
-	h, ts := newService(t, heldPool(), Options{RetryAfter: 2 * time.Second})
+	h, ts := newService(t, heldPool(), Options{})
 	holdWorker(t, h.opts.Pool, true)
 
 	resp, body := postJSON(t, ts.URL+"/v1/run", wire.RunRequest{Inputs: map[string]int64{"h": 1}})
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("status %d, want 503: %s", resp.StatusCode, body)
 	}
-	if ra := resp.Header.Get("Retry-After"); ra != "2" {
-		t.Errorf("Retry-After = %q, want \"2\"", ra)
+	if ra := resp.Header.Get("Retry-After"); ra != "1" {
+		t.Errorf("Retry-After = %q, want \"1\" (RetryAfter)", ra)
 	}
 	var envelope struct {
 		Error *wire.Error `json:"error"`
@@ -308,8 +308,8 @@ func TestSaturationMapsTo503(t *testing.T) {
 	if envelope.Error.Code != wire.CodeOverloaded {
 		t.Errorf("code %q, want %q", envelope.Error.Code, wire.CodeOverloaded)
 	}
-	if envelope.Error.RetryAfterMS != 2000 {
-		t.Errorf("retry_after_ms = %d, want 2000", envelope.Error.RetryAfterMS)
+	if envelope.Error.RetryAfterMS != RetryAfter.Milliseconds() {
+		t.Errorf("retry_after_ms = %d, want %d", envelope.Error.RetryAfterMS, RetryAfter.Milliseconds())
 	}
 }
 
